@@ -8,9 +8,10 @@ from .capacity import (
     face_vertices,
     is_feasible,
     max_face_residual,
-    prefix_feasible,
+    reply_slack,
     safe_rate,
     sample_max_face,
+    worst_excess,
 )
 from .game import (
     Utility,

@@ -11,6 +11,14 @@ every user at or above its interference-limited safe rate) is where the
 game-theoretic structure lives, so the module also provides a residual
 and a sampler for it.
 
+Every membership query goes through one sorted-ratio prefix oracle: C is
+ln1p of a modular function, so the worst subset for a profile is a
+threshold set of alpha_i / s_i (Tse & Hanly 1998). With users sorted by
+that ratio, `worst_excess` is a maximum over the m prefixes and
+`reply_slack` a minimum over {i} joined with each prefix of the others,
+O(m log m) per profile. The 2**m table of `subset_sums` (`view.cap`) is
+the independent second route, kept for listings and checks.
+
 Users are indexed 0..m-1 throughout.
 """
 from __future__ import annotations
@@ -18,13 +26,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 FEASIBILITY_TOL = 1e-9
 
-# Exhaustive subset enumeration is the membership test; beyond this it is
-# no longer a desk-scale computation.
+# The 2**m rank table (`view.cap`) is no longer a desk-scale computation
+# beyond this.
 MAX_ENUM_USERS = 20
 
 # itertools-based ordered subset listings (for display) stay cheap up to here.
@@ -122,50 +131,47 @@ def all_subsets(m: int):
 
 @dataclass
 class CapacityRegionView:
-    """Cached region geometry for one channel: rank values, safe rates, masks."""
+    """Region data for one channel: grand capacity, safe rates, single caps."""
 
     model: ChannelModel
-    cap: np.ndarray          # C over all 2**m bitmasks (cap[0] = 0)
     safe_rates: np.ndarray   # r_{i,N} against the full user set
     single_caps: np.ndarray  # C({i}) per user
+    total: float             # grand-coalition capacity C(N)
 
     @classmethod
     def build(cls, model: ChannelModel) -> "CapacityRegionView":
-        m = model.m
-        if m > MAX_ENUM_USERS:
-            raise ValueError(
-                f"subset enumeration supports at most {MAX_ENUM_USERS} users, got {m}")
-        cap = np.log1p(subset_sums(model.snr))
         total = float(model.snr.sum())
         safe = np.log1p(model.snr / (1.0 + total - model.snr))
         single = np.log1p(model.snr)
-        if model.symmetric and m >= 2:
+        grand = float(np.log1p(total))
+        if model.symmetric and model.m >= 2:
             # Equal split of the grand capacity must sit strictly below any
             # single-user cap; concavity of ln guarantees it, so a violation
             # means the inputs are corrupt.
-            if not cap[-1] / m < single.min():
+            if not grand / model.m < single.min():
                 raise ValueError("capacity anomaly: C(N)/m >= C({i}) on a symmetric channel")
-        return cls(model=model, cap=cap, safe_rates=safe, single_caps=single)
+        return cls(model=model, safe_rates=safe, single_caps=single, total=grand)
 
     @property
     def m(self) -> int:
         return self.model.m
 
-    @property
-    def total(self) -> float:
-        """Grand-coalition capacity C(N)."""
-        return float(self.cap[-1])
+    @cached_property
+    def cap(self) -> np.ndarray:
+        """C over all 2**m bitmasks (cap[0] = 0), built on first use.
 
-    def capacity(self, subset) -> float:
-        idx = _subset_indices(self.m, subset)
-        mask = sum(1 << i for i in idx)
-        return float(self.cap[mask])
+        The enumeration route: region listings and independent checks only.
+        """
+        if self.m > MAX_ENUM_USERS:
+            raise ValueError(
+                f"subset enumeration supports at most {MAX_ENUM_USERS} users, got {self.m}")
+        return np.log1p(subset_sums(self.model.snr))
 
     def rank_table(self) -> dict:
         """C(J) for every nonempty J, keyed by member tuple, (size, lex) order."""
         if self.m > MAX_LISTING_USERS:
             raise ValueError(f"subset listing supports at most {MAX_LISTING_USERS} users")
-        return {J: self.capacity(J) for J in all_subsets(self.m)}
+        return {J: float(self.cap[sum(1 << i for i in J)]) for J in all_subsets(self.m)}
 
     @property
     def constraint_matrix(self) -> np.ndarray:
@@ -193,41 +199,68 @@ def as_profile(m: int, rates) -> np.ndarray:
     return rates
 
 
+def _ratio_prefixes(rates: np.ndarray, snr: np.ndarray) -> tuple:
+    """Rate and SNR sums over the ratio-sorted prefixes of a profile or a batch.
+
+    `rates` is one profile (k,) or a (B, k) batch; both results are (k,) or
+    (k, B), entry j summing the j + 1 users with the largest alpha_i / s_i
+    (ties in index order). The prefix axis comes first so the running sums
+    vectorise over the batch.
+    """
+    order = np.argsort(-(rates / snr).T, axis=0, kind="stable")
+    if rates.ndim == 1:
+        picked = rates[order]
+    else:
+        picked = rates[np.arange(rates.shape[0]), order]
+    return picked.cumsum(axis=0), snr[order].cumsum(axis=0)
+
+
+def worst_excess(view: CapacityRegionView, rates):
+    """Largest alpha(P) - C(P) over the m ratio-sorted prefixes P of a profile.
+
+    Accepts one profile or a (B, m) batch (one value per row). Wherever it
+    is >= 0 it equals the maximum over every nonempty subset, so
+    max(0, worst_excess) is the largest constraint violation and its sign
+    says exactly whether some constraint is tight or broken.
+    """
+    rates = np.asarray(rates, dtype=float)
+    cum_rates, cum_snr = _ratio_prefixes(rates, view.model.snr)
+    worst = (cum_rates - np.log1p(cum_snr)).max(axis=0)
+    return worst if rates.ndim == 2 else float(worst)
+
+
+def reply_slack(view: CapacityRegionView, user: int, others):
+    """Largest own rate of `user` that keeps the profile feasible.
+
+    `others` holds the opponents' rates in user order with `user` removed,
+    one row of m - 1 rates or a (B, m - 1) batch. Own rate a >= 0 fits
+    exactly when a <= slack + FEASIBILITY_TOL. The slack is -inf where the
+    opponents alone break the region by more than FEASIBILITY_TOL.
+    """
+    others = np.asarray(others, dtype=float)
+    snr = view.model.snr
+    own = float(snr[user])
+    cum_rates, cum_snr = _ratio_prefixes(others, np.delete(snr, user))
+    slack = np.minimum(math.log1p(own),
+                       (np.log1p(own + cum_snr) - cum_rates).min(axis=0, initial=np.inf))
+    alone = ((others.T.min(axis=0, initial=np.inf) >= -FEASIBILITY_TOL)
+             & ((cum_rates - np.log1p(cum_snr)).max(axis=0, initial=-np.inf)
+                <= FEASIBILITY_TOL))
+    slack = np.where(alone, slack, -np.inf)
+    return slack if others.ndim == 2 else float(slack)
+
+
 def is_feasible(view: CapacityRegionView, rates, tol: float = FEASIBILITY_TOL) -> bool:
-    """Exhaustive membership test: every subset-sum constraint within `tol`."""
+    """Membership test: nonnegative and every subset constraint within `tol`."""
     rates = as_profile(view.m, rates)
-    if rates.min() < -tol:
-        return False
-    sums = subset_sums(rates)
-    return bool(np.all(sums <= view.cap + tol))
+    return bool(rates.min() >= -tol and worst_excess(view, rates) <= tol)
 
 
 def feasible_rows(view: CapacityRegionView, profiles: np.ndarray,
                   tol: float = FEASIBILITY_TOL) -> np.ndarray:
     """Vectorised membership for a (B, m) batch of profiles."""
     profiles = np.asarray(profiles, dtype=float)
-    ok = profiles.min(axis=1) >= -tol
-    sums = subset_sums(profiles)
-    return ok & np.all(sums <= view.cap + tol, axis=1)
-
-
-def prefix_feasible(view: CapacityRegionView, rates, tol: float = FEASIBILITY_TOL) -> bool:
-    """Symmetric-channel membership oracle: sorted prefix sums against C(k).
-
-    Independent of the exhaustive test; sorting descending makes the size-k
-    prefix the worst size-k subset, which is all that needs checking when
-    every user has the same SNR.
-    """
-    if not view.model.symmetric:
-        raise ValueError("prefix test is valid only for symmetric channels")
-    rates = as_profile(view.m, rates)
-    if rates.min() < -tol:
-        return False
-    s = float(view.model.snr[0])
-    ordered = np.sort(rates)[::-1]
-    prefix = np.cumsum(ordered)
-    caps_k = np.log1p(s * np.arange(1, view.m + 1))
-    return bool(np.all(prefix <= caps_k + tol))
+    return (profiles.T.min(axis=0) >= -tol) & (worst_excess(view, profiles) <= tol)
 
 
 def max_face_residual(view: CapacityRegionView, rates,
@@ -238,46 +271,42 @@ def max_face_residual(view: CapacityRegionView, rates,
     rate equal to C(N). Violations below `tol` count as zero.
     """
     rates = as_profile(view.m, rates)
-    sums = subset_sums(rates)
     worst = max(
         float(-rates.min()),
-        float((sums - view.cap).max()),
+        worst_excess(view, rates),
         float((view.safe_rates - rates).max()),
         abs(float(rates.sum()) - view.total),
     )
     return 0.0 if worst <= tol else worst
 
 
-def sample_max_face(view: CapacityRegionView, count: int, seed: int,
-                    max_draws: int = 100_000) -> np.ndarray:
+def _greedy_corners(snr: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """Greedy vertex of the maximal face for each row of a (P, m) permutation batch.
+
+    Serving users in the row's order, each takes its marginal capacity.
+    """
+    marginal = np.diff(np.log1p(snr[perms].cumsum(axis=1)), axis=1, prepend=0.0)
+    corners = np.empty(perms.shape)
+    np.put_along_axis(corners, perms, marginal, axis=1)
+    return corners
+
+
+def sample_max_face(view: CapacityRegionView, count: int, seed: int) -> np.ndarray:
     """Draw `count` profiles on the maximal face, deterministically per seed.
 
-    Maps flat Dirichlet draws onto {alpha >= r, sum alpha = C(N)} and rejects
-    the (few) candidates that break one of the remaining subset constraints.
+    Each profile is a flat-Dirichlet mixture of m + 1 greedy vertices from
+    uniformly random permutations. The face is the convex hull of those
+    vertices (Edmonds 1970), so every draw lies on it and none is rejected.
     Not uniform over the face polytope; intended as a test-point generator.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
     m = view.m
-    slack = view.total - float(view.safe_rates.sum())
-    if slack < -FEASIBILITY_TOL:
-        raise ValueError("degenerate face: safe rates exceed total capacity")
-    slack = max(slack, 0.0)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    out = np.empty((0, m))
-    drawn = 0
-    batch = 256
-    while out.shape[0] < count:
-        if drawn >= max_draws:
-            raise RuntimeError(
-                f"face sampling failed: {drawn} draws produced "
-                f"{out.shape[0]} of {count} points (degenerate face)")
-        w = rng.dirichlet(np.ones(m), size=batch)
-        cand = view.safe_rates + slack * w
-        cand = cand[feasible_rows(view, cand)]
-        out = np.concatenate([out, cand], axis=0)
-        drawn += batch
-    return out[:count]
+    perms = rng.permuted(np.tile(np.arange(m), (count * (m + 1), 1)), axis=1)
+    corners = _greedy_corners(view.model.snr, perms).reshape(count, m + 1, m)
+    weights = rng.dirichlet(np.ones(m + 1), size=count)
+    return np.einsum("ck,ckm->cm", weights, corners)
 
 
 def face_vertices(view: CapacityRegionView, limit: int = 720, seed: int = 0) -> np.ndarray:
@@ -288,21 +317,9 @@ def face_vertices(view: CapacityRegionView, limit: int = 720, seed: int = 0) -> 
     seeded sample of `limit` permutations otherwise.
     """
     m = view.m
-    snr = view.model.snr
     if math.factorial(m) <= limit:
-        perms = itertools.permutations(range(m))
+        perms = np.array(list(itertools.permutations(range(m))))
     else:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        perms = (tuple(rng.permutation(m)) for _ in range(limit))
-    verts = []
-    for perm in perms:
-        v = np.zeros(m)
-        acc = 0.0
-        prev = 0.0
-        for u in perm:
-            acc += float(snr[u])
-            c = math.log1p(acc)
-            v[u] = c - prev
-            prev = c
-        verts.append(v)
-    return np.array(verts)
+        perms = np.array([rng.permutation(m) for _ in range(limit)])
+    return _greedy_corners(view.model.snr, perms)

@@ -64,10 +64,10 @@ def _label(subset) -> str:
 
 
 def _load_scenario(args) -> Scenario:
-    chunks = []
+    texts = []
     if args.scenario:
         with open(args.scenario) as fh:
-            chunks.append(fh.read())
+            texts.append(fh.read())
     if args.set:
         overrides = {}
         for item in args.set:
@@ -75,17 +75,17 @@ def _load_scenario(args) -> Scenario:
                 raise ScenarioError([f"--set needs key=value, got '{item}'"])
             key, val = item.split("=", 1)
             overrides[key.strip().lower()] = val.strip()
-        base = chunks[0].splitlines() if chunks else []
+        base = texts[0].splitlines() if texts else []
         kept = []
         for line in base:
             key = line.split("#", 1)[0].split("=", 1)[0].strip().lower()
             if key not in overrides:
                 kept.append(line)
         kept.extend(f"{k} = {v}" for k, v in overrides.items())
-        chunks = ["\n".join(kept)]
-    if not chunks:
+        texts = ["\n".join(kept)]
+    if not texts:
         raise ScenarioError(["no scenario given: use --scenario FILE and/or --set key=value"])
-    return parse_scenario(chunks[0])
+    return parse_scenario(texts[0])
 
 
 def _parse_rates(text: str) -> np.ndarray:
@@ -309,10 +309,10 @@ def _verify_checks(scenario: Scenario):
             others = np.delete(pt, user)
             br = game.best_response(view, g, user, others)
             ys = np.linspace(0.0, float(view.single_caps[user]), 2000)
-            best = 0.0
-            for y in ys:
-                trial = np.insert(others, user, y)
-                best = max(best, game.payoff(view, g, trial, user))
+            trials = np.tile(pt, (ys.size, 1))
+            trials[:, user] = ys
+            pays = np.where(cap.feasible_rows(view, trials), g(ys), 0.0)
+            best = max(0.0, float(pays.max()))
             got = game.payoff(view, g, np.insert(others, user, br), user)
             if got + 1e-9 < best:
                 return False, f"best response beaten by grid ({got} < {best})"

@@ -21,19 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import CapacityRegionView, feasible_rows
+from .capacity import FEASIBILITY_TOL, CapacityRegionView
 from .game import Utility
 from .evolution import (
-    EXACT_ENUM_LIMIT,
     INDICATOR_SLACK,
     PopulationState,
-    _opponent_index_grids,
-    expected_payoff_mc,
+    _combo_weights,
+    _opponent_slack,
+    _sampled_slack,
     mean_rate,
-    region_mass,
 )
-
-TABLE_CELL_LIMIT = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -65,75 +62,59 @@ class Protocol:
         return cls("smith", theta=theta, K=K)
 
 
-class PayoffTable:
-    """Precomputed feasibility masks for fast exact F evaluation on one grid.
+def _gate(view: CapacityRegionView, grid: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """Grid actions inside the mixed region against these masses."""
+    bound = view.total - (view.m - 1) * float(np.dot(grid, masses))
+    return grid <= bound + INDICATOR_SLACK
 
-    The feasibility of (grid[i], opponent combo) never changes, so a
-    simulation only needs one boolean table; each step reduces it against
-    the current product masses.
+
+def _own_values(g: Utility, grid: np.ndarray) -> np.ndarray:
+    """g at each grid rate; 0 where the rate is negative and so never feasible."""
+    return np.where(grid >= -FEASIBILITY_TOL, np.asarray(g(grid), dtype=float), 0.0)
+
+
+def _fit_mass(fits: np.ndarray, size: int, weights=None) -> np.ndarray:
+    """Weight (1 per draw unweighted) of the draws admitting each of `size` grid points.
+
+    fits[c] counts the grid points <= slack_c + tol, so draw c admits point
+    i exactly when i < fits[c]; `_own_values` zeroes negative rates.
+    """
+    return np.bincount(fits, weights, minlength=size + 1)[::-1].cumsum()[::-1][1:]
+
+
+class PayoffTable:
+    """Exact F over one grid, from the reply slack of every opponent combination.
+
+    Combination c of opponent grid points admits own rate a exactly when
+    a <= slack_c + tol. The slacks never change, so the table keeps how
+    many grid points fit each combination; each evaluation weights the
+    n**(m-1) combinations by the product of their masses and reads F for
+    the whole grid off one bincount and a reverse cumulative sum.
     """
 
-    def __init__(self, view: CapacityRegionView, g: Utility, grid: np.ndarray,
-                 cell_limit: int = TABLE_CELL_LIMIT):
+    def __init__(self, view: CapacityRegionView, g: Utility, grid: np.ndarray):
         self.view = view
         self.grid = np.asarray(grid, dtype=float)
-        n = self.grid.size
-        m = view.m
-        self.m = m
-        combos = n ** (m - 1)
-        if n * combos > cell_limit:
-            raise ValueError(
-                f"payoff table would need {n * combos} cells (> {cell_limit})")
-        self.gvals = np.asarray(g(self.grid), dtype=float)
-        if m == 1:
-            self._opp_idx = ()
-            mask = feasible_rows(view, self.grid[:, None])
-            self.mask = mask.astype(float)[:, None]
-            return
-        flat = np.arange(combos)
-        self._opp_idx = _opponent_index_grids(n, m - 1, flat)
-        mask = np.empty((n, combos), dtype=bool)
-        opp_cols = [self.grid[ix] for ix in self._opp_idx]
-        for i, a in enumerate(self.grid):
-            profiles = np.column_stack([np.full(combos, a)] + opp_cols)
-            mask[i] = feasible_rows(view, profiles)
-        self.mask = mask.astype(float)
+        self.m = view.m
+        self.gvals = _own_values(g, self.grid)
+        slack = _opponent_slack(view, self.grid)
+        self.fits = np.searchsorted(self.grid, slack + FEASIBILITY_TOL, side="right")
 
     def payoffs(self, masses: np.ndarray) -> np.ndarray:
         """F over the whole grid for the state with these masses."""
-        if self.m == 1:
-            probs = np.ones(1)
-        else:
-            probs = np.ones(self.mask.shape[1])
-            for ix in self._opp_idx:
-                probs *= masses[ix]
-        nu = self.mask @ probs
-        mean = float(np.dot(self.grid, masses))
-        bound = self.view.total - (self.m - 1) * mean
-        gate = self.grid <= bound + INDICATOR_SLACK
-        return self.gvals * nu * gate
+        nu = _fit_mass(self.fits, self.grid.size, _combo_weights(masses, self.m - 1))
+        return self.gvals * nu * _gate(self.view, self.grid, masses)
 
 
 def _payoff_vector(view, g, state, table, payoff_method, samples, seed_seq):
-    if table is not None:
-        return table.payoffs(state.masses)
-    if payoff_method == "exact":
-        if state.n ** (view.m - 1) > EXACT_ENUM_LIMIT:
-            raise ValueError("grid too large for exact payoffs; use montecarlo")
-        nu = np.array([region_mass(view, float(a), state) for a in state.grid])
-        bound = view.total - (view.m - 1) * mean_rate(state)
-        gate = state.grid <= bound + INDICATOR_SLACK
-        return np.asarray(g(state.grid), dtype=float) * nu * gate
+    if table is not None or payoff_method == "exact":
+        return (table or PayoffTable(view, g, state.grid)).payoffs(state.masses)
     if payoff_method == "montecarlo":
-        if seed_seq is None:
-            seed_seq = np.random.SeedSequence(0)
-        children = seed_seq.spawn(state.n)
-        F = np.empty(state.n)
-        for i, a in enumerate(state.grid):
-            val, _ = expected_payoff_mc(view, g, float(a), state, samples=samples,
-                                        seed=children[i])
-            F[i] = val
-        return F
+        # one opponent sample per call; every grid point reads F off it
+        slack = _sampled_slack(view, state, samples, 0 if seed_seq is None else seed_seq)
+        fits = np.searchsorted(state.grid, slack + FEASIBILITY_TOL, side="right")
+        nu = _fit_mass(fits, state.n) / samples
+        return _own_values(g, state.grid) * nu * _gate(view, state.grid, state.masses)
     raise ValueError(f"unknown payoff method '{payoff_method}'")
 
 
@@ -144,7 +125,7 @@ def _flow(view: CapacityRegionView, protocol: Protocol, state: PopulationState,
     w = state.base_weights
     K = protocol.K
     Fbar = float(np.dot(lam, F))
-    gate = state.grid <= view.total - (view.m - 1) * mean_rate(state) + INDICATOR_SLACK
+    gate = _gate(view, state.grid, lam)
     if protocol.kind == "bnn":
         excess = np.maximum(F - Fbar, 0.0)
         excess[~gate] = 0.0
@@ -241,9 +222,10 @@ class Trace:
 def simulate(view: CapacityRegionView, g: Utility, run: DynamicsRun) -> Trace:
     """Iterate the Euler steps, recording every `record_every` ticks.
 
-    Exact payoffs reuse one precomputed feasibility table; Monte Carlo
-    payoffs get a fresh deterministic substream per step and grid point,
-    so traces are reproducible for a given seed either way.
+    Exact payoffs reuse one precomputed slack table; Monte Carlo payoffs
+    draw one opponent sample per step from a deterministic substream and
+    read every grid point off it, so traces are reproducible for a given
+    seed either way.
     """
     state = run.state0
     table = None

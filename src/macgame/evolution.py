@@ -9,8 +9,11 @@ the state factorizes as
     F(a, state) = [a <= C(N) - (m-1)*E] * g(a) * nu(D_a),
 
 where E is the state's mean rate and nu(D_a) the product-measure mass of
-opponent draws that keep the joint profile feasible. Both an exact
-enumeration and a seeded Monte Carlo estimator are provided.
+opponent draws that keep the joint profile feasible. A draw admits a
+exactly when a <= slack + tol, with slack the focal user's reply slack
+against it, so nu over a whole sorted grid is one bincount of how many
+grid points fit each draw. Both an exact enumeration of the opponent grid
+and a seeded Monte Carlo estimator are provided.
 """
 from __future__ import annotations
 
@@ -21,10 +24,11 @@ from typing import Optional
 import numpy as np
 
 from .capacity import (
+    FEASIBILITY_TOL,
     CapacityRegionView,
-    feasible_rows,
     is_feasible,
     max_face_residual,
+    reply_slack,
 )
 from .game import Utility, payoff
 
@@ -211,34 +215,45 @@ def ess_check(view: CapacityRegionView, g: Utility, spec: EssTestSpec) -> EssRes
     return EssResult(is_ess=True, witness=None, infeasible_invasions=infeasible)
 
 
-def _opponent_index_grids(n: int, k: int, flat: np.ndarray) -> tuple:
-    """Unravel flat combo indices into k per-opponent index arrays."""
-    return np.unravel_index(flat, (n,) * k)
-
-
-def region_mass(view: CapacityRegionView, a: float, state: PopulationState,
-                chunk: int = 1_000_000) -> float:
-    """Exact product-measure mass of opponent draws keeping (a, draws) feasible."""
-    m = view.m
-    if m == 1:
-        return 1.0 if is_feasible(view, np.array([a])) else 0.0
-    n = state.n
-    total = n ** (m - 1)
-    if total > EXACT_ENUM_LIMIT:
+def _opponent_slack(view: CapacityRegionView, grid: np.ndarray) -> np.ndarray:
+    """Reply slack of user 0 against every combination of m - 1 grid points, in C order."""
+    k = view.m - 1
+    combos = grid.size ** k
+    if combos > EXACT_ENUM_LIMIT:
         raise ValueError(
-            f"exact enumeration needs {total} combos (> {EXACT_ENUM_LIMIT}); "
+            f"exact enumeration needs {combos} combos (> {EXACT_ENUM_LIMIT}); "
             "use the Monte Carlo method")
-    acc = 0.0
-    for start in range(0, total, chunk):
-        flat = np.arange(start, min(start + chunk, total))
-        idx = _opponent_index_grids(n, m - 1, flat)
-        profiles = np.column_stack(
-            [np.full(flat.size, a)] + [state.grid[ix] for ix in idx])
-        probs = np.ones(flat.size)
-        for ix in idx:
-            probs *= state.masses[ix]
-        acc += float(probs[feasible_rows(view, profiles)].sum())
-    return acc
+    idx = np.indices((grid.size,) * k).reshape(k, combos)
+    return reply_slack(view, 0, grid[idx].T)
+
+
+def _combo_weights(masses: np.ndarray, k: int) -> np.ndarray:
+    """Product-measure weight of every combination of k opponents, in C order."""
+    weights = masses if k else np.ones(1)
+    for _ in range(k - 1):
+        weights = np.multiply.outer(weights, masses).ravel()
+    return weights
+
+
+def _sampled_slack(view: CapacityRegionView, state: PopulationState, samples: int,
+                   seed) -> np.ndarray:
+    """Reply slack of user 0 against `samples` iid opponent draws; seed: int or SeedSequence."""
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    rng = np.random.Generator(np.random.Philox(seed))
+    idx = rng.choice(state.n, size=(samples, view.m - 1), p=state.masses)
+    return reply_slack(view, 0, state.grid[idx])
+
+
+def region_mass(view: CapacityRegionView, a: float, state: PopulationState) -> float:
+    """Exact product-measure mass of opponent draws keeping (a, draws) feasible.
+
+    The weight of the opponent grid combinations whose reply slack admits
+    a; all n**(m-1) of them are enumerated, up to EXACT_ENUM_LIMIT.
+    """
+    slack = _opponent_slack(view, state.grid)
+    weights = _combo_weights(state.masses, view.m - 1)
+    return float(weights[(a >= -FEASIBILITY_TOL) & (a <= slack + FEASIBILITY_TOL)].sum())
 
 
 def _indicator(view: CapacityRegionView, a: float, state: PopulationState) -> bool:
@@ -276,16 +291,7 @@ def expected_payoff_mc(view: CapacityRegionView, g: Utility, a: float,
     a = float(a)
     if not _indicator(view, a, state):
         return 0.0, 0.0
-    m = view.m
-    if m == 1:
-        val = float(g(a)) if is_feasible(view, np.array([a])) else 0.0
-        return val, 0.0
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    rng = np.random.Generator(np.random.Philox(seed))
-    idx = rng.choice(state.n, size=(samples, m - 1), p=state.masses)
-    profiles = np.column_stack([np.full(samples, a), state.grid[idx]])
-    hits = feasible_rows(view, profiles)
+    hits = a <= _sampled_slack(view, state, samples, seed) + FEASIBILITY_TOL
     p_hat = float(hits.mean())
     ga = float(g(a))
     stderr = ga * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / samples)

@@ -23,12 +23,13 @@ from .capacity import (
     feasible_rows,
     is_feasible,
     max_face_residual,
+    reply_slack,
     sample_max_face,
-    subset_sums,
 )
 
 IMPROVEMENT_MARGIN = 1e-9
 NASH_TOL = 1e-9
+LATTICE_BLOCK_ROWS = 200_000
 
 
 @dataclass
@@ -121,14 +122,10 @@ def best_response(view: CapacityRegionView, g: Utility, user: int, others) -> fl
     others = np.atleast_1d(np.asarray(others, dtype=float))
     if others.shape != (view.m - 1,):
         raise ValueError(f"expected {view.m - 1} opponent rates, got {others.shape}")
-    full0 = np.insert(others, user, 0.0)
-    if not is_feasible(view, full0):
+    slack = reply_slack(view, user, others)
+    if slack == -np.inf:
         raise ValueError("no feasible action set: opponents' rates violate the region")
-    sums = subset_sums(full0)
-    masks = np.arange(view.cap.size)
-    with_user = (masks >> user) & 1 == 1
-    slack = view.cap[with_user] - sums[with_user]
-    return max(float(view.safe_rates[user]), float(slack.min()))
+    return max(float(view.safe_rates[user]), slack)
 
 
 def is_nash(view: CapacityRegionView, g: Utility, profile, tol: float = NASH_TOL) -> bool:
@@ -143,12 +140,12 @@ def is_nash(view: CapacityRegionView, g: Utility, profile, tol: float = NASH_TOL
     return True
 
 
-def _lattice_chunks(axes, chunk: int = 200_000):
-    """Cartesian product of 1-D axes, yielded as (rows, k) float chunks."""
+def _lattice_blocks(axes):
+    """Cartesian product of 1-D axes, yielded as (rows, k) float blocks."""
     sizes = tuple(len(a) for a in axes)
     total = int(np.prod(sizes))
-    for start in range(0, total, chunk):
-        flat = np.arange(start, min(start + chunk, total))
+    for start in range(0, total, LATTICE_BLOCK_ROWS):
+        flat = np.arange(start, min(start + LATTICE_BLOCK_ROWS, total))
         idx = np.unravel_index(flat, sizes)
         yield np.column_stack([np.asarray(axes[d])[idx[d]] for d in range(len(axes))])
 
@@ -173,7 +170,7 @@ def is_strong_equilibrium(view: CapacityRegionView, g: Utility, profile,
     for size in range(1, m + 1):
         for coalition in itertools.combinations(range(m), size):
             members = list(coalition)
-            for joint in _lattice_chunks([axes_all[i] for i in members]):
+            for joint in _lattice_blocks([axes_all[i] for i in members]):
                 trial = np.broadcast_to(profile, (joint.shape[0], m)).copy()
                 trial[:, members] = joint
                 ok = feasible_rows(view, trial)
@@ -194,7 +191,7 @@ def is_pareto_optimal(view: CapacityRegionView, g: Utility, profile,
     profile = as_profile(m, profile)
     base = g(profile)
     axes = [np.linspace(0.0, float(view.single_caps[i]), grid) for i in range(m)]
-    for cand in _lattice_chunks(axes):
+    for cand in _lattice_blocks(axes):
         ok = feasible_rows(view, cand)
         if not ok.any():
             continue

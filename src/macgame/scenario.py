@@ -5,8 +5,6 @@ comma-separated. Parsing validates everything up front and reports every
 problem at once, with line numbers where they exist. A dumped scenario
 re-parses to an equal scenario.
 """
-from __future__ import annotations
-
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -17,29 +15,6 @@ from .game import Utility
 
 UTILITY_KINDS = ("identity", "log1p", "power")
 PROTOCOL_KINDS = ("bnn", "replicator", "smith")
-
-# name -> (python type, default); tuple types are comma-separated lists
-_KEYS = {
-    "m": (int, None),
-    "snr": (tuple, None),
-    "p": (float, None),
-    "h": (tuple, None),
-    "sigma2": (float, 1.0),
-    "g": (str, "identity"),
-    "g_power": (float, 0.5),
-    "grid_points": (int, 51),
-    "protocol": (str, "bnn"),
-    "theta": (float, 1.0),
-    "k": (float, 1.0),
-    "dt": (float, 0.01),
-    "steps": (int, 20_000),
-    "record_every": (int, 100),
-    "seed": (int, 0),
-    "payoff_method": (str, "exact"),
-    "samples": (int, 100_000),
-    "trace_csv": (str, "trace.csv"),
-    "state_csv": (str, "state.csv"),
-}
 
 
 @dataclass
@@ -65,6 +40,11 @@ class Scenario:
     state_csv: str = "state.csv"
 
 
+# Key -> python type, from the fields above; tuple types are comma-separated
+# lists. This module does not postpone annotations, so each type is a class.
+_KEYS = {f.name: f.type for f in fields(Scenario)}
+
+
 class ScenarioError(ValueError):
     """Carries every parse/validation problem found in one pass."""
 
@@ -74,7 +54,7 @@ class ScenarioError(ValueError):
 
 
 def _convert(key: str, raw: str, line_no: int, problems: list):
-    typ, _ = _KEYS[key]
+    typ = _KEYS[key]
     try:
         if typ is tuple:
             return tuple(float(part) for part in raw.split(","))
@@ -120,9 +100,7 @@ def parse_scenario(text: str) -> Scenario:
     if problems and ("m" not in values or ("snr" not in values and "p" not in values)):
         raise ScenarioError(problems)
 
-    merged = {name: (values[name] if name in values else default)
-              for name, (_, default) in _KEYS.items()}
-    scenario = Scenario(**merged)
+    scenario = Scenario(**values)
     problems.extend(_validate(scenario, key_lines))
     if problems:
         raise ScenarioError(problems)

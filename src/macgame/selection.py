@@ -12,15 +12,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import bisect
 
-from .capacity import CapacityRegionView, as_profile, max_face_residual, subset_sums
+from .capacity import CapacityRegionView, as_profile, max_face_residual, worst_excess
 from .game import Utility
 
 SUM_TOL = 1e-10
 KKT_TOL = 1e-8
 BRACKET_LO = 1e-12
 MAX_BISECT_ITER = 200
+BISECT_XTOL = 1e-15
+BISECT_RTOL = 4.0 * np.finfo(float).eps
+
+
+def _bisect(f, lo: float, hi: float) -> float:
+    """Root of f in [lo, hi] (opposite signs), to BISECT_XTOL + BISECT_RTOL * |root|."""
+    f_lo = f(lo)
+    width = hi - lo
+    for _ in range(MAX_BISECT_ITER):
+        width *= 0.5
+        mid = lo + width
+        f_mid = f(mid)
+        if f_mid * f_lo >= 0.0:
+            lo = mid
+        if f_mid == 0.0 or abs(width) < BISECT_XTOL + BISECT_RTOL * abs(mid):
+            return mid
+    raise ValueError(f"bisection did not converge in {MAX_BISECT_ITER} iterations")
 
 
 @dataclass
@@ -101,7 +117,7 @@ def normalized_equilibrium(view: CapacityRegionView,
     elif abs(gap(hi)) <= SUM_TOL:
         c = hi
     else:
-        c = float(bisect(gap, lo, hi, xtol=1e-15, maxiter=MAX_BISECT_ITER))
+        c = _bisect(gap, lo, hi)
 
     alpha = coords(c)
     if abs(float(alpha.sum()) - view.total) > SUM_TOL:
@@ -150,8 +166,8 @@ def goodman_certificate(view: CapacityRegionView, g: Utility, profile,
         raise ValueError(f"need {m} multipliers, got shape {zeta.shape}")
     if g.deriv is None:
         raise ValueError(f"utility '{g.kind}' has no derivative")
-    slack = view.cap - subset_sums(profile)
-    if profile.min() <= 0.0 or float(slack[1:].min()) <= 0.0:
+    # worst_excess >= 0 exactly when some nonempty constraint is tight or broken
+    if profile.min() <= 0.0 or worst_excess(view, profile) >= 0.0:
         raise ValueError("certificate requires interior point")
 
     def h(x: np.ndarray) -> np.ndarray:

@@ -9,15 +9,17 @@ from hypothesis import strategies as st
 
 from macgame import (
     ChannelModel,
+    Utility,
+    best_response,
     build_view,
     capacity_of,
     is_feasible,
+    is_nash,
     max_face_residual,
-    prefix_feasible,
     safe_rate,
     sample_max_face,
 )
-from macgame.capacity import face_vertices, feasible_rows
+from macgame.capacity import FEASIBILITY_TOL, face_vertices, feasible_rows, subset_sums
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -31,6 +33,57 @@ def sym3_example():
 def snr_models(max_m=8):
     return st.lists(st.floats(0.01, 50.0), min_size=1, max_size=max_m).map(
         lambda s: ChannelModel(np.array(s)))
+
+
+def enum_membership(view, p):
+    """Exhaustive second route: every subset sum against the 2**m rank table."""
+    return bool(p.min() >= -FEASIBILITY_TOL
+                and np.all(subset_sums(p) <= view.cap + FEASIBILITY_TOL))
+
+
+def enum_face_residual(view, p):
+    worst = max(float(-p.min()), float((subset_sums(p) - view.cap).max()),
+                float((view.safe_rates - p).max()), abs(float(p.sum()) - view.total))
+    return 0.0 if worst <= FEASIBILITY_TOL else worst
+
+
+def enum_best_response(view, user, others):
+    """None when the opponents alone leave the region."""
+    full0 = np.insert(others, user, 0.0)
+    if not enum_membership(view, full0):
+        return None
+    masks = np.arange(view.cap.size)
+    with_user = (masks >> user) & 1 == 1
+    slack = view.cap[with_user] - subset_sums(full0)[with_user]
+    return max(float(view.safe_rates[user]), float(slack.min()))
+
+
+def oracle_cases(seed, count=40):
+    """Channels with m = 1..10 and SNRs over 1e-4..1e4, ties included, each with
+    greedy corners as they are and scaled by 1 -+ 1e-12, face mixes, interior,
+    infeasible, tied-ratio and slightly negative profiles."""
+    rng = np.random.default_rng(seed)
+    for t in range(count):
+        m = t % 10 + 1
+        snr = np.exp(rng.uniform(math.log(1e-4), math.log(1e4), m))
+        if t % 3 == 0:
+            snr = rng.choice(snr[: max(1, m // 2)], size=m)   # repeated SNRs
+        view = build_view(ChannelModel(snr))
+        corners = face_vertices(view, limit=24, seed=t)
+        mix = rng.dirichlet(np.ones(len(corners)), size=6) @ corners
+        # rate moved between two users: the total stays C(N), an inner
+        # constraint may break
+        moved = mix.copy()
+        i, j = rng.integers(m, size=2)
+        shift = rng.uniform(0.0, 0.5, 6) * moved[:, j]
+        moved[:, i] += shift
+        moved[:, j] -= shift
+        rows = [corners, corners * (1.0 - 1e-12), corners * (1.0 + 1e-12), mix, moved,
+                mix * rng.uniform(0.2, 0.99, (6, 1)), mix * rng.uniform(1.01, 1.5, (6, 1)),
+                rng.uniform(0.0, 1.0, (6, m)) * view.single_caps * rng.uniform(0.1, 1.0, (6, 1)),
+                np.outer(rng.uniform(0.0, 2.0, 4), snr) / m,          # equal alpha_i / s_i
+                np.maximum(mix - rng.uniform(0.0, 1e-6, mix.shape), -1e-6)]
+        yield view, np.concatenate(rows)
 
 
 class TestCapacityOf:
@@ -129,8 +182,10 @@ class TestRankFunction:
         assert list(table) == [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
 
     def test_too_many_users_rejected(self):
+        # only the 2**m enumeration table is capped; the view itself is not
+        view = build_view(ChannelModel(np.ones(21)))
         with pytest.raises(ValueError, match="at most 20"):
-            build_view(ChannelModel(np.ones(21)))
+            view.cap
 
 
 class TestFeasibility:
@@ -152,19 +207,15 @@ class TestFeasibility:
             is_feasible(view, [0.1, 0.1])
 
     def test_prefix_oracle_agrees_on_lattice(self):
-        # every point of the [0, C1]^3 lattice with step C1/20
+        # every point of the [0, C1]^3 lattice with step C1/20; on a symmetric
+        # channel many of them sit exactly on a constraint
         view = build_view(ChannelModel(np.array([1.5, 1.5, 1.5])))
         c1 = float(view.single_caps[0])
         axis = np.linspace(0.0, c1, 21)
         pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
-        exhaustive = feasible_rows(view, pts)
-        prefix = np.array([prefix_feasible(view, p) for p in pts])
-        assert np.array_equal(exhaustive, prefix)
-
-    def test_prefix_oracle_needs_symmetry(self):
-        view = build_view(ChannelModel(np.array([3.0, 1.0])))
-        with pytest.raises(ValueError):
-            prefix_feasible(view, [0.1, 0.1])
+        exhaustive = np.all(subset_sums(pts) <= view.cap + FEASIBILITY_TOL, axis=1)
+        assert np.array_equal(feasible_rows(view, pts), exhaustive)
+        assert [is_feasible(view, p) for p in pts] == list(exhaustive)
 
     @given(snr_models(max_m=5), st.floats(1.01, 10.0), st.integers(0, 2**31 - 1))
     @settings(max_examples=50, deadline=None)
@@ -212,3 +263,46 @@ class TestMaxFace:
         verts = face_vertices(view)
         assert verts.shape == (6, 3)
         assert all(max_face_residual(view, v) == 0.0 for v in verts)
+
+    def test_thin_face_sampled(self):
+        # a thin face: under 0.2 % of flat Dirichlet splits of the slack above
+        # the safe rates lie in the region, so rejecting from them fails here
+        view = build_view(ChannelModel(
+            np.array([14.5, 0.772, 0.317, 27.7, 0.662, 0.127, 0.0898, 0.0884])))
+        pts = sample_max_face(view, 500, seed=0)
+        assert pts.shape == (500, 8)
+        assert all(enum_face_residual(view, p) == 0.0 for p in pts)
+
+
+class TestOracleAgainstEnumeration:
+    def test_membership(self):
+        for view, rows in oracle_cases(1):
+            expect = np.array([enum_membership(view, p) for p in rows])
+            assert np.array_equal(feasible_rows(view, rows), expect)
+            assert [is_feasible(view, p) for p in rows] == list(expect)
+
+    def test_face_residual(self):
+        for view, rows in oracle_cases(2):
+            for p in rows:
+                assert abs(max_face_residual(view, p) - enum_face_residual(view, p)) <= 1e-12
+
+    def test_best_response(self):
+        g = Utility.identity()
+        for view, rows in oracle_cases(3):
+            for p in rows:
+                for user in range(view.m):
+                    others = np.delete(p, user)
+                    expect = enum_best_response(view, user, others)
+                    if expect is None:
+                        with pytest.raises(ValueError, match="no feasible action set"):
+                            best_response(view, g, user, others)
+                    else:
+                        assert abs(best_response(view, g, user, others) - expect) <= 1e-12
+
+    def test_thousand_users(self):
+        rng = np.random.default_rng(1000)
+        view = build_view(ChannelModel(np.exp(rng.uniform(math.log(1e-2), math.log(1e2), 1000))))
+        corner = face_vertices(view, limit=1, seed=4)[0]
+        assert max_face_residual(view, corner) == 0.0
+        assert is_nash(view, Utility.identity(), corner)
+        assert not is_feasible(view, corner * 1.001)

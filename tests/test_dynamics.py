@@ -1,5 +1,6 @@
 """Protocol flows, Euler stepping, traces, and rest-point structure."""
 
+import itertools
 import math
 
 import numpy as np
@@ -20,7 +21,8 @@ from macgame import (
     step,
     velocity,
 )
-from macgame.dynamics import euler_update
+from macgame.capacity import FEASIBILITY_TOL, subset_sums
+from macgame.dynamics import _payoff_vector, euler_update
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -141,6 +143,52 @@ class TestVelocity:
             from_table = table.payoffs(state.masses)
             direct = np.array([expected_payoff(sym2, g, float(a), state) for a in grid])
             assert np.allclose(from_table, direct, atol=1e-12)
+
+
+def brute_payoffs(view, g, grid, masses):
+    """F over the grid by listing every opponent combination and testing each
+    joint profile against the 2**m rank table."""
+    F = np.zeros(grid.size)
+    bound = view.total - (view.m - 1) * float(np.dot(grid, masses))
+    for combo in itertools.product(range(grid.size), repeat=view.m - 1):
+        weight = math.prod(masses[j] for j in combo)
+        profiles = np.column_stack([grid] + [np.full(grid.size, grid[j]) for j in combo])
+        fits = np.all(subset_sums(profiles) <= view.cap + FEASIBILITY_TOL, axis=1)
+        F += weight * fits
+    return np.asarray(g(grid)) * F * (grid <= bound + 1e-12)
+
+
+class TestPayoffEngine:
+    @pytest.mark.parametrize("snr", [[2.0], [1.0, 1.0], [3.0, 1.0], [1.5, 1.5, 1.5],
+                                     [3.0, 1.0, 0.5], [1.0, 1.0, 1.0, 1.0],
+                                     [4.0, 0.3, 1.0, 2.0]])
+    def test_table_matches_brute_force(self, snr):
+        view = build_view(ChannelModel(np.array(snr)))
+        g = Utility.log1p()
+        rng = np.random.default_rng(len(snr))
+        n = 9 if len(snr) < 4 else 6
+        grid = make_grid(float(view.single_caps.max()), n, include=view.total / view.m)
+        table = PayoffTable(view, g, grid)
+        for _ in range(3):
+            masses = rng.dirichlet(np.ones(n))
+            assert np.max(np.abs(table.payoffs(masses)
+                                 - brute_payoffs(view, g, grid, masses))) <= 1e-12
+
+    def test_montecarlo_within_three_standard_errors(self):
+        view = build_view(ChannelModel(np.array([3.0, 1.0, 0.5])))
+        g = Utility.identity()
+        grid = np.linspace(0.0, float(view.single_caps.max()), 21)
+        masses = np.random.default_rng(3).dirichlet(np.ones(21)) * np.exp(-4.0 * grid)
+        state = PopulationState(grid, masses / masses.sum())   # mean low enough to gate few
+        samples = 50_000
+        exact = PayoffTable(view, g, grid).payoffs(state.masses)
+        mc = _payoff_vector(view, g, state, None, "montecarlo", samples,
+                            np.random.SeedSequence(11))
+        gvals = g(grid)
+        p = np.divide(exact, gvals, out=np.zeros_like(exact), where=gvals > 0)
+        se = gvals * np.sqrt(p * (1.0 - p) / samples)
+        assert np.count_nonzero((exact > 0) & (exact < gvals)) >= 5
+        assert np.all(np.abs(mc - exact) <= 3.0 * se + 1e-12)
 
 
 class TestStep:

@@ -1,6 +1,10 @@
 """Normalized equilibrium solver and the Goodman uniqueness certificate."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,6 +95,15 @@ class TestNormalizedEquilibrium:
             sym2, NormalizedEqConfig(g=Utility.log1p(), weights=[2.0, 1.0]))
         assert res.multipliers[0] == pytest.approx(res.scale / 2.0, abs=1e-15)
         assert res.multipliers[1] == pytest.approx(res.scale, abs=1e-15)
+
+
+def test_import_leaves_scipy_out():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, macgame; print(any(k.split('.')[0] == 'scipy' for k in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 class TestGoodmanCertificate:
