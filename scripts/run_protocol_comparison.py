@@ -1,57 +1,50 @@
 #!/usr/bin/env python3
 """Run all three protocols from one scenario and compare their convergence.
 
-Writes one trace CSV per protocol next to the scenario's configured path
-and prints final mean rates against the equal-split target.
+Each run is the scenario's own `macgame dynamics` run with only the
+protocol changed. Writes one trace CSV per protocol next to the
+scenario's configured path and prints final mean rates against the
+equal-split target.
 
     python scripts/run_protocol_comparison.py scenarios/sym2.cfg --steps 20000
 """
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
-from macgame import DynamicsRun, PopulationState, Protocol, make_grid, simulate
-from macgame.capacity import build_view
-from macgame.cli import _write_trace, substream_seed
-from macgame.scenario import build_model, build_utility, parse_scenario
-
-PROTOCOLS = {
-    "bnn": lambda k: Protocol.bnn(K=k),
-    "replicator": lambda k: Protocol.replicator(K=k),
-    "smith": lambda k: Protocol.smith(theta=1.0, K=k),
-}
+from macgame import simulate
+from macgame.cli import _dynamics_objects, _write_trace
+from macgame.dynamics import PROTOCOL_KINDS
+from macgame.scenario import parse_scenario
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("scenario", help="scenario file")
     parser.add_argument("--steps", type=int, default=None, help="override step count")
     parser.add_argument("--k", type=float, default=None, help="override growth parameter")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     scenario = parse_scenario(Path(args.scenario).read_text())
-    model = build_model(scenario)
-    view = build_view(model)
-    g = build_utility(scenario)
-    include = view.total / view.m if model.symmetric else None
-    grid = make_grid(float(view.single_caps.max()), scenario.grid_points, include=include)
-    state0 = PopulationState.uniform(grid)
-    steps = args.steps if args.steps is not None else scenario.steps
-    k = args.k if args.k is not None else scenario.k
+    overrides = {"steps": args.steps, "k": args.k}
+    scenario = dataclasses.replace(
+        scenario, **{key: val for key, val in overrides.items() if val is not None})
 
+    view, _, _ = _dynamics_objects(scenario)
     target = view.total / view.m
     print(f"target mean rate (equal split): {target:.6f}")
-    for name, make in PROTOCOLS.items():
-        run = DynamicsRun(protocol=make(k), state0=state0, dt=scenario.dt,
-                          steps=steps, record_every=scenario.record_every,
-                          seed=substream_seed(scenario.seed, "dynamics"),
-                          payoff_method=scenario.payoff_method,
-                          samples=scenario.samples)
+    for kind in PROTOCOL_KINDS:
+        try:
+            view, g, run = _dynamics_objects(dataclasses.replace(scenario, protocol=kind))
+        except ValueError as exc:  # a theta below 1 is valid for every protocol but smith
+            print(f"{kind:<10} skipped: {exc}")
+            continue
         trace = simulate(view, g, run)
-        out = Path(scenario.trace_csv).with_suffix(f".{name}.csv")
+        out = Path(scenario.trace_csv).with_suffix(f".{kind}.csv")
         _write_trace(str(out), trace)
         err = abs(trace.mean_rate[-1] - target)
-        print(f"{name:<10} final mean {trace.mean_rate[-1]:.6f}  "
+        print(f"{kind:<10} final mean {trace.mean_rate[-1]:.6f}  "
               f"|err| {err:.2e}  residual {trace.velocity_l1[-1]:.2e}  -> {out}")
     return 0
 

@@ -12,8 +12,10 @@ to leave):
               support never grows
   smith       pairwise comparisons, switch rate max(F_j - F_i, 0)^theta
 
+F comes from the payoff engine in `evolution`, read over the whole grid.
 Velocities sum to zero by construction; explicit Euler with clip-and-
-renormalize keeps states on the simplex and reports the per-step drift.
+renormalize keeps the raw mass vector that `simulate` steps on the
+simplex, and reports the per-step drift.
 """
 from __future__ import annotations
 
@@ -21,16 +23,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import FEASIBILITY_TOL, CapacityRegionView
+from .capacity import CapacityRegionView
 from .game import Utility
 from .evolution import (
-    INDICATOR_SLACK,
     PopulationState,
+    _admitted_mass,
     _combo_weights,
+    _fit_counts,
+    _fit_mass,
+    _mixed_gate,
     _opponent_slack,
-    _sampled_slack,
-    mean_rate,
+    _own_values,
+    _payoffs,
 )
+
+PROTOCOL_KINDS = ("bnn", "replicator", "smith")
+PAYOFF_METHODS = ("exact", "montecarlo")
 
 
 @dataclass(frozen=True)
@@ -42,7 +50,7 @@ class Protocol:
     K: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("bnn", "replicator", "smith"):
+        if self.kind not in PROTOCOL_KINDS:
             raise ValueError(f"unknown protocol '{self.kind}'")
         if self.kind == "smith" and self.theta < 1.0:
             raise ValueError("theta must be >= 1")
@@ -62,26 +70,6 @@ class Protocol:
         return cls("smith", theta=theta, K=K)
 
 
-def _gate(view: CapacityRegionView, grid: np.ndarray, masses: np.ndarray) -> np.ndarray:
-    """Grid actions inside the mixed region against these masses."""
-    bound = view.total - (view.m - 1) * float(np.dot(grid, masses))
-    return grid <= bound + INDICATOR_SLACK
-
-
-def _own_values(g: Utility, grid: np.ndarray) -> np.ndarray:
-    """g at each grid rate; 0 where the rate is negative and so never feasible."""
-    return np.where(grid >= -FEASIBILITY_TOL, np.asarray(g(grid), dtype=float), 0.0)
-
-
-def _fit_mass(fits: np.ndarray, size: int, weights=None) -> np.ndarray:
-    """Weight (1 per draw unweighted) of the draws admitting each of `size` grid points.
-
-    fits[c] counts the grid points <= slack_c + tol, so draw c admits point
-    i exactly when i < fits[c]; `_own_values` zeroes negative rates.
-    """
-    return np.bincount(fits, weights, minlength=size + 1)[::-1].cumsum()[::-1][1:]
-
-
 class PayoffTable:
     """Exact F over one grid, from the reply slack of every opponent combination.
 
@@ -97,35 +85,31 @@ class PayoffTable:
         self.grid = np.asarray(grid, dtype=float)
         self.m = view.m
         self.gvals = _own_values(g, self.grid)
-        slack = _opponent_slack(view, self.grid)
-        self.fits = np.searchsorted(self.grid, slack + FEASIBILITY_TOL, side="right")
+        self.fits = _fit_counts(self.grid, _opponent_slack(view, self.grid))
 
     def payoffs(self, masses: np.ndarray) -> np.ndarray:
         """F over the whole grid for the state with these masses."""
         nu = _fit_mass(self.fits, self.grid.size, _combo_weights(masses, self.m - 1))
-        return self.gvals * nu * _gate(self.view, self.grid, masses)
+        return _payoffs(self.view, self.gvals, self.grid, self.grid, masses, nu)
 
 
-def _payoff_vector(view, g, state, table, payoff_method, samples, seed_seq):
+def _payoff_vector(view, g, grid, masses, table, payoff_method, samples, seed_seq):
     if table is not None or payoff_method == "exact":
-        return (table or PayoffTable(view, g, state.grid)).payoffs(state.masses)
-    if payoff_method == "montecarlo":
-        # one opponent sample per call; every grid point reads F off it
-        slack = _sampled_slack(view, state, samples, 0 if seed_seq is None else seed_seq)
-        fits = np.searchsorted(state.grid, slack + FEASIBILITY_TOL, side="right")
-        nu = _fit_mass(fits, state.n) / samples
-        return _own_values(g, state.grid) * nu * _gate(view, state.grid, state.masses)
-    raise ValueError(f"unknown payoff method '{payoff_method}'")
+        return (table or PayoffTable(view, g, grid)).payoffs(masses)
+    if payoff_method not in PAYOFF_METHODS:
+        raise ValueError(f"unknown payoff method '{payoff_method}'")
+    # one opponent sample per call; every grid point reads F off it
+    nu = _admitted_mass(view, grid, grid, masses, samples,
+                        0 if seed_seq is None else seed_seq)
+    return _payoffs(view, _own_values(g, grid), grid, grid, masses, nu)
 
 
-def _flow(view: CapacityRegionView, protocol: Protocol, state: PopulationState,
-          F: np.ndarray) -> np.ndarray:
-    """Protocol velocity given the payoff vector F at this state."""
-    lam = state.masses
-    w = state.base_weights
+def _flow(view: CapacityRegionView, protocol: Protocol, grid: np.ndarray, w: np.ndarray,
+          lam: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Protocol velocity at masses `lam` on grid, base weights w, payoff vector F."""
     K = protocol.K
     Fbar = float(np.dot(lam, F))
-    gate = _gate(view, state.grid, lam)
+    gate = _mixed_gate(view, grid, grid, lam)
     if protocol.kind == "bnn":
         excess = np.maximum(F - Fbar, 0.0)
         excess[~gate] = 0.0
@@ -143,8 +127,9 @@ def velocity(view: CapacityRegionView, g: Utility, protocol: Protocol,
              payoff_method: str = "exact", samples: int = 100_000,
              seed_seq=None) -> np.ndarray:
     """Population flow of the given protocol at this state; sums to zero."""
-    F = _payoff_vector(view, g, state, table, payoff_method, samples, seed_seq)
-    return _flow(view, protocol, state, F)
+    F = _payoff_vector(view, g, state.grid, state.masses, table, payoff_method, samples,
+                       seed_seq)
+    return _flow(view, protocol, state.grid, state.base_weights, state.masses, F)
 
 
 def euler_update(masses: np.ndarray, v: np.ndarray, dt: float) -> tuple:
@@ -199,7 +184,7 @@ class DynamicsRun:
             raise ValueError("steps must be non-negative")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
-        if self.payoff_method not in ("exact", "montecarlo"):
+        if self.payoff_method not in PAYOFF_METHODS:
             raise ValueError(f"unknown payoff method '{self.payoff_method}'")
 
 
@@ -220,50 +205,24 @@ class Trace:
 
 
 def simulate(view: CapacityRegionView, g: Utility, run: DynamicsRun) -> Trace:
-    """Iterate the Euler steps, recording every `record_every` ticks.
+    """Iterate the Euler steps on the raw masses, recording every `record_every` ticks.
 
     Exact payoffs reuse one precomputed slack table; Monte Carlo payoffs
-    draw one opponent sample per step from a deterministic substream and
-    read every grid point off it, so traces are reproducible for a given
-    seed either way.
+    draw one opponent sample per step from a deterministic substream, so
+    traces are reproducible for a given seed either way.
     """
-    state = run.state0
-    table = None
-    if run.payoff_method == "exact":
-        table = PayoffTable(view, g, state.grid)
-
-    rows = {k: [] for k in ("t", "mean_rate", "avg_payoff", "velocity_l1", "mass_drift")}
-
-    def payoffs_at(k: int) -> np.ndarray:
-        seq = None
-        if run.payoff_method == "montecarlo":
-            seq = np.random.SeedSequence(run.seed, spawn_key=(k,))
-        return _payoff_vector(view, g, state, table, run.payoff_method,
-                              run.samples, seq)
-
-    def record(k: int, F: np.ndarray, v: np.ndarray, drift: float):
-        rows["t"].append(k * run.dt)
-        rows["mean_rate"].append(mean_rate(state))
-        rows["avg_payoff"].append(float(np.dot(state.masses, F)))
-        rows["velocity_l1"].append(float(np.abs(v).sum()))
-        rows["mass_drift"].append(drift)
-
-    F = payoffs_at(0)
-    v = _flow(view, run.protocol, state, F)
-    drift = 0.0
-    record(0, F, v, drift)
-    for k in range(1, run.steps + 1):
-        masses, drift = euler_update(state.masses, v, run.dt)
-        state = state.replace_masses(masses)
-        F = payoffs_at(k)
-        v = _flow(view, run.protocol, state, F)
+    grid, w, masses = run.state0.grid, run.state0.base_weights, run.state0.masses
+    table = PayoffTable(view, g, grid) if run.payoff_method == "exact" else None
+    rows, drift = [], 0.0
+    for k in range(run.steps + 1):
+        if k:
+            masses, drift = euler_update(masses, v, run.dt)
+        seq = (np.random.SeedSequence(run.seed, spawn_key=(k,))
+               if run.payoff_method == "montecarlo" else None)
+        F = _payoff_vector(view, g, grid, masses, table, run.payoff_method, run.samples, seq)
+        v = _flow(view, run.protocol, grid, w, masses, F)
         if k % run.record_every == 0 or k == run.steps:
-            record(k, F, v, drift)
-    return Trace(
-        t=np.array(rows["t"]),
-        mean_rate=np.array(rows["mean_rate"]),
-        avg_payoff=np.array(rows["avg_payoff"]),
-        velocity_l1=np.array(rows["velocity_l1"]),
-        mass_drift=np.array(rows["mass_drift"]),
-        final_state=state,
-    )
+            rows.append((k * run.dt, float(np.dot(grid, masses)), float(np.dot(masses, F)),
+                         float(np.abs(v).sum()), drift))
+    return Trace(*(np.array(col) for col in zip(*rows)),
+                 final_state=PopulationState(grid, masses, w))

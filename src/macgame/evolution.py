@@ -9,11 +9,12 @@ the state factorizes as
     F(a, state) = [a <= C(N) - (m-1)*E] * g(a) * nu(D_a),
 
 where E is the state's mean rate and nu(D_a) the product-measure mass of
-opponent draws that keep the joint profile feasible. A draw admits a
-exactly when a <= slack + tol, with slack the focal user's reply slack
-against it, so nu over a whole sorted grid is one bincount of how many
-grid points fit each draw. Both an exact enumeration of the opponent grid
-and a seeded Monte Carlo estimator are provided.
+opponent draws that keep the joint profile feasible. This module is the
+one payoff engine: a draw admits a exactly when a <= slack + tol, with
+slack the focal user's reply slack against it, so nu at any sorted set of
+actions is one bincount of how many fit each draw, taken over every
+opponent grid combination (exact) or a seeded iid sample (Monte Carlo).
+The expected-payoff functions read it at one action, `dynamics` at all.
 """
 from __future__ import annotations
 
@@ -235,30 +236,66 @@ def _combo_weights(masses: np.ndarray, k: int) -> np.ndarray:
     return weights
 
 
-def _sampled_slack(view: CapacityRegionView, state: PopulationState, samples: int,
-                   seed) -> np.ndarray:
+def _sampled_slack(view, grid, masses, samples: int, seed) -> np.ndarray:
     """Reply slack of user 0 against `samples` iid opponent draws; seed: int or SeedSequence."""
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
     rng = np.random.Generator(np.random.Philox(seed))
-    idx = rng.choice(state.n, size=(samples, view.m - 1), p=state.masses)
-    return reply_slack(view, 0, state.grid[idx])
+    idx = rng.choice(grid.size, size=(samples, view.m - 1), p=masses)
+    return reply_slack(view, 0, grid[idx])
+
+
+def _fit_counts(actions: np.ndarray, slack: np.ndarray) -> np.ndarray:
+    """How many of the sorted actions each opponent draw admits (a <= slack + tol)."""
+    return np.searchsorted(actions, slack + FEASIBILITY_TOL, side="right")
+
+
+def _fit_mass(fits: np.ndarray, size: int, weights=None) -> np.ndarray:
+    """Weight (1 per draw unweighted) of the draws admitting each of `size` sorted actions.
+
+    Draw c admits action i exactly when i < fits[c], so one bincount and a
+    reverse cumulative sum give every action's mass at once.
+    """
+    return np.bincount(fits, weights, minlength=size + 1)[::-1].cumsum()[::-1][1:]
+
+
+def _admitted_mass(view, actions, grid, masses, samples=None, seed=0) -> np.ndarray:
+    """nu at each sorted action: the mass of opponent draws from the state admitting it.
+
+    Exact over all n**(m-1) opponent grid combinations (up to EXACT_ENUM_LIMIT)
+    when samples is None, else the share of `samples` iid draws, fixed per seed.
+    """
+    if samples is None:
+        fits = _fit_counts(actions, _opponent_slack(view, grid))
+        return _fit_mass(fits, actions.size, _combo_weights(masses, view.m - 1))
+    fits = _fit_counts(actions, _sampled_slack(view, grid, masses, samples, seed))
+    return _fit_mass(fits, actions.size) / samples
+
+
+def _own_values(g: Utility, actions: np.ndarray) -> np.ndarray:
+    """g at each action; 0 where the action is negative and so never feasible."""
+    return np.where(actions >= -FEASIBILITY_TOL, np.asarray(g(actions), dtype=float), 0.0)
+
+
+def _mixed_gate(view, actions, grid, masses) -> np.ndarray:
+    """Actions inside the mixed region: a <= C(N) - (m-1)E, E the state's mean rate."""
+    bound = view.total - (view.m - 1) * float(np.dot(grid, masses))
+    return actions <= bound + INDICATOR_SLACK
+
+
+def _payoffs(view, gvals, actions, grid, masses, nu) -> np.ndarray:
+    """F at each action: own value times admitted mass times the mixed-region gate."""
+    return gvals * nu * _mixed_gate(view, actions, grid, masses)
 
 
 def region_mass(view: CapacityRegionView, a: float, state: PopulationState) -> float:
     """Exact product-measure mass of opponent draws keeping (a, draws) feasible.
 
-    The weight of the opponent grid combinations whose reply slack admits
-    a; all n**(m-1) of them are enumerated, up to EXACT_ENUM_LIMIT.
+    The engine's nu at the single action a, own value 1 (so 0 for a < 0).
     """
-    slack = _opponent_slack(view, state.grid)
-    weights = _combo_weights(state.masses, view.m - 1)
-    return float(weights[(a >= -FEASIBILITY_TOL) & (a <= slack + FEASIBILITY_TOL)].sum())
-
-
-def _indicator(view: CapacityRegionView, a: float, state: PopulationState) -> bool:
-    bound = view.total - (view.m - 1) * mean_rate(state)
-    return -INDICATOR_SLACK <= a <= bound + INDICATOR_SLACK
+    actions = np.array([float(a)])
+    nu = _admitted_mass(view, actions, state.grid, state.masses)
+    return float(_own_values(np.ones_like, actions)[0] * nu[0])
 
 
 def expected_payoff(view: CapacityRegionView, g: Utility, a: float,
@@ -268,31 +305,35 @@ def expected_payoff(view: CapacityRegionView, g: Utility, a: float,
 
     method="exact" enumerates the full opponent grid (within the size cap);
     method="montecarlo" averages `samples` iid opponent draws, deterministic
-    per seed. Use expected_payoff_mc for the standard error as well.
+    per seed. Use expected_payoff_mc for the standard error as well. An
+    action outside the mixed region scores 0 before any enumeration or draw.
     """
     a = float(a)
     c1 = float(view.single_caps.max())
     if not -1e-12 <= a <= c1 + 1e-12:
         raise ValueError(f"action {a} outside [0, {c1:g}]")
-    if not _indicator(view, a, state):
+    actions = np.array([a])
+    if not _mixed_gate(view, actions, state.grid, state.masses)[0]:
         return 0.0
     if method == "exact":
-        return float(g(a)) * region_mass(view, a, state)
+        return float(_own_values(g, actions)[0] * region_mass(view, a, state))
     if method == "montecarlo":
-        value, _ = expected_payoff_mc(view, g, a, state, samples=samples, seed=seed)
-        return value
+        return expected_payoff_mc(view, g, a, state, samples=samples, seed=seed)[0]
     raise ValueError(f"unknown method '{method}'")
 
 
 def expected_payoff_mc(view: CapacityRegionView, g: Utility, a: float,
                        state: PopulationState, samples: int = 100_000,
                        seed: int = 0) -> tuple:
-    """Monte Carlo F(a, state) with its standard error, deterministic per seed."""
+    """Monte Carlo F(a, state) with its standard error, deterministic per seed.
+
+    Actions below -INDICATOR_SLACK or outside the mixed region score (0, 0)
+    without drawing.
+    """
     a = float(a)
-    if not _indicator(view, a, state):
+    actions = np.array([a])
+    if a < -INDICATOR_SLACK or not _mixed_gate(view, actions, state.grid, state.masses)[0]:
         return 0.0, 0.0
-    hits = a <= _sampled_slack(view, state, samples, seed) + FEASIBILITY_TOL
-    p_hat = float(hits.mean())
-    ga = float(g(a))
-    stderr = ga * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / samples)
-    return ga * p_hat, stderr
+    ga = float(_own_values(g, actions)[0])
+    p_hat = float(_admitted_mass(view, actions, state.grid, state.masses, samples, seed)[0])
+    return ga * p_hat, ga * math.sqrt(p_hat * (1.0 - p_hat) / samples)

@@ -10,11 +10,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .capacity import ChannelModel
-from .dynamics import Protocol
+from .dynamics import PAYOFF_METHODS, PROTOCOL_KINDS, Protocol
 from .game import Utility
 
 UTILITY_KINDS = ("identity", "log1p", "power")
-PROTOCOL_KINDS = ("bnn", "replicator", "smith")
 
 
 @dataclass
@@ -149,9 +148,9 @@ def _validate(s: Scenario, key_lines: dict) -> list:
         problems.append(f"{_where(key_lines, 'steps')}steps must be >= 0")
     if s.record_every < 1:
         problems.append(f"{_where(key_lines, 'record_every')}record_every must be >= 1")
-    if s.payoff_method not in ("exact", "montecarlo"):
-        problems.append(
-            f"{_where(key_lines, 'payoff_method')}payoff_method must be exact or montecarlo")
+    if s.payoff_method not in PAYOFF_METHODS:
+        methods = " or ".join(PAYOFF_METHODS)
+        problems.append(f"{_where(key_lines, 'payoff_method')}payoff_method must be {methods}")
     if s.samples < 1:
         problems.append(f"{_where(key_lines, 'samples')}samples must be >= 1")
     return problems

@@ -39,6 +39,7 @@ from macgame import (
     simulate,
     symmetric_equilibrium,
 )
+from macgame.cli import _random_mixed_state
 
 RSTAR_2 = math.log(3.0) / 2.0
 
@@ -187,19 +188,6 @@ def test_criterion_07_ess():
               "witness, m in {2, 3}, g in {id, log1p}", t0)
 
 
-def _random_mixed_state(rng, view, grid):
-    masses = np.maximum(rng.dirichlet(np.ones(grid.size)), 1e-6)
-    masses /= masses.sum()
-    mean = float(np.dot(grid, masses))
-    target = (view.total / view.m) * rng.uniform(0.5, 0.95)
-    if mean > target:
-        t = 1.0 - target / mean
-        floor = np.zeros(grid.size)
-        floor[0] = 1.0
-        masses = (1.0 - t) * masses + t * floor
-    return PopulationState(grid, masses)
-
-
 def test_criterion_08_rest_points():
     t0 = time.time()
     g = Utility.identity()
@@ -216,7 +204,7 @@ def test_criterion_08_rest_points():
     grid = make_grid(math.log(2.0), 51, include=view.total / 2)
     rng = np.random.default_rng(808)
     for _ in range(20):
-        state = _random_mixed_state(rng, view, grid)
+        state = _random_mixed_state(rng, grid, view.total / view.m)
         assert rest_point_residual(view, g, Protocol.bnn(), state) > 1e-6
     report(8, "Dirac(C(N)/m) at rest under all protocols; 20 random "
               "full-support states move under BNN", t0)

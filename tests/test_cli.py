@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: subcommands, output format, exit codes."""
 
+import runpy
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from macgame.cli import main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+COMPARISON = SCENARIOS.parent / "scripts" / "run_protocol_comparison.py"
 
 
 def write_scenario(tmp_path, text, name="case.cfg"):
@@ -116,6 +118,19 @@ class TestDynamics:
         header = first[0].decode().splitlines()[0]
         assert header == "t,mean_rate,avg_payoff,velocity_l1,mass_drift"
         assert first[1].decode().splitlines()[0] == "grid_value,mass"
+
+
+class TestProtocolComparisonScript:
+    def test_bnn_trace_matches_cli(self, tmp_path, monkeypatch):
+        # asym2 runs smith, so both routes must switch the protocol to bnn
+        monkeypatch.chdir(tmp_path)
+        cfg = str(SCENARIOS / "asym2.cfg")
+        script = runpy.run_path(str(COMPARISON), run_name="protocol_comparison")
+        assert script["main"]([cfg, "--steps", "150"]) == 0
+        assert main(["-s", cfg, "--set", "protocol=bnn", "--set", "steps=150",
+                     "--set", "trace_csv=cli_trace.csv", "dynamics"]) == 0
+        ours = (tmp_path / "asym2_trace.bnn.csv").read_bytes()
+        assert ours == (tmp_path / "cli_trace.csv").read_bytes()
 
 
 class TestVerify:

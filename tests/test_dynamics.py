@@ -16,12 +16,14 @@ from macgame import (
     build_view,
     expected_payoff,
     make_grid,
+    mean_rate,
     rest_point_residual,
     simulate,
     step,
     velocity,
 )
 from macgame.capacity import FEASIBILITY_TOL, subset_sums
+from macgame.cli import _random_mixed_state
 from macgame.dynamics import _payoff_vector, euler_update
 
 LN2 = math.log(2.0)
@@ -43,20 +45,6 @@ def gid():
 
 def grid_with_rstar(view, n=51):
     return make_grid(float(view.single_caps.max()), n, include=view.total / view.m)
-
-
-def random_mixed_state(rng, view, grid):
-    """Full-support state with mean safely inside the mixed region."""
-    masses = np.maximum(rng.dirichlet(np.ones(grid.size)), 1e-6)
-    masses /= masses.sum()
-    mean = float(np.dot(grid, masses))
-    target = (view.total / view.m) * rng.uniform(0.5, 0.95)
-    if mean > target:
-        t = 1.0 - target / mean
-        floor = np.zeros(grid.size)
-        floor[0] = 1.0
-        masses = (1.0 - t) * masses + t * floor
-    return PopulationState(grid, masses)
 
 
 class TestProtocol:
@@ -87,7 +75,7 @@ class TestVelocity:
         rng = np.random.default_rng(4)
         grid = grid_with_rstar(sym2)
         for _ in range(10):
-            state = random_mixed_state(rng, sym2, grid)
+            state = _random_mixed_state(rng, grid, sym2.total / sym2.m)
             assert abs(velocity(sym2, gid, proto, state).sum()) < 1e-12
 
     def test_bnn_signs_from_uniform(self, sym2, gid):
@@ -128,7 +116,7 @@ class TestVelocity:
         for theta in (1.0, 2.0, 3.0):
             assert rest_point_residual(sym2, gid, Protocol.smith(theta), dirac) == 0.0
         for _ in range(5):
-            state = random_mixed_state(rng, sym2, grid)
+            state = _random_mixed_state(rng, grid, sym2.total / sym2.m)
             zeros = [rest_point_residual(sym2, gid, Protocol.smith(t), state) == 0.0
                      for t in (1.0, 2.0, 3.0)]
             assert len(set(zeros)) == 1
@@ -139,7 +127,7 @@ class TestVelocity:
         grid = grid_with_rstar(sym2, n=31)
         table = PayoffTable(sym2, g, grid)
         for _ in range(5):
-            state = random_mixed_state(rng, sym2, grid)
+            state = _random_mixed_state(rng, grid, sym2.total / sym2.m)
             from_table = table.payoffs(state.masses)
             direct = np.array([expected_payoff(sym2, g, float(a), state) for a in grid])
             assert np.allclose(from_table, direct, atol=1e-12)
@@ -182,7 +170,7 @@ class TestPayoffEngine:
         state = PopulationState(grid, masses / masses.sum())   # mean low enough to gate few
         samples = 50_000
         exact = PayoffTable(view, g, grid).payoffs(state.masses)
-        mc = _payoff_vector(view, g, state, None, "montecarlo", samples,
+        mc = _payoff_vector(view, g, grid, state.masses, None, "montecarlo", samples,
                             np.random.SeedSequence(11))
         gvals = g(grid)
         p = np.divide(exact, gvals, out=np.zeros_like(exact), where=gvals > 0)
@@ -252,6 +240,36 @@ class TestRestPointResidual:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("method", ["exact", "montecarlo"])
+    @pytest.mark.parametrize("proto", [Protocol.bnn(K=8.0), Protocol.replicator(K=4.0),
+                                       Protocol.smith(2.0, K=8.0)],
+                             ids=lambda p: p.kind)
+    def test_matches_public_step_loop(self, proto, method):
+        view = build_view(ChannelModel(np.array([3.0, 1.0])))
+        g = Utility.log1p()
+        grid = make_grid(float(view.single_caps.max()), 21)
+        run = DynamicsRun(protocol=proto, state0=PopulationState.uniform(grid), steps=30,
+                          record_every=7, seed=3, payoff_method=method, samples=500)
+        trace = simulate(view, g, run)
+
+        table = PayoffTable(view, g, grid) if method == "exact" else None
+        state, rows, drift = run.state0, [], 0.0
+        for k in range(run.steps + 1):
+            seq = np.random.SeedSequence(run.seed, spawn_key=(k,))
+            F = _payoff_vector(view, g, grid, state.masses, table, method, run.samples, seq)
+            v = velocity(view, g, proto, state, table=table, payoff_method=method,
+                         samples=run.samples, seed_seq=seq)
+            if k % run.record_every == 0 or k == run.steps:
+                rows.append((k * run.dt, mean_rate(state), float(np.dot(state.masses, F)),
+                             float(np.abs(v).sum()), drift))
+            if k < run.steps:
+                masses, drift = euler_update(state.masses, v, run.dt)
+                state = state.replace_masses(masses)
+        got = np.column_stack([trace.t, trace.mean_rate, trace.avg_payoff,
+                               trace.velocity_l1, trace.mass_drift])
+        assert np.array_equal(got, np.array(rows))
+        assert np.array_equal(trace.final_state.masses, state.masses)
+
     def test_zero_steps_single_record(self, sym2, gid):
         grid = grid_with_rstar(sym2)
         run = DynamicsRun(protocol=Protocol.bnn(), state0=PopulationState.uniform(grid),

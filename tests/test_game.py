@@ -21,6 +21,7 @@ from macgame import (
     potential,
     sample_max_face,
 )
+from macgame.capacity import feasible_rows
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -106,7 +107,9 @@ class TestBestResponse:
         br = best_response(view, g, user, others)
         br_pay = payoff(view, g, np.insert(others, user, br), user)
         ys = np.linspace(0.0, float(view.single_caps[user]), 10_000)
-        pays = np.array([payoff(view, g, np.insert(others, user, y), user) for y in ys])
+        trials = np.tile(np.insert(others, user, 0.0), (ys.size, 1))
+        trials[:, user] = ys
+        pays = np.where(feasible_rows(view, trials), g(ys), 0.0)
         assert br_pay >= pays.max() - 1e-9
         assert abs(br - ys[pays.argmax()]) <= ys[1] - ys[0] + 1e-12
 
