@@ -8,6 +8,7 @@ from .capacity import (
     face_vertices,
     is_feasible,
     max_face_residual,
+    max_weighted_base,
     reply_slack,
     safe_rate,
     sample_max_face,

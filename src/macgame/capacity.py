@@ -16,8 +16,10 @@ ln1p of a modular function, so the worst subset for a profile is a
 threshold set of alpha_i / s_i (Tse & Hanly 1998). With users sorted by
 that ratio, `worst_excess` is a maximum over the m prefixes and
 `reply_slack` a minimum over {i} joined with each prefix of the others,
-O(m log m) per profile. The 2**m table of `subset_sums` (`view.cap`) is
-the independent second route, kept for listings and checks.
+O(m log m) per profile. The same oracle drives `max_weighted_base`, the
+one maximiser of a weighted separable concave welfare over the face. The
+2**m table of `subset_sums` (`view.cap`) is the independent second route,
+kept for listings and checks.
 
 Users are indexed 0..m-1 throughout.
 """
@@ -38,6 +40,10 @@ MAX_ENUM_USERS = 20
 
 # itertools-based ordered subset listings (for display) stay cheap up to here.
 MAX_LISTING_USERS = 12
+
+# Bisection on a block's common scale stops at a width of 4 ulps of the root.
+MAX_BISECT_ITER = 200
+BISECT_RTOL = 4.0 * np.finfo(float).eps
 
 
 @dataclass
@@ -200,19 +206,19 @@ def as_profile(m: int, rates) -> np.ndarray:
 
 
 def _ratio_prefixes(rates: np.ndarray, snr: np.ndarray) -> tuple:
-    """Rate and SNR sums over the ratio-sorted prefixes of a profile or a batch.
+    """The ratio order, and rate and SNR sums over its prefixes, of a profile or a batch.
 
-    `rates` is one profile (k,) or a (B, k) batch; both results are (k,) or
-    (k, B), entry j summing the j + 1 users with the largest alpha_i / s_i
-    (ties in index order). The prefix axis comes first so the running sums
-    vectorise over the batch.
+    `rates` is one profile (k,) or a (B, k) batch; all results are (k,) or
+    (k, B), sum entry j covering the j + 1 users with the largest
+    alpha_i / s_i (ties in index order). The prefix axis comes first so the
+    running sums vectorise over the batch.
     """
     order = np.argsort(-(rates / snr).T, axis=0, kind="stable")
     if rates.ndim == 1:
         picked = rates[order]
     else:
         picked = rates[np.arange(rates.shape[0]), order]
-    return picked.cumsum(axis=0), snr[order].cumsum(axis=0)
+    return order, picked.cumsum(axis=0), snr[order].cumsum(axis=0)
 
 
 def worst_excess(view: CapacityRegionView, rates):
@@ -224,7 +230,7 @@ def worst_excess(view: CapacityRegionView, rates):
     says exactly whether some constraint is tight or broken.
     """
     rates = np.asarray(rates, dtype=float)
-    cum_rates, cum_snr = _ratio_prefixes(rates, view.model.snr)
+    _, cum_rates, cum_snr = _ratio_prefixes(rates, view.model.snr)
     worst = (cum_rates - np.log1p(cum_snr)).max(axis=0)
     return worst if rates.ndim == 2 else float(worst)
 
@@ -240,7 +246,7 @@ def reply_slack(view: CapacityRegionView, user: int, others):
     others = np.asarray(others, dtype=float)
     snr = view.model.snr
     own = float(snr[user])
-    cum_rates, cum_snr = _ratio_prefixes(others, np.delete(snr, user))
+    _, cum_rates, cum_snr = _ratio_prefixes(others, np.delete(snr, user))
     slack = np.minimum(math.log1p(own),
                        (np.log1p(own + cum_snr) - cum_rates).min(axis=0, initial=np.inf))
     alone = ((others.T.min(axis=0, initial=np.inf) >= -FEASIBILITY_TOL)
@@ -323,3 +329,48 @@ def face_vertices(view: CapacityRegionView, limit: int = 720, seed: int = 0) -> 
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
         perms = np.array([rng.permutation(m) for _ in range(limit)])
     return _greedy_corners(view.model.snr, perms)
+
+
+def _bisect(f, lo: float, hi: float) -> float:
+    """Root of a decreasing f in [lo, hi], to BISECT_RTOL * |root|."""
+    for _ in range(MAX_BISECT_ITER):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= BISECT_RTOL * abs(mid):
+            return mid
+        lo, hi = (mid, hi) if f(mid) > 0.0 else (lo, mid)
+    raise ValueError(f"bisection did not converge in {MAX_BISECT_ITER} iterations")
+
+
+def max_weighted_base(view: CapacityRegionView, deriv, inv_deriv, weights) -> tuple:
+    """Maximiser of sum_j w_j g(alpha_j) over the maximal face, by decomposition.
+
+    g is strictly concave and increasing, given by g' (`deriv`) and its
+    inverse. A block of k users with total T first gets the rates with one
+    common scale c = w_j g'(alpha_j) summing to T, by bisection on c in the
+    exact bracket [min, max] of w_j g'(T/k). If that breaks a proper
+    ratio-sorted prefix P, the optimum is tight on the worst one (Fujishige
+    1980; Groenevelt 1991), so the block splits into the restriction,
+    channel snr[P], and the contraction, the rest with SNRs divided by
+    1 + s(P); both are Gaussian-MAC faces again. Returns the profile and
+    each user's scale c_j = w_j g'(alpha_j), shared exactly within a block.
+    """
+    weights = np.asarray(weights, dtype=float)
+    profile, scales = np.empty(view.m), np.empty(view.m)
+    blocks = [(np.arange(view.m), view.model.snr)]
+    while blocks:
+        users, snr = blocks.pop()
+        w = weights[users]
+        total = math.log1p(float(snr.sum()))
+        slopes = w * np.asarray(deriv(total / users.size), dtype=float)
+        c = _bisect(lambda c: float(np.sum(inv_deriv(c / w))) - total, slopes.min(), slopes.max())
+        rates = np.asarray(inv_deriv(c / w), dtype=float)
+        order, cum_rates, cum_snr = _ratio_prefixes(rates, snr)
+        excess = cum_rates[:-1] - np.log1p(cum_snr[:-1])
+        if excess.max(initial=0.0) > 0.0:
+            k = int(excess.argmax()) + 1
+            blocks.append((users[order[:k]], snr[order[:k]]))
+            blocks.append((users[order[k:]], snr[order[k:]] / (1.0 + cum_snr[k - 1])))
+        else:
+            profile[users] = rates
+            scales[users] = c
+    return profile, scales

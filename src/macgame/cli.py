@@ -27,7 +27,7 @@ from .scenario import (
 
 # Named substreams of the scenario seed, so each analysis draws
 # independently but reproducibly.
-_SUBSTREAM = {"face": 0, "montecarlo": 1, "dynamics": 2, "interior": 3}
+_SUBSTREAM = {"face": 0, "montecarlo": 1, "dynamics": 2, "weights": 3}
 
 
 def substream_seed(seed: int, name: str) -> int:
@@ -124,16 +124,16 @@ def cmd_check_eq(args, scenario: Scenario) -> int:
     profile = _parse_rates(args.profile)
     nash = game.is_nash(view, g, profile, tol=args.tol)
     parts = [f"nash: {str(nash).lower()}"]
-    if view.m <= 6:
+    if view.m <= game.STRONG_MAX_USERS:
         strong = game.is_strong_equilibrium(view, g, profile, deviation_grid=args.grid)
         parts.append(f"strong: {str(strong).lower()}")
     else:
-        parts.append("strong: n/a (m > 6)")
-    if view.m <= 4:
+        parts.append(f"strong: n/a (m > {game.STRONG_MAX_USERS})")
+    if view.m <= game.PARETO_MAX_USERS:
         pareto = game.is_pareto_optimal(view, g, profile, grid=args.pareto_grid)
         parts.append(f"pareto: {str(pareto).lower()}")
     else:
-        parts.append("pareto: n/a (m > 4)")
+        parts.append(f"pareto: n/a (m > {game.PARETO_MAX_USERS})")
     print(", ".join(parts))
     print(f"max_face_residual = {fmt(cap.max_face_residual(view, profile))}")
     return 0 if nash else 1
@@ -142,8 +142,7 @@ def cmd_check_eq(args, scenario: Scenario) -> int:
 def cmd_metrics(args, scenario: Scenario) -> int:
     view = cap.build_view(build_model(scenario))
     g = build_utility(scenario)
-    out = game.efficiency_metrics(view, g, face_samples=args.samples,
-                                  seed=substream_seed(scenario.seed, "face"))
+    out = game.efficiency_metrics(view, g, seed=substream_seed(scenario.seed, "face"))
     print(f"spoa = {fmt(out['spoa'])}")
     print(f"pos = {fmt(out['pos'])}")
     print(f"social_opt = {fmt(out['social_opt'])}")
@@ -158,15 +157,14 @@ def cmd_normalized(args, scenario: Scenario) -> int:
     print("profile = " + ",".join(fmt(v) for v in result.profile))
     print("zeta = " + ",".join(fmt(v) for v in result.multipliers))
     print(f"scale = {fmt(result.scale)}")
+    print("tight_sets = " + ",".join(_label(J) for J in result.tight_sets))
+    print("set_multipliers = " + ",".join(fmt(v) for v in result.set_multipliers))
     print(f"kkt_residual = {fmt(result.kkt_residual)}")
-    cert = None
-    interior = result.profile * (1.0 - 1e-3)
     try:
-        cert = sel.goodman_certificate(view, g, interior, result.multipliers)
+        cert = sel.goodman_certificate(view, g, result.profile * (1.0 - 1e-3), result.multipliers)
     except ValueError:
-        pass
-    if cert is not None:
-        print(f"goodman_negative_definite = {str(cert.negative_definite).lower()}")
+        return 0
+    print(f"goodman_negative_definite = {str(cert.negative_definite).lower()}")
     return 0
 
 
@@ -319,8 +317,7 @@ def _verify_checks(scenario: Scenario):
         return True, "20 instances vs 2000-point grid search"
 
     def check_efficiency():
-        out = game.efficiency_metrics(view, g, face_samples=200,
-                                      seed=substream_seed(scenario.seed, "face"))
+        out = game.efficiency_metrics(view, g, seed=substream_seed(scenario.seed, "face"))
         if g.kind == "identity":
             ok = abs(out["spoa"] - 1.0) < 1e-6 and abs(out["pos"] - 1.0) < 1e-6
             return ok, f"spoa={out['spoa']:.9f} pos={out['pos']:.9f}"
@@ -328,13 +325,23 @@ def _verify_checks(scenario: Scenario):
         return ok, f"spoa={out['spoa']:.9f} pos={out['pos']:.9f}"
 
     def check_normalized():
+        # the certificate re-checked on the 2^m table, for tau = 1 and one seeded tau
         gg = g if g.kind != "identity" else game.Utility.log1p()
-        result = sel.normalized_equilibrium(view, sel.NormalizedEqConfig(g=gg))
-        ok = cap.max_face_residual(view, result.profile) == 0.0
-        ok = ok and result.kkt_residual < 1e-8
-        if model.symmetric:
-            ok = ok and np.all(np.abs(result.profile - view.total / m) < 1e-9)
-        return ok, f"kkt residual {result.kkt_residual:.2e}"
+        tol, worst, ok = 1e-12, 0.0, True
+        wrng = np.random.Generator(np.random.Philox(substream_seed(scenario.seed, "weights")))
+        for tau in (np.ones(m), np.exp(wrng.uniform(-1.0, 1.0, size=m))):
+            res = sel.normalized_equilibrium(view, sel.NormalizedEqConfig(g=gg, weights=tau))
+            covered = np.zeros(m)
+            for J, lam in zip(res.tight_sets, res.set_multipliers):
+                covered[list(J)] += lam
+                gap = abs(res.profile[list(J)].sum() - view.cap[sum(1 << j for j in J)])
+                worst = max(worst, gap)
+            worst = max(worst, float(np.max(np.abs(covered / (tau * res.multipliers) - 1.0))),
+                        float(np.max(cap.subset_sums(res.profile) - view.cap)))
+            ok = ok and res.tight_sets[-1] == tuple(range(m)) and min(res.set_multipliers) >= 0
+            if model.symmetric and np.all(tau == 1.0):
+                ok = ok and bool(np.all(np.abs(res.profile - view.total / m) < 1e-9))
+        return ok and worst <= tol, f"2^m certificate gap {worst:.2e} (tol {tol:g})"
 
     def check_ess():
         if not model.symmetric:
@@ -438,8 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eq.add_argument("--grid", type=int, default=25, help="coalition deviation grid")
     p_eq.add_argument("--pareto-grid", type=int, default=40, help="Pareto lattice grid")
 
-    p_me = sub.add_parser("metrics", help="sampled SPoA / price of stability")
-    p_me.add_argument("--samples", type=int, default=500, help="face samples")
+    sub.add_parser("metrics", help="strong price of anarchy, price of stability, social optimum")
 
     p_no = sub.add_parser("normalized", help="normalized equilibrium via the KKT system")
     p_no.add_argument("--tau", help="comma-separated positive weights (default all 1)")

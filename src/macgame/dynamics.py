@@ -26,6 +26,7 @@ import numpy as np
 from .capacity import CapacityRegionView
 from .game import Utility
 from .evolution import (
+    PAYOFF_METHODS,
     PopulationState,
     _admitted_mass,
     _combo_weights,
@@ -38,7 +39,6 @@ from .evolution import (
 )
 
 PROTOCOL_KINDS = ("bnn", "replicator", "smith")
-PAYOFF_METHODS = ("exact", "montecarlo")
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ from .game import Utility, payoff
 MASS_TOL = 1e-9
 INDICATOR_SLACK = 1e-12
 EXACT_ENUM_LIMIT = 10_000_000
+PAYOFF_METHODS = ("exact", "montecarlo")
 
 
 def make_grid(upper: float, n: int, include: Optional[float] = None) -> np.ndarray:
@@ -273,8 +274,9 @@ def _admitted_mass(view, actions, grid, masses, samples=None, seed=0) -> np.ndar
 
 
 def _own_values(g: Utility, actions: np.ndarray) -> np.ndarray:
-    """g at each action; 0 where the action is negative and so never feasible."""
-    return np.where(actions >= -FEASIBILITY_TOL, np.asarray(g(actions), dtype=float), 0.0)
+    """g at each action, read at max(a, 0); 0 where a < -tol and so never feasible."""
+    gvals = np.asarray(g(np.maximum(actions, 0.0)), dtype=float)
+    return np.where(actions >= -FEASIBILITY_TOL, gvals, 0.0)
 
 
 def _mixed_gate(view, actions, grid, masses) -> np.ndarray:
@@ -312,14 +314,14 @@ def expected_payoff(view: CapacityRegionView, g: Utility, a: float,
     c1 = float(view.single_caps.max())
     if not -1e-12 <= a <= c1 + 1e-12:
         raise ValueError(f"action {a} outside [0, {c1:g}]")
+    if method not in PAYOFF_METHODS:
+        raise ValueError(f"unknown method '{method}'")
     actions = np.array([a])
     if not _mixed_gate(view, actions, state.grid, state.masses)[0]:
         return 0.0
     if method == "exact":
         return float(_own_values(g, actions)[0] * region_mass(view, a, state))
-    if method == "montecarlo":
-        return expected_payoff_mc(view, g, a, state, samples=samples, seed=seed)[0]
-    raise ValueError(f"unknown method '{method}'")
+    return expected_payoff_mc(view, g, a, state, samples=samples, seed=seed)[0]
 
 
 def expected_payoff_mc(view: CapacityRegionView, g: Utility, a: float,

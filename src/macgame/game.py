@@ -6,7 +6,8 @@ Best replies have a closed form (take the tightest remaining subset
 constraint, never drop below the safe rate), the Nash set is exactly the
 maximal face, and those profiles are also strong equilibria and Pareto
 optimal. Coalition and Pareto verdicts here are brute-force grid checks,
-so verdicts are exact up to grid resolution only.
+so verdicts are exact up to grid resolution only. Efficiency metrics are
+scored on the face's greedy vertices and the exact welfare optimum.
 """
 from __future__ import annotations
 
@@ -22,14 +23,16 @@ from .capacity import (
     face_vertices,
     feasible_rows,
     is_feasible,
-    max_face_residual,
+    max_weighted_base,
     reply_slack,
-    sample_max_face,
 )
 
 IMPROVEMENT_MARGIN = 1e-9
 NASH_TOL = 1e-9
 LATTICE_BLOCK_ROWS = 200_000
+# Largest m for the exhaustive coalition check and the Pareto lattice.
+STRONG_MAX_USERS = 6
+PARETO_MAX_USERS = 4
 
 
 @dataclass
@@ -159,8 +162,9 @@ def is_strong_equilibrium(view: CapacityRegionView, g: Utility, profile,
     the grid resolution can escape detection.
     """
     m = view.m
-    if m > 6:
-        raise ValueError("coalition enumeration too large: supported for m <= 6")
+    if m > STRONG_MAX_USERS:
+        raise ValueError(
+            f"coalition enumeration too large: supported for m <= {STRONG_MAX_USERS}")
     profile = as_profile(m, profile)
     if not is_feasible(view, profile):
         return False
@@ -186,8 +190,8 @@ def is_pareto_optimal(view: CapacityRegionView, g: Utility, profile,
                       grid: int = 40) -> bool:
     """Grid oracle: no feasible profile weakly dominates with a strict gain."""
     m = view.m
-    if m > 4:
-        raise ValueError("Pareto grid oracle supported for m <= 4")
+    if m > PARETO_MAX_USERS:
+        raise ValueError(f"Pareto grid oracle supported for m <= {PARETO_MAX_USERS}")
     profile = as_profile(m, profile)
     base = g(profile)
     axes = [np.linspace(0.0, float(view.single_caps[i]), grid) for i in range(m)]
@@ -211,30 +215,22 @@ def potential(view: CapacityRegionView, g: Utility, profile) -> float:
     return float(np.sum(g(profile)))
 
 
-def efficiency_metrics(view: CapacityRegionView, g: Utility,
-                       face_samples: int = 500, seed: int = 0) -> dict:
-    """Sampled strong price of anarchy, price of stability, and social optimum.
+def efficiency_metrics(view: CapacityRegionView, g: Utility, seed: int = 0) -> dict:
+    """Strong price of anarchy, price of stability, and social optimum.
 
-    Equilibrium candidates are face samples, the greedy face vertices, and
-    the equal split when it lies on the face. The social optimum is the best
-    welfare over those candidates plus interior points (scaled-down copies),
-    which is exact for g = id and a face-sampling estimate otherwise.
+    The Nash set is the maximal face, where a concave welfare is lowest at
+    a greedy vertex: all m! of them are scored for m <= 6, a sample drawn
+    with `seed` beyond. For increasing g the social optimum lies on the
+    face too; when g has an inverse derivative the exact tau = 1 optimum
+    (`max_weighted_base`) joins the candidates, else the best vertex
+    stands in (exact for g = id).
     """
     g.validate(float(view.single_caps.max()))
-    eq = [face_vertices(view)]
-    if face_samples > 0:
-        eq.append(sample_max_face(view, face_samples, seed=seed))
-    split = np.full(view.m, view.total / view.m)
-    if max_face_residual(view, split) == 0.0:
-        eq.append(split[None, :])
-    eq = np.concatenate(eq, axis=0)
-    eq_welfare = g(eq).sum(axis=1)
-
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed + 1)))
-    interior = eq * rng.uniform(0.0, 1.0, size=(eq.shape[0], 1))
-    social = float(max(eq_welfare.max(), g(interior).sum(axis=1).max()))
-    return {
-        "spoa": float(eq_welfare.min()) / social,
-        "pos": float(eq_welfare.max()) / social,
-        "social_opt": social,
-    }
+    eq = face_vertices(view, seed=seed)
+    if g.inv_deriv is not None:
+        opt, _ = max_weighted_base(view, g.deriv, g.inv_deriv, np.ones(view.m))
+        eq = np.vstack([eq, opt])
+    welfare = g(eq).sum(axis=1)
+    social = float(welfare.max())
+    return {"spoa": float(welfare.min()) / social, "pos": float(welfare.max()) / social,
+            "social_opt": social}

@@ -1,11 +1,13 @@
 """Selecting one equilibrium from the continuum on the maximal face.
 
-The normalized equilibrium fixes per-user weights tau and a common scale c
-so that g'(alpha_j) * tau_j = c for every unconstrained user while the
-rates exhaust the grand capacity. With g strictly concave this pins a
-unique point of the face. The Goodman certificate checks the uniqueness
-condition numerically: the symmetrized Jacobian of the weighted payoff
-gradients must be negative definite at the point of interest.
+The normalized equilibrium with weights tau (Rosen 1965) is the maximiser
+of sum_j tau_j g(alpha_j) over the region: with g strictly concave, one
+point of the face. It comes with a KKT certificate: a nested chain of
+tight sets and one multiplier lambda_J >= 0 per set, with
+tau_j g'(alpha_j) equal to the sum of lambda_J over the sets J holding j.
+The Goodman certificate checks the uniqueness condition numerically: the
+symmetrized Jacobian of the weighted payoff gradients must be negative
+definite at the point of interest.
 """
 from __future__ import annotations
 
@@ -13,30 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import CapacityRegionView, as_profile, max_face_residual, worst_excess
+from .capacity import CapacityRegionView, as_profile, max_weighted_base, worst_excess
 from .game import Utility
 
-SUM_TOL = 1e-10
 KKT_TOL = 1e-8
-BRACKET_LO = 1e-12
-MAX_BISECT_ITER = 200
-BISECT_XTOL = 1e-15
-BISECT_RTOL = 4.0 * np.finfo(float).eps
-
-
-def _bisect(f, lo: float, hi: float) -> float:
-    """Root of f in [lo, hi] (opposite signs), to BISECT_XTOL + BISECT_RTOL * |root|."""
-    f_lo = f(lo)
-    width = hi - lo
-    for _ in range(MAX_BISECT_ITER):
-        width *= 0.5
-        mid = lo + width
-        f_mid = f(mid)
-        if f_mid * f_lo >= 0.0:
-            lo = mid
-        if f_mid == 0.0 or abs(width) < BISECT_XTOL + BISECT_RTOL * abs(mid):
-            return mid
-    raise ValueError(f"bisection did not converge in {MAX_BISECT_ITER} iterations")
 
 
 @dataclass
@@ -60,86 +42,46 @@ class NormalizedEqConfig:
 @dataclass
 class NormalizedEquilibrium:
     profile: np.ndarray
-    multipliers: np.ndarray  # zeta_j = c / tau_j
-    scale: float
+    multipliers: np.ndarray      # zeta_j = g'(alpha_j)
+    scale: float                 # lambda_N, multiplier of the grand constraint
     kkt_residual: float
+    tight_sets: list             # level sets of c, nested, the last one N
+    set_multipliers: np.ndarray  # lambda per tight set, >= 0
 
 
 def normalized_equilibrium(view: CapacityRegionView,
                            config: NormalizedEqConfig) -> NormalizedEquilibrium:
-    """Solve the weighted stationarity system on the maximal face.
+    """Maximise sum_j tau_j g(alpha_j) over the region, with its KKT certificate.
 
-    Finds c by scalar bisection so that the box-clamped rates
-    clip((g')^{-1}(c / tau_j), [safe_j, C({j})]) sum to C(N); coordinates
-    that hit a bound stay there and the free ones absorb the remainder.
-    Raises if g is not strictly concave, if no bracket exists, or if the
-    solution violates a subset constraint (pathological weights).
+    The maximiser comes from `max_weighted_base`, with c_j = tau_j g'(alpha_j).
+    The tight sets are the level sets {j : c_j >= v} of c, by decreasing v,
+    and lambda_k = c_k - c_{k+1} >= 0 (c_{r+1} = 0), so tau_j zeta_j is the
+    sum of lambda over the tight sets holding j. `kkt_residual` is the
+    largest of the relative stationarity gap, the gap of any tight set to
+    its capacity, and the worst constraint excess (the last tight set is N,
+    so the profile is on the face once all three are 0). Raises if g is not
+    strictly concave, lacks an inverse derivative, or the certificate fails.
     """
-    m = view.m
-    c_max = float(view.single_caps.max())
     g = config.g
-    g.require_strictly_concave(c_max)
+    g.require_strictly_concave(float(view.single_caps.max()))
     if g.inv_deriv is None:
         raise ValueError(f"utility '{g.kind}' has no inverse derivative")
-    tau = config.resolve_weights(m)
-    lo_bounds = view.safe_rates
-    hi_bounds = view.single_caps
-
-    def coords(c: float) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            x = np.asarray(g.inv_deriv(c / tau), dtype=float)
-        x = np.where(np.isfinite(x), x, hi_bounds)
-        return np.clip(x, lo_bounds, hi_bounds)
-
-    def gap(c: float) -> float:
-        return float(coords(c).sum()) - view.total
-
-    lo = BRACKET_LO
-    with np.errstate(all="ignore"):
-        slope0 = float(np.max(tau * np.asarray(g.deriv(0.0), dtype=float)))
-    if np.isfinite(slope0) and gap(slope0) <= 0.0:
-        hi = slope0
-    else:
-        # g'(0) can be infinite (power utilities); grow the bracket instead.
-        hi = 1.0
-        for _ in range(MAX_BISECT_ITER):
-            if gap(hi) <= 0.0:
-                break
-            hi *= 4.0
-        else:
-            raise ValueError("no bisection bracket: clamped rates never fit the face")
-
-    if gap(lo) < 0.0:
-        raise ValueError(
-            f"no bisection bracket: even c = {lo:g} undershoots the face total")
-    if abs(gap(lo)) <= SUM_TOL:
-        c = lo
-    elif abs(gap(hi)) <= SUM_TOL:
-        c = hi
-    else:
-        c = _bisect(gap, lo, hi)
-
-    alpha = coords(c)
-    if abs(float(alpha.sum()) - view.total) > SUM_TOL:
-        raise ValueError(
-            f"bisection failed: |sum - C(N)| = {abs(alpha.sum() - view.total):.3e} "
-            f"at c = {c:.6e}")
-    if max_face_residual(view, alpha) != 0.0:
-        raise ValueError(
-            "normalized equilibrium left the region: a subset constraint binds "
-            "that box clamping cannot handle (extreme weights)")
-
-    inactive = (alpha > lo_bounds + 1e-12) & (alpha < hi_bounds - 1e-12)
-    if inactive.any():
-        resid = float(np.max(np.abs(
-            np.asarray(g.deriv(alpha[inactive]), dtype=float) * tau[inactive] - c)))
-    else:
-        resid = 0.0
+    tau = config.resolve_weights(view.m)
+    alpha, c = max_weighted_base(view, g.deriv, g.inv_deriv, tau)
+    levels = np.array(sorted(set(c.tolist()), reverse=True))
+    members = c >= levels[:, None]
+    lam = levels - np.append(levels[1:], 0.0)
+    zeta = np.asarray(g.deriv(alpha), dtype=float)
+    resid = max(float(np.max(np.abs(lam @ members / (tau * zeta) - 1.0))),
+                float(np.max(np.abs(members @ alpha - np.log1p(members @ view.model.snr)))),
+                worst_excess(view, alpha))
     if resid >= KKT_TOL:
-        raise ValueError(f"stationarity residual {resid:.3e} exceeds {KKT_TOL:g}; "
+        raise ValueError(f"KKT residual {resid:.3e} exceeds {KKT_TOL:g}; "
                          "inverse derivative is inconsistent with the derivative")
-    return NormalizedEquilibrium(profile=alpha, multipliers=c / tau,
-                                 scale=c, kkt_residual=resid)
+    return NormalizedEquilibrium(
+        profile=alpha, multipliers=zeta, scale=float(lam[-1]), kkt_residual=resid,
+        tight_sets=[tuple(np.flatnonzero(s).tolist()) for s in members],
+        set_multipliers=lam)
 
 
 @dataclass

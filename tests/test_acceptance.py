@@ -119,7 +119,7 @@ def test_criterion_04_spoa_is_one_for_identity():
     g = Utility.identity()
     for m in (2, 3):
         view = build_view(ChannelModel(np.ones(m)))
-        out = efficiency_metrics(view, g, face_samples=500, seed=m)
+        out = efficiency_metrics(view, g, seed=m)
         assert abs(out["spoa"] - 1.0) < 1e-6
         assert abs(out["pos"] - 1.0) < 1e-6
     elapsed = time.time() - t0

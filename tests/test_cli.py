@@ -70,7 +70,7 @@ class TestCheckEq:
 
 class TestMetrics:
     def test_identity_ratios(self, sym2_cfg, capsys):
-        assert main(["-s", sym2_cfg, "metrics", "--samples", "200"]) == 0
+        assert main(["-s", sym2_cfg, "metrics"]) == 0
         out = capsys.readouterr().out
         assert "spoa = 1\n" in out
         assert "pos = 1\n" in out

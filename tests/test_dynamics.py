@@ -324,3 +324,21 @@ class TestSimulate:
         assert abs(trace.final_state.masses.sum() - 1.0) <= 1e-9
         assert trace.max_drift <= 1e-9
         assert trace.final_state.masses.min() >= 0.0
+
+
+class TestNegativeGridPoints:
+    @pytest.mark.parametrize("method", ["exact", "montecarlo"])
+    def test_power_utility_finite_below_zero(self, sym2, method):
+        # grid points in [-1e-9, 0) count as feasible; g is read at max(a, 0)
+        grid = np.linspace(-5e-10, LN2, 21)
+        g = Utility.power(0.5)
+        state = PopulationState.uniform(grid)
+        F = _payoff_vector(sym2, g, grid, state.masses, None, method, 500,
+                           np.random.SeedSequence(1))
+        assert np.all(np.isfinite(F)) and F[0] == 0.0
+        v = velocity(sym2, g, Protocol.bnn(), state, payoff_method=method, samples=500)
+        assert np.all(np.isfinite(v))
+        run = DynamicsRun(protocol=Protocol.bnn(K=8.0), state0=state, steps=20,
+                          record_every=5, payoff_method=method, samples=500)
+        trace = simulate(sym2, g, run)
+        assert np.all(np.isfinite(trace.avg_payoff)) and trace.max_drift < 1e-12

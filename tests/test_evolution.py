@@ -199,6 +199,13 @@ class TestExpectedPayoff:
         with pytest.raises(ValueError, match="Monte Carlo"):
             expected_payoff(view, Utility.identity(), 0.1, state, method="exact")
 
+    @pytest.mark.parametrize("a", [0.3, 0.62], ids=["inside", "outside"])
+    def test_unknown_method_rejected_on_both_sides_of_the_gate(self, sym2, a):
+        # all opponents at 0.5: the mixed-region bound is ln3 - 0.5 = 0.5986
+        state = PopulationState(np.array([0.0, 0.5]), np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="unknown method"):
+            expected_payoff(sym2, Utility.identity(), a, state, method="bogus")
+
     def test_action_out_of_range_rejected(self, sym2):
         with pytest.raises(ValueError, match="outside"):
             expected_payoff(sym2, Utility.identity(), 0.8, three_point_state())

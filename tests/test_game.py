@@ -1,5 +1,6 @@
 """The one-shot game: payoffs, best replies, equilibrium tests, efficiency."""
 
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from macgame import (
     Utility,
     best_response,
     build_view,
+    capacity_of,
     efficiency_metrics,
     is_nash,
     is_pareto_optimal,
@@ -209,14 +211,14 @@ class TestEfficiency:
     @pytest.mark.parametrize("snr", [[1.0, 1.0], [1.0, 1.0, 1.0]])
     def test_identity_is_fully_efficient(self, snr, gid):
         view = build_view(ChannelModel(np.array(snr)))
-        out = efficiency_metrics(view, gid, face_samples=500, seed=0)
+        out = efficiency_metrics(view, gid, seed=0)
         assert out["spoa"] == pytest.approx(1.0, abs=1e-6)
         assert out["pos"] == pytest.approx(1.0, abs=1e-6)
         assert out["social_opt"] == pytest.approx(view.total, abs=1e-9)
 
     def test_concave_best_equilibrium_is_efficient(self, sym2):
         g = Utility.log1p()
-        out = efficiency_metrics(sym2, g, face_samples=400, seed=2)
+        out = efficiency_metrics(sym2, g, seed=2)
         # grid search along the face parameterization is the oracle for the
         # welfare optimum: alpha_1 in [r, C1], alpha_2 = C2 - alpha_1
         xs = np.linspace(float(sym2.safe_rates[0]), LN2, 20_001)
@@ -225,8 +227,30 @@ class TestEfficiency:
         assert out["pos"] == pytest.approx(1.0, abs=1e-3)
         assert out["spoa"] <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_exact_against_samples_and_every_vertex(self, seed):
+        # the social optimum beats every sampled face point, and the SPoA
+        # numerator is the worst of all m! greedy vertices
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 5))
+        model = ChannelModel(10.0 ** rng.uniform(-2.0, 2.0, size=m))
+        view = build_view(model)
+        g = Utility.log1p() if seed % 2 else Utility.power(0.5)
+        out = efficiency_metrics(view, g, seed=seed)
+        face = sample_max_face(view, 5000, seed=seed + 100)
+        assert out["social_opt"] >= float(g(face).sum(axis=1).max()) - 1e-12
+        worst = np.inf
+        for perm in itertools.permutations(range(m)):
+            alpha = np.zeros(m)
+            for k, j in enumerate(perm):
+                prev = capacity_of(model, perm[:k]) if k else 0.0
+                alpha[j] = capacity_of(model, perm[:k + 1]) - prev
+            worst = min(worst, float(g(alpha).sum()))
+        assert out["spoa"] == pytest.approx(worst / out["social_opt"], rel=1e-12)
+        assert out["pos"] == 1.0
+
     def test_single_user_trivial(self, gid):
         view = build_view(ChannelModel(np.array([2.0])))
-        out = efficiency_metrics(view, gid, face_samples=50, seed=1)
+        out = efficiency_metrics(view, gid, seed=1)
         assert out["spoa"] == pytest.approx(1.0, abs=1e-12)
         assert out["pos"] == pytest.approx(1.0, abs=1e-12)

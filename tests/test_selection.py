@@ -18,6 +18,7 @@ from macgame import (
     max_face_residual,
     normalized_equilibrium,
 )
+from macgame.capacity import subset_sums
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -91,10 +92,39 @@ class TestNormalizedEquilibrium:
                 sym2, NormalizedEqConfig(g=Utility.log1p(), weights=[1.0, -1.0]))
 
     def test_multipliers_scale_inversely_with_weights(self, sym2):
-        res = normalized_equilibrium(
-            sym2, NormalizedEqConfig(g=Utility.log1p(), weights=[2.0, 1.0]))
-        assert res.multipliers[0] == pytest.approx(res.scale / 2.0, abs=1e-15)
-        assert res.multipliers[1] == pytest.approx(res.scale, abs=1e-15)
+        # tau = (2, 1): user 0 sits at its single-user cap, so {0} and N are
+        # tight, and tau_j zeta_j is the sum of lambda_J over the J holding j
+        tau = np.array([2.0, 1.0])
+        g = Utility.log1p()
+        res = normalized_equilibrium(sym2, NormalizedEqConfig(g=g, weights=tau))
+        assert res.tight_sets == [(0,), (0, 1)]
+        assert np.all(res.set_multipliers >= 0.0)
+        lam_0, lam_n = res.set_multipliers
+        assert tau * res.multipliers == pytest.approx([lam_0 + lam_n, lam_n], abs=1e-15)
+        assert res.multipliers == pytest.approx(g.deriv(res.profile), abs=1e-15)
+        assert res.scale == lam_n
+
+    def test_random_channels_answered_with_certificate(self):
+        # m 1-6, SNR log-uniform on [1e-3, 1e3], tau = e^U(-1, 1), log1p or
+        # power: box-clamped bisection left the region on about 4 in 10 of
+        # these; every answer is re-checked on the 2^m enumeration route
+        rng = np.random.default_rng(2011)
+        for _ in range(400):
+            m = int(rng.integers(1, 7))
+            view = build_view(ChannelModel(10.0 ** rng.uniform(-3.0, 3.0, size=m)))
+            tau = np.exp(rng.uniform(-1.0, 1.0, size=m))
+            g = Utility.log1p() if rng.random() < 0.5 else Utility.power(rng.uniform(0.1, 0.9))
+            res = normalized_equilibrium(view, NormalizedEqConfig(g=g, weights=tau))
+            assert res.kkt_residual < 1e-12
+            assert res.tight_sets[-1] == tuple(range(m))
+            assert np.all(res.set_multipliers >= 0.0)
+            covered = np.zeros(m)
+            for J, lam in zip(res.tight_sets, res.set_multipliers):
+                covered[list(J)] += lam
+                mask = sum(1 << j for j in J)
+                assert abs(res.profile[list(J)].sum() - view.cap[mask]) <= 1e-12
+            assert np.max(subset_sums(res.profile) - view.cap) <= 1e-12
+            assert covered == pytest.approx(tau * res.multipliers, rel=1e-12)
 
 
 def test_import_leaves_scipy_out():
