@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from macgame import simulate
-from macgame.cli import _dynamics_objects, _write_trace
+from macgame.cli import _dynamics_objects, write_trace
 from macgame.dynamics import PROTOCOL_KINDS
 from macgame.scenario import parse_scenario
 
@@ -42,7 +42,7 @@ def main(argv=None) -> int:
             continue
         trace = simulate(view, g, run)
         out = Path(scenario.trace_csv).with_suffix(f".{kind}.csv")
-        _write_trace(str(out), trace)
+        write_trace(str(out), trace)
         err = abs(trace.mean_rate[-1] - target)
         print(f"{kind:<10} final mean {trace.mean_rate[-1]:.6f}  "
               f"|err| {err:.2e}  residual {trace.velocity_l1[-1]:.2e}  -> {out}")

@@ -146,10 +146,13 @@ class CapacityRegionView:
 
     @classmethod
     def build(cls, model: ChannelModel) -> "CapacityRegionView":
-        total = float(model.snr.sum())
-        safe = np.log1p(model.snr / (1.0 + total - model.snr))
-        single = np.log1p(model.snr)
-        grand = float(np.log1p(total))
+        snr = model.snr
+        # The others' SNRs summed directly: total - s_i cancels when s_i dominates.
+        before = np.concatenate(([0.0], snr[:-1].cumsum()))
+        after = np.concatenate((snr[:0:-1].cumsum()[::-1], [0.0]))
+        safe = np.log1p(snr / (1.0 + before + after))
+        single = np.log1p(snr)
+        grand = float(np.log1p(snr.sum()))
         if model.symmetric and model.m >= 2:
             # Equal split of the grand capacity must sit strictly below any
             # single-user cap; concavity of ln guarantees it, so a violation
@@ -327,7 +330,7 @@ def face_vertices(view: CapacityRegionView, limit: int = 720, seed: int = 0) -> 
         perms = np.array(list(itertools.permutations(range(m))))
     else:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        perms = np.array([rng.permutation(m) for _ in range(limit)])
+        perms = rng.permuted(np.tile(np.arange(m), (limit, 1)), axis=1)
     return _greedy_corners(view.model.snr, perms)
 
 

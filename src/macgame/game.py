@@ -5,13 +5,14 @@ capacity region and 0 otherwise, for a positive strictly increasing g.
 Best replies have a closed form (take the tightest remaining subset
 constraint, never drop below the safe rate), the Nash set is exactly the
 maximal face, and those profiles are also strong equilibria and Pareto
-optimal. Coalition and Pareto verdicts here are brute-force grid checks,
-so verdicts are exact up to grid resolution only. Efficiency metrics are
-scored on the face's greedy vertices and the exact welfare optimum.
+optimal. The region is down-closed and g strictly increasing, so any
+coalition gain or Pareto improvement can also be had by one member alone,
+moving to its reply slack: all three verdicts read the same m slack
+queries of the prefix oracle, exactly and for any m. Efficiency metrics
+are scored on the face's greedy vertices and the exact welfare optimum.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -21,7 +22,6 @@ from .capacity import (
     CapacityRegionView,
     as_profile,
     face_vertices,
-    feasible_rows,
     is_feasible,
     max_weighted_base,
     reply_slack,
@@ -29,10 +29,6 @@ from .capacity import (
 
 IMPROVEMENT_MARGIN = 1e-9
 NASH_TOL = 1e-9
-LATTICE_BLOCK_ROWS = 200_000
-# Largest m for the exhaustive coalition check and the Pareto lattice.
-STRONG_MAX_USERS = 6
-PARETO_MAX_USERS = 4
 
 
 @dataclass
@@ -131,80 +127,45 @@ def best_response(view: CapacityRegionView, g: Utility, user: int, others) -> fl
     return max(float(view.safe_rates[user]), slack)
 
 
+def _reply_slacks(view: CapacityRegionView, profile: np.ndarray):
+    """Yield (user, reply slack against the rest of `profile`), lazily, in user order."""
+    for user in range(view.m):
+        yield user, reply_slack(view, user, np.delete(profile, user))
+
+
 def is_nash(view: CapacityRegionView, g: Utility, profile, tol: float = NASH_TOL) -> bool:
     """Every user already plays its unique best reply, within `tol`."""
     profile = as_profile(view.m, profile)
-    if not is_feasible(view, profile):
-        return False
-    for user in range(view.m):
-        others = np.delete(profile, user)
-        if abs(best_response(view, g, user, others) - profile[user]) > tol:
-            return False
-    return True
-
-
-def _lattice_blocks(axes):
-    """Cartesian product of 1-D axes, yielded as (rows, k) float blocks."""
-    sizes = tuple(len(a) for a in axes)
-    total = int(np.prod(sizes))
-    for start in range(0, total, LATTICE_BLOCK_ROWS):
-        flat = np.arange(start, min(start + LATTICE_BLOCK_ROWS, total))
-        idx = np.unravel_index(flat, sizes)
-        yield np.column_stack([np.asarray(axes[d])[idx[d]] for d in range(len(axes))])
+    return is_feasible(view, profile) and all(
+        abs(max(float(view.safe_rates[user]), slack) - profile[user]) <= tol
+        for user, slack in _reply_slacks(view, profile))
 
 
 def is_strong_equilibrium(view: CapacityRegionView, g: Utility, profile,
-                          deviation_grid: int = 25) -> bool:
-    """No coalition can make every member strictly better off, on a grid.
+                          tol: float = IMPROVEMENT_MARGIN) -> bool:
+    """No coalition can raise every member's payoff by more than `tol`.
 
-    Exhausts every nonempty coalition; each member deviates over a grid of
-    `deviation_grid` points spanning [0, C({i})]. Improvements smaller than
-    the grid resolution can escape detection.
+    Exact: a coalition that could would let each member gain alone by
+    moving to its reply slack (down-closed region, increasing g), so the
+    test is that the profile is feasible and g(slack_i) <= g(alpha_i) + tol
+    for every user i. O(m^2 log m), no cap on m.
     """
-    m = view.m
-    if m > STRONG_MAX_USERS:
-        raise ValueError(
-            f"coalition enumeration too large: supported for m <= {STRONG_MAX_USERS}")
-    profile = as_profile(m, profile)
-    if not is_feasible(view, profile):
-        return False
-    base_pay = g(profile)
-    axes_all = [np.linspace(0.0, float(view.single_caps[i]), deviation_grid)
-                for i in range(m)]
-    for size in range(1, m + 1):
-        for coalition in itertools.combinations(range(m), size):
-            members = list(coalition)
-            for joint in _lattice_blocks([axes_all[i] for i in members]):
-                trial = np.broadcast_to(profile, (joint.shape[0], m)).copy()
-                trial[:, members] = joint
-                ok = feasible_rows(view, trial)
-                if not ok.any():
-                    continue
-                gains = g(joint) > base_pay[members] + IMPROVEMENT_MARGIN
-                if np.any(ok & np.all(gains, axis=1)):
-                    return False
-    return True
+    profile = as_profile(view.m, profile)
+    return is_feasible(view, profile) and all(
+        g(slack) <= g(profile[user]) + tol for user, slack in _reply_slacks(view, profile))
 
 
 def is_pareto_optimal(view: CapacityRegionView, g: Utility, profile,
-                      grid: int = 40) -> bool:
-    """Grid oracle: no feasible profile weakly dominates with a strict gain."""
-    m = view.m
-    if m > PARETO_MAX_USERS:
-        raise ValueError(f"Pareto grid oracle supported for m <= {PARETO_MAX_USERS}")
-    profile = as_profile(m, profile)
-    base = g(profile)
-    axes = [np.linspace(0.0, float(view.single_caps[i]), grid) for i in range(m)]
-    for cand in _lattice_blocks(axes):
-        ok = feasible_rows(view, cand)
-        if not ok.any():
-            continue
-        vals = g(cand)
-        weak = np.all(vals >= base, axis=1)
-        strict = np.any(vals > base + IMPROVEMENT_MARGIN, axis=1)
-        if np.any(ok & weak & strict):
-            return False
-    return True
+                      tol: float = IMPROVEMENT_MARGIN) -> bool:
+    """Feasible, and no feasible profile weakly dominates it with a gain above `tol`.
+
+    A dominating profile lifts some user i by more than `tol`, and so does
+    (slack_i, others), which it dominates; the test is therefore the same
+    exact one as `is_strong_equilibrium`.
+    """
+    profile = as_profile(view.m, profile)
+    return is_feasible(view, profile) and all(
+        g(slack) <= g(profile[user]) + tol for user, slack in _reply_slacks(view, profile))
 
 
 def potential(view: CapacityRegionView, g: Utility, profile) -> float:

@@ -41,6 +41,8 @@ from macgame import (
 )
 from macgame.cli import _random_mixed_state
 
+from lattice import strong_by_lattice
+
 RSTAR_2 = math.log(3.0) / 2.0
 
 
@@ -104,14 +106,16 @@ def test_criterion_03_strong_equilibria_on_face():
     rng = np.random.default_rng(303)
     face = sample_max_face(view, 50, seed=23)
     for p in face:
-        assert is_strong_equilibrium(view, g, p, deviation_grid=25)
+        assert is_strong_equilibrium(view, g, p)
+        assert strong_by_lattice(view, g, p, deviation_grid=25)
     interior = sample_max_face(view, 50, seed=29) * rng.uniform(0.5, 0.9, size=(50, 1))
     for p in interior:
-        assert not is_strong_equilibrium(view, g, p, deviation_grid=25)
+        assert not is_strong_equilibrium(view, g, p)
+        assert not strong_by_lattice(view, g, p, deviation_grid=25)
     elapsed = time.time() - t0
     assert elapsed < 300.0
-    report(3, "50 face samples strong, 50 interior points not, all coalitions, "
-              "grid 25", t0)
+    report(3, "50 face samples strong, 50 interior points not, exact reply-slack "
+              "test and every coalition on grid 25", t0)
 
 
 def test_criterion_04_spoa_is_one_for_identity():

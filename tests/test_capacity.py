@@ -264,6 +264,12 @@ class TestMaxFace:
         assert verts.shape == (6, 3)
         assert all(max_face_residual(view, v) == 0.0 for v in verts)
 
+    def test_corners_exact_when_one_snr_dominates(self):
+        # safe rates from total - s_i lost 1.8e-14 to cancellation here
+        view = build_view(ChannelModel(np.array([6455.95, 0.0690820])))
+        for corner in face_vertices(view):
+            assert max_face_residual(view, corner, tol=0.0) <= 1e-15
+
     def test_thin_face_sampled(self):
         # a thin face: under 0.2 % of flat Dirichlet splits of the slack above
         # the safe rates lie in the region, so rejecting from them fails here

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: subcommands, output format, exit codes."""
 
+import math
 import runpy
 from pathlib import Path
 
@@ -66,6 +67,17 @@ class TestCheckEq:
         code = main(["-s", sym2_cfg, "check-eq", "--profile", "0.3,0.3"])
         assert code == 1
         assert "nash: false" in capsys.readouterr().out
+
+    def test_infeasible_point_not_pareto(self, sym2_cfg, capsys):
+        code = main(["-s", sym2_cfg, "check-eq", "--profile", "0.69,0.69"])
+        assert code == 1
+        assert "nash: false, strong: false, pareto: false" in capsys.readouterr().out
+
+    def test_large_game_verdicts(self, tmp_path, capsys):
+        cfg = write_scenario(tmp_path, "m = 7\nsnr = 1,1,1,1,1,1,1\n")
+        split = ",".join([format(math.log(8.0) / 7, ".17g")] * 7)
+        assert main(["-s", cfg, "check-eq", "--profile", split]) == 0
+        assert "nash: true, strong: true, pareto: true" in capsys.readouterr().out
 
 
 class TestMetrics:

@@ -23,7 +23,9 @@ from macgame import (
     potential,
     sample_max_face,
 )
-from macgame.capacity import feasible_rows
+from macgame.capacity import face_vertices, feasible_rows
+
+from lattice import pareto_by_lattice, strong_by_lattice
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -139,45 +141,117 @@ class TestNash:
             assert is_nash(view, gid, p) == (max_face_residual(view, p) == 0.0)
 
 
+def _large_game_corners(m):
+    """A greedy corner of a random m-user channel, and that corner scaled by 0.999."""
+    view = build_view(ChannelModel(10.0 ** np.random.default_rng(m).uniform(-2.0, 2.0, size=m)))
+    corner = face_vertices(view, limit=1, seed=m)[0]
+    return view, corner, corner * 0.999
+
+
 class TestStrongEquilibrium:
     def test_face_samples_are_strong(self, sym3, gid):
         for p in sample_max_face(sym3, 5, seed=3):
-            assert is_strong_equilibrium(sym3, gid, p, deviation_grid=25)
+            assert is_strong_equilibrium(sym3, gid, p)
 
     def test_interior_point_is_not(self, sym3, gid):
-        assert not is_strong_equilibrium(sym3, gid, np.ones(3), deviation_grid=25)
+        assert not is_strong_equilibrium(sym3, gid, np.ones(3))
 
     def test_single_user_at_capacity(self, gid):
         view = build_view(ChannelModel(np.array([1.0])))
-        assert is_strong_equilibrium(view, gid, [LN2], deviation_grid=25)
+        assert is_strong_equilibrium(view, gid, [LN2])
 
-    def test_large_games_rejected(self, gid):
-        view = build_view(ChannelModel(np.ones(7)))
-        with pytest.raises(ValueError, match="coalition"):
-            is_strong_equilibrium(view, gid, np.zeros(7))
+    def test_large_games_answered(self, gid):
+        for m in (7, 50, 1000):
+            view, corner, inside = _large_game_corners(m)
+            assert is_strong_equilibrium(view, gid, corner)
+            assert not is_strong_equilibrium(view, gid, inside)
 
     def test_agrees_with_nash(self, sym2, gid):
         pts = list(sample_max_face(sym2, 10, seed=1))
         pts += [np.array([0.3, 0.3]), np.array([0.1, 0.6]), np.zeros(2)]
         for p in pts:
-            assert is_strong_equilibrium(sym2, gid, p, deviation_grid=25) == \
-                is_nash(sym2, gid, p)
+            assert is_strong_equilibrium(sym2, gid, p) == is_nash(sym2, gid, p)
 
 
 class TestPareto:
     def test_face_corner(self, sym2, gid):
-        assert is_pareto_optimal(sym2, gid, [math.log(1.5), LN2], grid=60)
+        assert is_pareto_optimal(sym2, gid, [math.log(1.5), LN2])
 
     def test_interior_dominated(self, sym2, gid):
-        assert not is_pareto_optimal(sym2, gid, [0.3, 0.3], grid=60)
+        assert not is_pareto_optimal(sym2, gid, [0.3, 0.3])
 
     def test_origin_dominated(self, sym2, gid):
-        assert not is_pareto_optimal(sym2, gid, np.zeros(2), grid=60)
+        assert not is_pareto_optimal(sym2, gid, np.zeros(2))
 
-    def test_large_games_rejected(self, gid):
-        view = build_view(ChannelModel(np.ones(5)))
-        with pytest.raises(ValueError):
-            is_pareto_optimal(view, gid, np.zeros(5))
+    def test_infeasible_profile_is_not(self, sym2, gid):
+        # above the face no feasible profile dominates, but the profile
+        # itself is outside the region
+        assert not is_pareto_optimal(sym2, gid, [0.69, 0.69])
+        assert not is_pareto_optimal(sym2, Utility.log1p(), [LN3 / 2 + 1e-3, LN3 / 2])
+
+    def test_large_games_answered(self, gid):
+        for m in (7, 50, 1000):
+            view, corner, inside = _large_game_corners(m)
+            assert is_pareto_optimal(view, gid, corner)
+            assert not is_pareto_optimal(view, gid, inside)
+
+
+class TestExactAgainstLattice:
+    """The reply-slack verdicts against the grid second route (tests/lattice.py).
+
+    Grids of 13 points leave a witness on the grid for every interior point
+    below: the best-placed user can gain at least 0.4 C(N) / m alone, more
+    than a grid step C({i}) / 12, and rounding every rate of an interior
+    point up to the grid stays inside the region for m <= 4.
+    """
+
+    GRID = 13
+
+    @staticmethod
+    def _channel(rng, m):
+        kind = rng.integers(4)
+        if kind == 0:                      # every ratio tied at the equal split
+            return np.full(m, 10.0 ** rng.uniform(-3.0, 3.0))
+        if kind == 1:                      # tiny next to huge
+            return 10.0 ** rng.choice([-4.0, 4.0], size=m) * rng.uniform(1.0, 2.0, size=m)
+        if kind == 2:                      # pairs of tied SNRs
+            return np.repeat(10.0 ** rng.uniform(-2.0, 2.0, size=(m + 1) // 2), 2)[:m]
+        return 10.0 ** rng.uniform(-3.0, 3.0, size=m)
+
+    def _verdicts(self, view, g, p):
+        exact = is_strong_equilibrium(view, g, p)
+        assert is_pareto_optimal(view, g, p) == exact
+        return exact, (strong_by_lattice(view, g, p, deviation_grid=self.GRID),
+                       pareto_by_lattice(view, g, p, grid=self.GRID))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_channels(self, seed):
+        rng = np.random.default_rng(seed)
+        for m in (1, 2, 3, 4):
+            view = build_view(ChannelModel(self._channel(rng, m)))
+            g = Utility.log1p() if rng.random() < 0.5 else Utility.identity()
+            face = sample_max_face(view, 2, seed=seed)
+            if view.model.symmetric:
+                face[0] = view.total / m
+            on_face = np.concatenate([face, face * (1.0 + 1e-12), face * (1.0 - 1e-12)])
+            interior = face * rng.uniform(0.3, 0.6, size=(2, 1))
+            outside = face * rng.uniform(1.02, 1.3, size=(2, 1))
+            for p, want in [(p, True) for p in on_face] + [
+                    (p, False) for p in np.concatenate([interior, outside])]:
+                exact, lattice = self._verdicts(view, g, p)
+                assert exact is want
+                assert lattice == (want, want)
+            # inside the face by less than a grid step the lattice can miss
+            # the gain (test_near_face_gain_below_grid_step); the exact
+            # verdict must not
+            exact, _ = self._verdicts(view, g, face[1] * (1.0 - 1e-4))
+            assert exact is False
+
+    def test_near_face_gain_below_grid_step(self, sym2, gid):
+        p = np.full(2, LN3 / 2 * (1.0 - 1e-6))
+        assert strong_by_lattice(sym2, gid, p) and pareto_by_lattice(sym2, gid, p)
+        assert not is_strong_equilibrium(sym2, gid, p)
+        assert not is_pareto_optimal(sym2, gid, p)
 
 
 class TestPotential:
