@@ -182,18 +182,6 @@ class CapacityRegionView:
             raise ValueError(f"subset listing supports at most {MAX_LISTING_USERS} users")
         return {J: float(self.cap[sum(1 << i for i in J)]) for J in all_subsets(self.m)}
 
-    @property
-    def constraint_matrix(self) -> np.ndarray:
-        """0/1 matrix with one row per nonempty subset, (size, lex) order."""
-        if self.m > MAX_LISTING_USERS:
-            raise ValueError(f"subset listing supports at most {MAX_LISTING_USERS} users")
-        rows = []
-        for J in all_subsets(self.m):
-            row = np.zeros(self.m)
-            row[list(J)] = 1.0
-            rows.append(row)
-        return np.array(rows)
-
 
 def build_view(model: ChannelModel) -> CapacityRegionView:
     return CapacityRegionView.build(model)

@@ -7,9 +7,10 @@ constraint, never drop below the safe rate), the Nash set is exactly the
 maximal face, and those profiles are also strong equilibria and Pareto
 optimal. The region is down-closed and g strictly increasing, so any
 coalition gain or Pareto improvement can also be had by one member alone,
-moving to its reply slack: all three verdicts read the same m slack
-queries of the prefix oracle, exactly and for any m. Efficiency metrics
-are scored on the face's greedy vertices and the exact welfare optimum.
+moving to its reply slack: all three verdicts read every user's slack
+from one ratio sort of the profile, exactly and for any m. g is read at
+max(rate, 0), as feasible rates may dip to -FEASIBILITY_TOL. Efficiency
+metrics are scored on the face's greedy vertices and the exact welfare optimum.
 """
 from __future__ import annotations
 
@@ -19,7 +20,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .capacity import (
+    FEASIBILITY_TOL,
     CapacityRegionView,
+    _ratio_prefixes,
     as_profile,
     face_vertices,
     is_feasible,
@@ -105,9 +108,7 @@ class Utility:
 def payoff(view: CapacityRegionView, g: Utility, profile, user: int) -> float:
     """g(own rate) inside the region, 0 outside."""
     profile = as_profile(view.m, profile)
-    if not is_feasible(view, profile):
-        return 0.0
-    return float(g(profile[int(user)]))
+    return float(g(max(profile[int(user)], 0.0))) if is_feasible(view, profile) else 0.0
 
 
 def best_response(view: CapacityRegionView, g: Utility, user: int, others) -> float:
@@ -128,17 +129,40 @@ def best_response(view: CapacityRegionView, g: Utility, user: int, others) -> fl
 
 
 def _reply_slacks(view: CapacityRegionView, profile: np.ndarray):
-    """Yield (user, reply slack against the rest of `profile`), lazily, in user order."""
-    for user in range(view.m):
-        yield user, reply_slack(view, user, np.delete(profile, user))
+    """Every user's reply slack against the rest of `profile`, from one ratio sort.
+
+    None if the profile is infeasible (the test of `is_feasible`); else its
+    opponents are feasible too. Removing user i keeps the others' ratio
+    order, so with A_k, S_k the rate and SNR sums of the first k sorted
+    users, i's slack is the minimum over k = 0..m of ln(1 + s_i + S_k) - A_k
+    for the prefixes before i (k = 0 gives C({i})) and alpha_i + ln(1 + S_k)
+    - A_k for those holding i: one (m, m + 1) pass, O(m^2).
+    """
+    order, cum_rates, cum_snr = _ratio_prefixes(profile, view.model.snr)
+    excess = cum_rates - np.log1p(cum_snr)
+    if profile.min() < -FEASIBILITY_TOL or excess.max() > FEASIBILITY_TOL:
+        return None
+    rates0, snr0, excess0 = np.concatenate(
+        (np.zeros((3, 1)), (cum_rates, cum_snr, excess)), axis=1)
+    before = np.arange(view.m + 1) <= np.argsort(order)[:, None]
+    return np.where(before, np.log1p(view.model.snr[:, None] + snr0) - rates0,
+                    profile[:, None] - excess0).min(axis=1)
 
 
 def is_nash(view: CapacityRegionView, g: Utility, profile, tol: float = NASH_TOL) -> bool:
     """Every user already plays its unique best reply, within `tol`."""
     profile = as_profile(view.m, profile)
-    return is_feasible(view, profile) and all(
-        abs(max(float(view.safe_rates[user]), slack) - profile[user]) <= tol
-        for user, slack in _reply_slacks(view, profile))
+    slacks = _reply_slacks(view, profile)
+    return slacks is not None and bool(
+        np.all(np.abs(np.maximum(view.safe_rates, slacks) - profile) <= tol))
+
+
+def _no_solo_gain(view: CapacityRegionView, g: Utility, profile, tol: float) -> bool:
+    """Feasible, and g(slack_i) <= g(alpha_i) + tol for every user i (g read at >= 0)."""
+    profile = as_profile(view.m, profile)
+    slacks = _reply_slacks(view, profile)
+    return slacks is not None and bool(
+        np.all(g(np.maximum(slacks, 0.0)) <= g(np.maximum(profile, 0.0)) + tol))
 
 
 def is_strong_equilibrium(view: CapacityRegionView, g: Utility, profile,
@@ -148,11 +172,9 @@ def is_strong_equilibrium(view: CapacityRegionView, g: Utility, profile,
     Exact: a coalition that could would let each member gain alone by
     moving to its reply slack (down-closed region, increasing g), so the
     test is that the profile is feasible and g(slack_i) <= g(alpha_i) + tol
-    for every user i. O(m^2 log m), no cap on m.
+    for every user i. One ratio sort, O(m^2), no cap on m.
     """
-    profile = as_profile(view.m, profile)
-    return is_feasible(view, profile) and all(
-        g(slack) <= g(profile[user]) + tol for user, slack in _reply_slacks(view, profile))
+    return _no_solo_gain(view, g, profile, tol)
 
 
 def is_pareto_optimal(view: CapacityRegionView, g: Utility, profile,
@@ -163,17 +185,13 @@ def is_pareto_optimal(view: CapacityRegionView, g: Utility, profile,
     (slack_i, others), which it dominates; the test is therefore the same
     exact one as `is_strong_equilibrium`.
     """
-    profile = as_profile(view.m, profile)
-    return is_feasible(view, profile) and all(
-        g(slack) <= g(profile[user]) + tol for user, slack in _reply_slacks(view, profile))
+    return _no_solo_gain(view, g, profile, tol)
 
 
 def potential(view: CapacityRegionView, g: Utility, profile) -> float:
     """Sum of utilities gated by feasibility; unilateral differences match payoffs."""
     profile = as_profile(view.m, profile)
-    if not is_feasible(view, profile):
-        return 0.0
-    return float(np.sum(g(profile)))
+    return float(np.sum(g(np.maximum(profile, 0.0)))) if is_feasible(view, profile) else 0.0
 
 
 def efficiency_metrics(view: CapacityRegionView, g: Utility, seed: int = 0) -> dict:

@@ -19,7 +19,13 @@ from macgame import (
     safe_rate,
     sample_max_face,
 )
-from macgame.capacity import FEASIBILITY_TOL, face_vertices, feasible_rows, subset_sums
+from macgame.capacity import (
+    FEASIBILITY_TOL,
+    all_subsets,
+    face_vertices,
+    feasible_rows,
+    subset_sums,
+)
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -177,7 +183,9 @@ class TestRankFunction:
             [0, 1, 1],
             [1, 1, 1],
         ], dtype=float)
-        assert np.array_equal(view.constraint_matrix, expected)
+        matrix = np.array([np.isin(np.arange(view.m), J) for J in all_subsets(view.m)],
+                          dtype=float)
+        assert np.array_equal(matrix, expected)
         table = view.rank_table()
         assert list(table) == [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
 

@@ -23,7 +23,8 @@ from macgame import (
     potential,
     sample_max_face,
 )
-from macgame.capacity import face_vertices, feasible_rows
+from macgame.capacity import face_vertices, feasible_rows, is_feasible, reply_slack
+from macgame.game import IMPROVEMENT_MARGIN, NASH_TOL, _reply_slacks
 
 from lattice import pareto_by_lattice, strong_by_lattice
 
@@ -79,6 +80,13 @@ class TestPayoff:
 
     def test_zero_profile(self, sym2):
         assert payoff(sym2, Utility.log1p(), np.zeros(2), 1) == 0.0
+
+    def test_rate_just_below_zero_reads_g_at_zero(self, sym2):
+        # -1e-12 is within the feasibility tolerance; g = x ** 0.5 must not
+        # see it (a NaN would raise here: RuntimeWarnings are errors)
+        g = Utility.power(0.5)
+        assert payoff(sym2, g, [-1e-12, LN2], 0) == 0.0
+        assert payoff(sym2, g, [-1e-12, LN2], 1) == pytest.approx(math.sqrt(LN2), abs=1e-15)
 
 
 class TestBestResponse:
@@ -166,6 +174,11 @@ class TestStrongEquilibrium:
             assert is_strong_equilibrium(view, gid, corner)
             assert not is_strong_equilibrium(view, gid, inside)
 
+    def test_rate_just_below_zero_reads_g_at_zero(self, sym2):
+        # user 0 can move up to ln 3 - ln 2 alone, so the verdict is False
+        # and must come without a NaN from g = x ** 0.5
+        assert is_strong_equilibrium(sym2, Utility.power(0.5), [-1e-12, LN2]) is False
+
     def test_agrees_with_nash(self, sym2, gid):
         pts = list(sample_max_face(sym2, 10, seed=1))
         pts += [np.array([0.3, 0.3]), np.array([0.1, 0.6]), np.zeros(2)]
@@ -188,6 +201,9 @@ class TestPareto:
         # itself is outside the region
         assert not is_pareto_optimal(sym2, gid, [0.69, 0.69])
         assert not is_pareto_optimal(sym2, Utility.log1p(), [LN3 / 2 + 1e-3, LN3 / 2])
+
+    def test_rate_just_below_zero_reads_g_at_zero(self, sym2):
+        assert is_pareto_optimal(sym2, Utility.power(0.5), [-1e-12, LN2]) is False
 
     def test_large_games_answered(self, gid):
         for m in (7, 50, 1000):
@@ -254,12 +270,89 @@ class TestExactAgainstLattice:
         assert not is_pareto_optimal(sym2, gid, p)
 
 
+def _slacks_per_user(view, p):
+    """Second route: one `reply_slack` query per user."""
+    return np.array([reply_slack(view, i, np.delete(p, i)) for i in range(view.m)])
+
+
+def _verdicts_per_user(view, g, p):
+    """Nash and no-solo-gain verdicts from the per-user slacks."""
+    if not is_feasible(view, p):
+        return False, False
+    slacks = _slacks_per_user(view, p)
+    nash = all(abs(max(float(view.safe_rates[i]), slacks[i]) - p[i]) <= NASH_TOL
+               for i in range(view.m))
+    solo = all(g(max(slacks[i], 0.0)) <= g(max(p[i], 0.0)) + IMPROVEMENT_MARGIN
+               for i in range(view.m))
+    return nash, solo
+
+
+class TestOneSortSlacks:
+    """`_reply_slacks` (one ratio sort) against m separate `reply_slack` queries."""
+
+    @staticmethod
+    def _channel(rng, m, kind):
+        if kind == 0:                      # symmetric: every ratio tied at the equal split
+            return np.full(m, 10.0 ** rng.uniform(-3.0, 3.0))
+        if kind == 1:                      # 1e-4 beside 1e4
+            return 10.0 ** rng.choice([-4.0, 4.0], size=m) * rng.uniform(1.0, 2.0, size=m)
+        if kind == 2:                      # pairs of repeated SNRs
+            return np.repeat(10.0 ** rng.uniform(-2.0, 2.0, size=(m + 1) // 2), 2)[:m]
+        return 10.0 ** rng.uniform(-3.0, 3.0, size=m)
+
+    @staticmethod
+    def _profiles(rng, view):
+        m = view.m
+        corners = face_vertices(view, limit=6, seed=int(rng.integers(1 << 30)))
+        face = sample_max_face(view, 2, seed=int(rng.integers(1 << 30)))
+        snr = view.model.snr
+        tied = np.vstack([np.full(m, view.total / m),               # equal split
+                          snr * (view.total / snr.sum()),           # alpha_i / s_i all equal
+                          np.zeros(m)])
+        low = face * rng.uniform(0.3, 0.95, size=(2, 1))
+        dip = np.vstack([low, corners[:1], face[:1]])
+        dip[np.arange(4), rng.integers(m, size=4)] = [-1e-12, -5e-10, -1e-12, -9e-10]
+        return np.concatenate([
+            corners, corners * (1.0 + 1e-12), corners * (1.0 - 1e-12), face, tied, low, dip,
+            face * rng.uniform(1.02, 1.3, size=(2, 1)),             # above the face
+            dip - np.where(dip < 0.0, 1e-8, 0.0)])                  # dips past the tolerance
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_per_user_queries(self, seed):
+        rng = np.random.default_rng(seed)
+        utilities = (Utility.identity(), Utility.log1p(), Utility.power(0.5))
+        outcomes = set()
+        for m in (1, 2, 3, 4, 5, 7, 9, 12):
+            for kind in range(4):
+                view = build_view(ChannelModel(self._channel(rng, m, kind)))
+                g = utilities[int(rng.integers(3))]
+                for p in self._profiles(rng, view):
+                    slacks = _reply_slacks(view, p)
+                    feasible = is_feasible(view, p)
+                    assert (slacks is None) == (not feasible)
+                    if feasible:
+                        ref = _slacks_per_user(view, p)
+                        assert np.all(np.isfinite(ref))
+                        assert np.max(np.abs(slacks - ref)) <= 1e-14
+                    nash, solo = _verdicts_per_user(view, g, p)
+                    assert is_nash(view, g, p) is nash
+                    assert is_strong_equilibrium(view, g, p) is solo
+                    assert is_pareto_optimal(view, g, p) is solo
+                    outcomes.add((feasible, nash, solo))
+        # infeasible, equilibrium and improvable profiles are all covered
+        assert {(False, False, False), (True, True, True), (True, False, False)} <= outcomes
+
+
 class TestPotential:
     def test_feasible_sum(self, sym2, gid):
         assert potential(sym2, gid, [0.4, 0.5]) == pytest.approx(0.9)
 
     def test_infeasible_zero(self, sym2, gid):
         assert potential(sym2, gid, [0.9, 0.9]) == 0.0
+
+    def test_rate_just_below_zero_reads_g_at_zero(self, sym2):
+        assert potential(sym2, Utility.power(0.5), [-1e-12, LN2]) == pytest.approx(
+            math.sqrt(LN2), abs=1e-15)
 
     def test_face_point_attains_total(self, sym2, gid):
         for p in sample_max_face(sym2, 20, seed=8):

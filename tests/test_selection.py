@@ -156,6 +156,31 @@ class TestGoodmanCertificate:
         assert a.negative_definite == b.negative_definite
         assert np.allclose(b.symmetrized, 5.0 * a.symmetrized, atol=1e-8)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_column_by_column_differences(self, seed):
+        # the separable payoff gradient has a diagonal Jacobian, so one
+        # difference with every rate stepped at once must give, bit for bit,
+        # what m one-column differences give
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 7))
+        view = build_view(ChannelModel(10.0 ** rng.uniform(-2.0, 2.0, size=m)))
+        g = (Utility.log1p(), Utility.power(0.5), Utility.power(0.3))[seed % 3]
+        zeta = rng.uniform(0.1, 5.0, size=m)
+        p = view.safe_rates * rng.uniform(0.1, 0.9, size=m)
+        step = 1e-5
+
+        def h(x):
+            return zeta * g.deriv(x)
+
+        G = np.empty((m, m))
+        for k in range(m):
+            e = np.zeros(m)
+            e[k] = step
+            G[:, k] = (h(p + e) - h(p - e)) / (2.0 * step)
+        cert = goodman_certificate(view, g, p, zeta, fd_step=step)
+        assert np.array_equal(cert.jacobian, G)
+        assert np.array_equal(cert.symmetrized, G + G.T)
+
     def test_boundary_point_rejected(self, sym2):
         with pytest.raises(ValueError, match="interior"):
             goodman_certificate(sym2, Utility.log1p(), [math.log(1.5), LN2], [1.0, 1.0])
