@@ -356,15 +356,19 @@ def _verify_checks(scenario: Scenario):
         rstar = view.total / m
         grid = evo.make_grid(float(view.single_caps.max()), min(scenario.grid_points, 51),
                              include=rstar)
+        rows = evo.exact_rows(view, grid.size)
+        if rows > evo.EXACT_ENUM_LIMIT:
+            return None, f"exact table needs {rows} rows (> {evo.EXACT_ENUM_LIMIT})"
+        table = dyn.PayoffTable(view, g, grid)
         dirac = evo.PopulationState.dirac(grid, rstar)
         for proto in (dyn.Protocol.bnn(), dyn.Protocol.replicator(),
                       dyn.Protocol.smith(scenario.theta if scenario.theta >= 1 else 1.0),
                       dyn.Protocol.smith(2.0)):
-            if dyn.rest_point_residual(view, g, proto, dirac) >= 1e-8:
+            if dyn.rest_point_residual(view, g, proto, dirac, table=table) >= 1e-8:
                 return False, f"Dirac residual not zero for {proto.kind}"
         for _ in range(5):
             state = _random_mixed_state(rng, grid, rstar)
-            if dyn.rest_point_residual(view, g, dyn.Protocol.bnn(), state) <= 1e-6:
+            if dyn.rest_point_residual(view, g, dyn.Protocol.bnn(), state, table=table) <= 1e-6:
                 return False, "random full-support state looks like a rest point"
         return True, "Dirac rest for all protocols, random states move"
 

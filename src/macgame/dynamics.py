@@ -29,13 +29,11 @@ from .evolution import (
     PAYOFF_METHODS,
     PopulationState,
     _admitted_mass,
-    _combo_weights,
-    _fit_counts,
+    _exact_fits,
     _fit_mass,
     _mixed_gate,
-    _opponent_slack,
     _own_values,
-    _payoffs,
+    mean_rate,
 )
 
 PROTOCOL_KINDS = ("bnn", "replicator", "smith")
@@ -71,13 +69,13 @@ class Protocol:
 
 
 class PayoffTable:
-    """Exact F over one grid, from the reply slack of every opponent combination.
+    """Exact F over one grid, from the reply slack of every exact opponent draw.
 
-    Combination c of opponent grid points admits own rate a exactly when
-    a <= slack_c + tol. The slacks never change, so the table keeps how
-    many grid points fit each combination; each evaluation weights the
-    n**(m-1) combinations by the product of their masses and reads F for
-    the whole grid off one bincount and a reverse cumulative sum.
+    Draw c admits own rate a exactly when a <= slack_c + tol. The slacks
+    never change, so the table keeps how many grid points fit each draw
+    (`evolution._exact_fits`: sorted opponent multisets on a symmetric
+    channel); each evaluation weights the draws and reads F for the whole
+    grid off one bincount and a reverse cumulative sum.
     """
 
     def __init__(self, view: CapacityRegionView, g: Utility, grid: np.ndarray):
@@ -85,31 +83,33 @@ class PayoffTable:
         self.grid = np.asarray(grid, dtype=float)
         self.m = view.m
         self.gvals = _own_values(g, self.grid)
-        self.fits = _fit_counts(self.grid, _opponent_slack(view, self.grid))
+        self.fits, self.weights = _exact_fits(view, self.grid, self.grid)
 
-    def payoffs(self, masses: np.ndarray) -> np.ndarray:
-        """F over the whole grid for the state with these masses."""
-        nu = _fit_mass(self.fits, self.grid.size, _combo_weights(masses, self.m - 1))
-        return _payoffs(self.view, self.gvals, self.grid, self.grid, masses, nu)
+    def payoffs(self, masses: np.ndarray, gate: np.ndarray = None) -> np.ndarray:
+        """F over the whole grid for the state with these masses (and its mixed-region gate)."""
+        if gate is None:
+            gate = _mixed_gate(self.view, self.grid, float(np.dot(self.grid, masses)))
+        return self.gvals * _fit_mass(self.fits, self.grid.size, self.weights(masses)) * gate
 
 
-def _payoff_vector(view, g, grid, masses, table, payoff_method, samples, seed_seq):
+def _payoff_vector(view, g, grid, masses, table, payoff_method, samples, seed_seq, gate=None):
     if table is not None or payoff_method == "exact":
-        return (table or PayoffTable(view, g, grid)).payoffs(masses)
+        return (table or PayoffTable(view, g, grid)).payoffs(masses, gate)
     if payoff_method not in PAYOFF_METHODS:
         raise ValueError(f"unknown payoff method '{payoff_method}'")
+    if gate is None:
+        gate = _mixed_gate(view, grid, float(np.dot(grid, masses)))
     # one opponent sample per call; every grid point reads F off it
     nu = _admitted_mass(view, grid, grid, masses, samples,
                         0 if seed_seq is None else seed_seq)
-    return _payoffs(view, _own_values(g, grid), grid, grid, masses, nu)
+    return _own_values(g, grid) * nu * gate
 
 
-def _flow(view: CapacityRegionView, protocol: Protocol, grid: np.ndarray, w: np.ndarray,
-          lam: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Protocol velocity at masses `lam` on grid, base weights w, payoff vector F."""
+def _flow(view: CapacityRegionView, protocol: Protocol, w: np.ndarray, lam: np.ndarray,
+          F: np.ndarray, gate: np.ndarray, Fbar: float) -> np.ndarray:
+    """Velocity at masses `lam`, base weights w, payoffs F (mean Fbar), mixed-region gate;
+    `view` is unread but keeps `protocol` second, where perfbench/tracing.py tags spans."""
     K = protocol.K
-    Fbar = float(np.dot(lam, F))
-    gate = _mixed_gate(view, grid, grid, lam)
     if protocol.kind == "bnn":
         excess = np.maximum(F - Fbar, 0.0)
         excess[~gate] = 0.0
@@ -127,9 +127,11 @@ def velocity(view: CapacityRegionView, g: Utility, protocol: Protocol,
              payoff_method: str = "exact", samples: int = 100_000,
              seed_seq=None) -> np.ndarray:
     """Population flow of the given protocol at this state; sums to zero."""
+    gate = _mixed_gate(view, state.grid, mean_rate(state))
     F = _payoff_vector(view, g, state.grid, state.masses, table, payoff_method, samples,
-                       seed_seq)
-    return _flow(view, protocol, state.grid, state.base_weights, state.masses, F)
+                       seed_seq, gate)
+    return _flow(view, protocol, state.base_weights, state.masses, F, gate,
+                 float(np.dot(state.masses, F)))
 
 
 def euler_update(masses: np.ndarray, v: np.ndarray, dt: float) -> tuple:
@@ -139,7 +141,7 @@ def euler_update(masses: np.ndarray, v: np.ndarray, dt: float) -> tuple:
     renormalization.
     """
     raw = masses + dt * v
-    if not np.all(np.isfinite(raw)):
+    if not np.isfinite(raw).all():
         raise ValueError("step size too large: masses diverged")
     clipped = np.maximum(raw, 0.0)
     s = float(clipped.sum())
@@ -219,10 +221,13 @@ def simulate(view: CapacityRegionView, g: Utility, run: DynamicsRun) -> Trace:
             masses, drift = euler_update(masses, v, run.dt)
         seq = (np.random.SeedSequence(run.seed, spawn_key=(k,))
                if run.payoff_method == "montecarlo" else None)
-        F = _payoff_vector(view, g, grid, masses, table, run.payoff_method, run.samples, seq)
-        v = _flow(view, run.protocol, grid, w, masses, F)
+        mean = float(np.dot(grid, masses))
+        gate = _mixed_gate(view, grid, mean)
+        F = _payoff_vector(view, g, grid, masses, table, run.payoff_method, run.samples, seq,
+                           gate)
+        Fbar = float(np.dot(masses, F))
+        v = _flow(view, run.protocol, w, masses, F, gate, Fbar)
         if k % run.record_every == 0 or k == run.steps:
-            rows.append((k * run.dt, float(np.dot(grid, masses)), float(np.dot(masses, F)),
-                         float(np.abs(v).sum()), drift))
+            rows.append((k * run.dt, mean, Fbar, float(np.abs(v).sum()), drift))
     return Trace(*(np.array(col) for col in zip(*rows)),
                  final_state=PopulationState(grid, masses, w))

@@ -13,11 +13,14 @@ opponent draws that keep the joint profile feasible. This module is the
 one payoff engine: a draw admits a exactly when a <= slack + tol, with
 slack the focal user's reply slack against it, so nu at any sorted set of
 actions is one bincount of how many fit each draw, taken over every
-opponent grid combination (exact) or a seeded iid sample (Monte Carlo).
+opponent grid combination (exact; on a symmetric channel every sorted
+opponent multiset, weighted by its multinomial count) or a seeded iid
+sample (Monte Carlo).
 The expected-payoff functions read it at one action, `dynamics` at all.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -36,6 +39,7 @@ from .game import Utility, payoff
 MASS_TOL = 1e-9
 INDICATOR_SLACK = 1e-12
 EXACT_ENUM_LIMIT = 10_000_000
+EXACT_BLOCK_ROWS = 1 << 16
 PAYOFF_METHODS = ("exact", "montecarlo")
 
 
@@ -217,33 +221,52 @@ def ess_check(view: CapacityRegionView, g: Utility, spec: EssTestSpec) -> EssRes
     return EssResult(is_ess=True, witness=None, infeasible_invasions=infeasible)
 
 
-def _opponent_slack(view: CapacityRegionView, grid: np.ndarray) -> np.ndarray:
-    """Reply slack of user 0 against every combination of m - 1 grid points, in C order."""
-    k = view.m - 1
-    combos = grid.size ** k
-    if combos > EXACT_ENUM_LIMIT:
-        raise ValueError(
-            f"exact enumeration needs {combos} combos (> {EXACT_ENUM_LIMIT}); "
-            "use the Monte Carlo method")
-    idx = np.indices((grid.size,) * k).reshape(k, combos)
-    return reply_slack(view, 0, grid[idx].T)
+def exact_rows(view: CapacityRegionView, n: int) -> int:
+    """Exact opponent draws on an n-point grid: C(n + m - 2, m - 1) sorted tuples when
+    m >= 3 and every SNR is the same float, else n**(m-1) ordered ones (`_exact_fits`)."""
+    k, snr = view.m - 1, view.model.snr
+    return math.comb(n + k - 1, k) if k > 1 and np.all(snr == snr[0]) else n ** k
 
 
-def _combo_weights(masses: np.ndarray, k: int) -> np.ndarray:
-    """Product-measure weight of every combination of k opponents, in C order."""
-    weights = masses if k else np.ones(1)
-    for _ in range(k - 1):
-        weights = np.multiply.outer(weights, masses).ravel()
-    return weights
+def _exact_fits(view: CapacityRegionView, actions: np.ndarray, grid: np.ndarray) -> tuple:
+    """Fit counts of every exact opponent draw, and the function giving the draws' weights.
 
+    On a symmetric channel user 0's reply slack depends only on the multiset
+    of opponent rates, so the draws are the sorted index tuples i_1 <= ... <=
+    i_{m-1}, each standing for its (m-1)!/prod r_v! orderings (r_v repeats of
+    index v); otherwise they are the n**(m-1) ordered tuples in C order.
+    Slacks are computed EXACT_BLOCK_ROWS draws at a time. A weight is the
+    multiplicity times the masses at the draw's indices: pair products
+    gathered from one outer product, then one gather per further opponent.
+    """
+    n, k, rows = grid.size, view.m - 1, exact_rows(view, grid.size)
+    if rows > EXACT_ENUM_LIMIT:
+        raise ValueError(f"exact table needs {rows} rows (> {EXACT_ENUM_LIMIT}); "
+                         "use the Monte Carlo method")
+    if rows == n ** k:   # ordered tuples: the sorted listing is no shorter
+        idx, mult = np.indices((n,) * k).reshape(k, rows), None
+    else:
+        idx = np.ascontiguousarray(np.fromiter(itertools.chain.from_iterable(
+            itertools.combinations_with_replacement(range(n), k)), np.intp, rows * k
+        ).reshape(rows, k).T)
+        run, repeats = np.ones(rows), np.ones(rows)
+        for prev, col in zip(idx, idx[1:]):
+            run = np.where(col == prev, run + 1.0, 1.0)
+            repeats *= run
+        mult = math.factorial(k) / repeats
+    fits = np.concatenate([
+        _fit_counts(actions, reply_slack(view, 0, grid[idx[:, lo:lo + EXACT_BLOCK_ROWS]].T))
+        for lo in range(0, rows, EXACT_BLOCK_ROWS)])
+    if k < 2:
+        return fits, (lambda masses: masses) if k else (lambda masses: np.ones(1))
+    pair, rest = idx[0] * n + idx[1], idx[2:]
 
-def _sampled_slack(view, grid, masses, samples: int, seed) -> np.ndarray:
-    """Reply slack of user 0 against `samples` iid opponent draws; seed: int or SeedSequence."""
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    rng = np.random.Generator(np.random.Philox(seed))
-    idx = rng.choice(grid.size, size=(samples, view.m - 1), p=masses)
-    return reply_slack(view, 0, grid[idx])
+    def weights(masses: np.ndarray) -> np.ndarray:
+        w = np.multiply.outer(masses, masses).ravel().take(pair)
+        for col in rest:
+            w *= masses.take(col)
+        return w if mult is None else w * mult
+    return fits, weights
 
 
 def _fit_counts(actions: np.ndarray, slack: np.ndarray) -> np.ndarray:
@@ -263,14 +286,16 @@ def _fit_mass(fits: np.ndarray, size: int, weights=None) -> np.ndarray:
 def _admitted_mass(view, actions, grid, masses, samples=None, seed=0) -> np.ndarray:
     """nu at each sorted action: the mass of opponent draws from the state admitting it.
 
-    Exact over all n**(m-1) opponent grid combinations (up to EXACT_ENUM_LIMIT)
-    when samples is None, else the share of `samples` iid draws, fixed per seed.
+    Exact over the opponent draws of `_exact_fits` (up to EXACT_ENUM_LIMIT
+    rows) when samples is None, else the share of `samples` iid draws, fixed
+    per seed.
     """
     if samples is None:
-        fits = _fit_counts(actions, _opponent_slack(view, grid))
-        return _fit_mass(fits, actions.size, _combo_weights(masses, view.m - 1))
-    fits = _fit_counts(actions, _sampled_slack(view, grid, masses, samples, seed))
-    return _fit_mass(fits, actions.size) / samples
+        fits, weights = _exact_fits(view, actions, grid)
+        return _fit_mass(fits, actions.size, weights(masses))
+    rng = np.random.Generator(np.random.Philox(seed))   # seed: int or SeedSequence
+    idx = rng.choice(grid.size, size=(samples, view.m - 1), p=masses)
+    return _fit_mass(_fit_counts(actions, reply_slack(view, 0, grid[idx])), actions.size) / samples
 
 
 def _own_values(g: Utility, actions: np.ndarray) -> np.ndarray:
@@ -279,15 +304,9 @@ def _own_values(g: Utility, actions: np.ndarray) -> np.ndarray:
     return np.where(actions >= -FEASIBILITY_TOL, gvals, 0.0)
 
 
-def _mixed_gate(view, actions, grid, masses) -> np.ndarray:
+def _mixed_gate(view, actions, mean: float) -> np.ndarray:
     """Actions inside the mixed region: a <= C(N) - (m-1)E, E the state's mean rate."""
-    bound = view.total - (view.m - 1) * float(np.dot(grid, masses))
-    return actions <= bound + INDICATOR_SLACK
-
-
-def _payoffs(view, gvals, actions, grid, masses, nu) -> np.ndarray:
-    """F at each action: own value times admitted mass times the mixed-region gate."""
-    return gvals * nu * _mixed_gate(view, actions, grid, masses)
+    return actions <= view.total - (view.m - 1) * mean + INDICATOR_SLACK
 
 
 def region_mass(view: CapacityRegionView, a: float, state: PopulationState) -> float:
@@ -317,7 +336,7 @@ def expected_payoff(view: CapacityRegionView, g: Utility, a: float,
     if method not in PAYOFF_METHODS:
         raise ValueError(f"unknown method '{method}'")
     actions = np.array([a])
-    if not _mixed_gate(view, actions, state.grid, state.masses)[0]:
+    if not _mixed_gate(view, actions, mean_rate(state))[0]:
         return 0.0
     if method == "exact":
         return float(_own_values(g, actions)[0] * region_mass(view, a, state))
@@ -334,7 +353,7 @@ def expected_payoff_mc(view: CapacityRegionView, g: Utility, a: float,
     """
     a = float(a)
     actions = np.array([a])
-    if a < -INDICATOR_SLACK or not _mixed_gate(view, actions, state.grid, state.masses)[0]:
+    if a < -INDICATOR_SLACK or not _mixed_gate(view, actions, mean_rate(state))[0]:
         return 0.0, 0.0
     ga = float(_own_values(g, actions)[0])
     p_hat = float(_admitted_mass(view, actions, state.grid, state.masses, samples, seed)[0])

@@ -32,6 +32,7 @@ from .capacity import (
 
 IMPROVEMENT_MARGIN = 1e-9
 NASH_TOL = 1e-9
+SLACK_BLOCK_CELLS = 1 << 16
 
 
 @dataclass
@@ -136,17 +137,28 @@ def _reply_slacks(view: CapacityRegionView, profile: np.ndarray):
     order, so with A_k, S_k the rate and SNR sums of the first k sorted
     users, i's slack is the minimum over k = 0..m of ln(1 + s_i + S_k) - A_k
     for the prefixes before i (k = 0 gives C({i})) and alpha_i + ln(1 + S_k)
-    - A_k for those holding i: one (m, m + 1) pass, O(m^2).
+    - A_k for those holding i: an (m, m + 1) table, O(m^2) time, filled
+    SLACK_BLOCK_CELLS cells of users at a time so memory stays O(m).
     """
     order, cum_rates, cum_snr = _ratio_prefixes(profile, view.model.snr)
     excess = cum_rates - np.log1p(cum_snr)
     if profile.min() < -FEASIBILITY_TOL or excess.max() > FEASIBILITY_TOL:
         return None
-    rates0, snr0, excess0 = np.concatenate(
-        (np.zeros((3, 1)), (cum_rates, cum_snr, excess)), axis=1)
-    before = np.arange(view.m + 1) <= np.argsort(order)[:, None]
-    return np.where(before, np.log1p(view.model.snr[:, None] + snr0) - rates0,
-                    profile[:, None] - excess0).min(axis=1)
+    prefixes = np.concatenate((np.zeros((3, 1)), (cum_rates, cum_snr, excess)), axis=1)
+    rank, snr, m = np.argsort(order), view.model.snr, profile.size
+    if m * (m + 1) <= SLACK_BLOCK_CELLS:
+        return _slack_rows(snr, rank, profile, *prefixes)
+    step = max(1, SLACK_BLOCK_CELLS // (m + 1))
+    return np.concatenate([_slack_rows(snr[lo:lo + step], rank[lo:lo + step],
+                                       profile[lo:lo + step], *prefixes)
+                           for lo in range(0, m, step)])
+
+
+def _slack_rows(snr, rank, rates, rates0, snr0, excess0) -> np.ndarray:
+    """`_reply_slacks` for the users with these SNRs, ratio ranks and rates."""
+    before = np.arange(rates0.size) <= rank[:, None]
+    return np.where(before, np.log1p(snr[:, None] + snr0) - rates0,
+                    rates[:, None] - excess0).min(axis=1)
 
 
 def is_nash(view: CapacityRegionView, g: Utility, profile, tol: float = NASH_TOL) -> bool:

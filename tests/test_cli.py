@@ -131,6 +131,16 @@ class TestDynamics:
         assert header == "t,mean_rate,avg_payoff,velocity_l1,mass_drift"
         assert first[1].decode().splitlines()[0] == "grid_value,mass"
 
+    def test_symmetric_exact_table_counts_orbits(self, tmp_path, monkeypatch, capsys):
+        # m = 7 at n = 21 lists 230,230 sorted opponent tuples (21**6 ordered ones)
+        monkeypatch.chdir(tmp_path)
+        assert main(["--set", "m=7", "--set", "p=1", "--set", "grid_points=21",
+                     "--set", "steps=2", "dynamics"]) == 0
+        assert "steps = 2" in capsys.readouterr().out
+        assert main(["--set", "m=8", "--set", "p=1", "--set", "grid_points=51",
+                     "--set", "steps=2", "dynamics"]) == 2
+        assert "exact table needs 264385836 rows" in capsys.readouterr().err
+
 
 class TestProtocolComparisonScript:
     def test_bnn_trace_matches_cli(self, tmp_path, monkeypatch):
@@ -150,6 +160,12 @@ class TestVerify:
     def test_shipped_scenarios_pass(self, name, capsys):
         assert main(["-s", str(SCENARIOS / name), "verify"]) == 0
         out = capsys.readouterr().out
+        assert "failed 0" in out
+
+    def test_rest_points_skip_beyond_exact_limit(self, capsys):
+        assert main(["--set", "m=7", "--set", "p=1", "verify"]) == 0
+        out = capsys.readouterr().out
+        assert "skip rest-points: exact table needs 32468436 rows (> 10000000)" in out
         assert "failed 0" in out
 
 

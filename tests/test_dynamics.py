@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,9 +23,10 @@ from macgame import (
     step,
     velocity,
 )
-from macgame.capacity import FEASIBILITY_TOL, subset_sums
+from macgame.capacity import FEASIBILITY_TOL, reply_slack, subset_sums
 from macgame.cli import _random_mixed_state
 from macgame.dynamics import _payoff_vector, euler_update
+from macgame.evolution import EXACT_ENUM_LIMIT, _fit_mass, exact_rows, region_mass
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -177,6 +179,139 @@ class TestPayoffEngine:
         se = gvals * np.sqrt(p * (1.0 - p) / samples)
         assert np.count_nonzero((exact > 0) & (exact < gvals)) >= 5
         assert np.all(np.abs(mc - exact) <= 3.0 * se + 1e-12)
+
+
+def ordered_listing(view, grid):
+    """Every ordered opponent tuple as (m - 1, n**(m-1)) grid indices, and user
+    0's reply slack against each: the listing the orbit table replaces."""
+    k = view.m - 1
+    idx = np.indices((grid.size,) * k).reshape(k, grid.size ** k)
+    return idx, reply_slack(view, 0, grid[idx].T)
+
+
+def ordered_nu(listing, actions, masses, pairwise=True):
+    """nu at each sorted action over the ordered listing, product-mass weights.
+
+    Pairwise sums (np.sum; error O(eps log rows)), or one bincount as the
+    ordered route summed (error up to rows * eps / 2)."""
+    idx, slack = listing
+    fits = np.searchsorted(actions, slack + FEASIBILITY_TOL, side="right")
+    weights = np.prod(masses[idx], axis=0)
+    if not pairwise:
+        return np.bincount(fits, weights, minlength=actions.size + 1)[::-1].cumsum()[::-1][1:]
+    return np.array([weights[fits > i].sum() for i in range(actions.size)])
+
+
+def ordered_payoffs(view, g, grid, masses, listing, pairwise=True):
+    gate = grid <= view.total - (view.m - 1) * float(np.dot(grid, masses)) + 1e-12
+    return np.asarray(g(grid)) * ordered_nu(listing, grid, masses, pairwise) * gate
+
+
+def brute_orbits(view, g, grid, masses):
+    """Multiplicities and F from every sorted opponent tuple, listed with
+    itertools and tested against the 2**m rank table."""
+    n, k = grid.size, view.m - 1
+    combos = list(itertools.combinations_with_replacement(range(n), k))
+    mult = np.array([math.factorial(k) / math.prod(math.factorial(c) for c in
+                                                   Counter(combo).values())
+                     for combo in combos])
+    weights = mult * np.array([math.prod(masses[j] for j in combo) for combo in combos])
+    others = grid[np.array(combos, dtype=int).reshape(len(combos), k)]
+    profiles = np.column_stack([np.tile(grid, len(combos))]
+                               + [np.repeat(others[:, j], n) for j in range(k)])
+    fits = np.all(subset_sums(profiles) <= view.cap + FEASIBILITY_TOL, axis=1)
+    nu = (weights[:, None] * fits.reshape(len(combos), n)).sum(axis=0)
+    bound = view.total - k * float(np.dot(grid, masses))
+    return mult, np.asarray(g(grid)) * nu * (grid <= bound + 1e-12)
+
+
+class TestOrbitTable:
+    """Sorted opponent multisets with multinomial weights (symmetric channels)
+    against the ordered listing and a brute-force combination listing."""
+
+    @staticmethod
+    def _states(rng, grid, rstar):
+        dirac = np.zeros(grid.size)
+        dirac[int(np.argmin(np.abs(grid - rstar)))] = 1.0
+        return [rng.dirichlet(np.ones(grid.size)), rng.dirichlet(np.full(grid.size, 0.3)),
+                np.full(grid.size, 1.0 / grid.size), dirac]
+
+    @pytest.mark.parametrize("snr", [1e-4, 1e4])
+    @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 6) for n in (2, 3, 7, 31)]
+                             + [(6, 3), (6, 7)])
+    def test_matches_ordered_and_brute_force(self, m, n, snr):
+        view = build_view(ChannelModel(np.full(m, snr)))
+        g = Utility.log1p()
+        rstar = view.total / m
+        grid = make_grid(float(view.single_caps.max()), n, include=rstar)
+        table = PayoffTable(view, g, grid)
+        listing = ordered_listing(view, grid)
+        k = m - 1
+        mult = table.weights(np.ones(n))
+        assert exact_rows(view, n) == mult.size == math.comb(n + k - 1, k)
+        assert mult.sum() == n ** k
+        # nu sums one weight per row in row order, so it is off the exact sum
+        # by at most rows * eps / 2 (the ordered route's n**(m-1) rows put it
+        # up to 1.5e-11 off at m = 5, n = 31; the orbit rows 4.7e-13)
+        tol = 1e-14 + mult.size * np.finfo(float).eps
+        gmax = float(g(grid[-1]))
+        rng = np.random.default_rng(100 * m + n)
+        for masses in self._states(rng, grid, rstar):
+            F = table.payoffs(masses)
+            if m <= 2:
+                assert np.array_equal(F, ordered_payoffs(view, g, grid, masses, listing, False))
+            ref = ordered_payoffs(view, g, grid, masses, listing)
+            assert np.max(np.abs(F - ref)) <= tol * gmax
+            nu = _fit_mass(table.fits, n, table.weights(masses))
+            assert np.max(np.abs(nu - ordered_nu(listing, grid, masses))) <= tol
+            if mult.size * n <= 20_000:
+                brute_mult, brute_F = brute_orbits(view, g, grid, masses)
+                assert np.array_equal(mult, brute_mult)
+                assert np.max(np.abs(F - brute_F)) <= tol * gmax
+            state = PopulationState(grid, masses)
+            bound = view.total - k * float(np.dot(grid, masses)) + 1e-12
+            for a in (grid[0], rstar, 0.5 * (grid[0] + grid[-1]), grid[-1]):
+                ref = float(ordered_nu(listing, np.array([a]), masses)[0])
+                assert abs(region_mass(view, a, state) - ref) <= tol
+                assert abs(expected_payoff(view, g, a, state)
+                           - float(g(a)) * ref * (a <= bound)) <= tol * gmax
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_equal_split_on_face_admitted(self, m):
+        # all opponents at C(N)/m: own rate C(N)/m puts the profile exactly on the face
+        view = build_view(ChannelModel(np.full(m, 2.5)))
+        rstar = view.total / m
+        grid = make_grid(float(view.single_caps.max()), 31, include=rstar)
+        state = PopulationState.dirac(grid, rstar)
+        assert ordered_nu(ordered_listing(view, grid), np.array([rstar]), state.masses)[0] == 1.0
+        assert region_mass(view, rstar, state) == 1.0
+        i = int(np.argmin(np.abs(grid - rstar)))
+        F = PayoffTable(view, Utility.identity(), grid).payoffs(state.masses)
+        assert F[i] == rstar
+        assert np.all(F[i + 1:] == 0.0)
+
+    @pytest.mark.parametrize("snr", [[3.0, 1.0, 0.5], [1e4, 1e-4, 1.0], [4.0, 0.3, 1.0, 2.0],
+                                     [1.0, 1.0, 1.0 + 1e-13]])
+    def test_asymmetric_channels_stay_ordered(self, snr):
+        view = build_view(ChannelModel(np.array(snr)))
+        g = Utility.log1p()
+        n = 9
+        grid = make_grid(float(view.single_caps.max()), n)
+        table = PayoffTable(view, g, grid)
+        assert exact_rows(view, n) == table.fits.size == n ** (view.m - 1)
+        assert np.array_equal(table.weights(np.ones(n)), np.ones(n ** (view.m - 1)))
+        rng = np.random.default_rng(len(snr))
+        for _ in range(3):
+            masses = rng.dirichlet(np.ones(n))
+            assert np.array_equal(table.payoffs(masses), ordered_payoffs(
+                view, g, grid, masses, ordered_listing(view, grid), pairwise=False))
+
+    def test_size_limit_counts_rows_built(self):
+        sym6 = build_view(ChannelModel(np.ones(6)))
+        assert exact_rows(sym6, 51) == 3_478_761 <= EXACT_ENUM_LIMIT
+        sym8 = build_view(ChannelModel(np.ones(8)))
+        with pytest.raises(ValueError, match=r"exact table needs 264385836 rows"):
+            PayoffTable(sym8, Utility.identity(), np.linspace(0.0, LN2, 51))
 
 
 class TestStep:

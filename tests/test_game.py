@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from macgame import (
     sample_max_face,
 )
 from macgame.capacity import face_vertices, feasible_rows, is_feasible, reply_slack
+from macgame import game as game_module
 from macgame.game import IMPROVEMENT_MARGIN, NASH_TOL, _reply_slacks
 
 from lattice import pareto_by_lattice, strong_by_lattice
@@ -341,6 +343,28 @@ class TestOneSortSlacks:
                     outcomes.add((feasible, nash, solo))
         # infeasible, equilibrium and improvable profiles are all covered
         assert {(False, False, False), (True, True, True), (True, False, False)} <= outcomes
+
+    @pytest.mark.parametrize("m", [300, 700])
+    def test_blocks_match_one_pass(self, m, monkeypatch):
+        rng = np.random.default_rng(m)
+        view = build_view(ChannelModel(10.0 ** rng.uniform(-3.0, 1.0, size=m)))
+        p = sample_max_face(view, 1, seed=m)[0] * 0.999
+        blocked = _reply_slacks(view, p)
+        monkeypatch.setattr(game_module, "SLACK_BLOCK_CELLS", (m + 1) * m)
+        assert np.array_equal(blocked, _reply_slacks(view, p))
+
+    def test_memory_linear_in_users(self):
+        # the (m, m + 1) slack table is filled in blocks of users: at m = 2,000
+        # one table alone would take 32 MB
+        view = build_view(ChannelModel(np.full(2000, 0.01)))
+        corner = face_vertices(view, limit=1, seed=3)[0]
+        tracemalloc.start()
+        try:
+            assert is_nash(view, Utility.identity(), corner)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
 
 class TestPotential:
