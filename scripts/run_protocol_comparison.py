@@ -13,10 +13,10 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from macgame import simulate
-from macgame.cli import _dynamics_objects, write_trace
+from macgame import build_view, simulate
+from macgame.cli import dynamics_run, write_trace
 from macgame.dynamics import PROTOCOL_KINDS
-from macgame.scenario import parse_scenario
+from macgame.scenario import build_model, build_utility, parse_scenario
 
 
 def main(argv=None) -> int:
@@ -31,12 +31,12 @@ def main(argv=None) -> int:
     scenario = dataclasses.replace(
         scenario, **{key: val for key, val in overrides.items() if val is not None})
 
-    view, _, _ = _dynamics_objects(scenario)
+    view, g = build_view(build_model(scenario)), build_utility(scenario)
     target = view.total / view.m
     print(f"target mean rate (equal split): {target:.6f}")
     for kind in PROTOCOL_KINDS:
         try:
-            view, g, run = _dynamics_objects(dataclasses.replace(scenario, protocol=kind))
+            run = dynamics_run(dataclasses.replace(scenario, protocol=kind), view)
         except ValueError as exc:  # a theta below 1 is valid for every protocol but smith
             print(f"{kind:<10} skipped: {exc}")
             continue

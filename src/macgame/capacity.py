@@ -107,7 +107,8 @@ def safe_rate(model: ChannelModel, user: int, subset) -> float:
     idx = _subset_indices(model.m, subset)
     if int(user) not in idx:
         raise ValueError(f"user {user} not in subset {idx}")
-    rest = float(model.snr[idx].sum()) - float(model.snr[int(user)])
+    # the others summed directly: sum(subset) - s_user cancels when s_user dominates
+    rest = float(model.snr[[j for j in idx if j != int(user)]].sum())
     return math.log1p(float(model.snr[int(user)]) / (1.0 + rest))
 
 

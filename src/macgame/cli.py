@@ -1,7 +1,7 @@
 """Command-line front end: one subcommand per analysis, CSV trace output.
 
 Exit codes: 0 success, 1 analytic failure (the checked claim is false),
-2 usage or input error. All numbers print with 9 significant digits.
+2 usage, input or output error. All numbers print with 9 significant digits.
 """
 from __future__ import annotations
 
@@ -15,6 +15,8 @@ from . import dynamics as dyn
 from . import evolution as evo
 from . import game
 from . import selection as sel
+from .capacity import CapacityRegionView
+from .game import Utility
 from .scenario import (
     Scenario,
     ScenarioError,
@@ -64,63 +66,47 @@ def _label(subset) -> str:
 
 
 def _load_scenario(args) -> Scenario:
-    texts = []
+    text = ""
     if args.scenario:
         with open(args.scenario) as fh:
-            texts.append(fh.read())
-    if args.set:
-        overrides = {}
-        for item in args.set:
-            if "=" not in item:
-                raise ScenarioError([f"--set needs key=value, got '{item}'"])
-            key, val = item.split("=", 1)
-            overrides[key.strip().lower()] = val.strip()
-        base = texts[0].splitlines() if texts else []
-        kept = []
-        for line in base:
-            key = line.split("#", 1)[0].split("=", 1)[0].strip().lower()
-            if key not in overrides:
-                kept.append(line)
-        kept.extend(f"{k} = {v}" for k, v in overrides.items())
-        texts = ["\n".join(kept)]
-    if not texts:
+            text = fh.read()
+    elif not args.set:
         raise ScenarioError(["no scenario given: use --scenario FILE and/or --set key=value"])
-    return parse_scenario(texts[0])
+    overrides = {}
+    for item in args.set or ():
+        key, eq, val = item.partition("=")
+        if not eq:
+            raise ScenarioError([f"--set needs key=value, got '{item}'"])
+        overrides[key.strip().lower()] = val.strip()
+    return parse_scenario(text, overrides)
 
 
 def _parse_rates(text: str) -> np.ndarray:
     return np.array([float(p) for p in text.split(",")])
 
 
-def cmd_region(args, scenario: Scenario) -> int:
-    model = build_model(scenario)
-    view = cap.build_view(model)
+def cmd_region(args, scenario: Scenario, view: CapacityRegionView, g: Utility) -> int:
     for subset, value in view.rank_table().items():
         print(f"C{_label(subset)} = {fmt(value)}")
     for i in range(view.m):
         print(f"r{_label((i,))} = {fmt(view.safe_rates[i])}")
     print(f"total = {fmt(view.total)}")
-    if model.symmetric:
+    if view.model.symmetric:
         print(f"symmetric equilibrium rate = {fmt(view.total / view.m)}")
     return 0
 
 
-def cmd_br(args, scenario: Scenario) -> int:
-    view = cap.build_view(build_model(scenario))
-    g = build_utility(scenario)
+def cmd_br(args, scenario: Scenario, view: CapacityRegionView, g: Utility) -> int:
     user = args.user - 1
     if not 0 <= user < view.m:
-        print(f"error: user must be in 1..{view.m}", file=sys.stderr)
-        return 2
+        raise ValueError(f"user must be in 1..{view.m}")
     others = _parse_rates(args.others)
     br = game.best_response(view, g, user, others)
     print(f"best_response(user={args.user}) = {fmt(br)}")
     return 0
 
 
-def cmd_check_eq(args, scenario: Scenario) -> int:
-    view = cap.build_view(build_model(scenario))
-    g = build_utility(scenario)
+def cmd_check_eq(args, scenario: Scenario, view: CapacityRegionView, g: Utility) -> int:
     profile = _parse_rates(args.profile)
     nash = game.is_nash(view, g, profile, tol=args.tol)
     strong = game.is_strong_equilibrium(view, g, profile, tol=args.tol)
@@ -131,9 +117,7 @@ def cmd_check_eq(args, scenario: Scenario) -> int:
     return 0 if nash else 1
 
 
-def cmd_metrics(args, scenario: Scenario) -> int:
-    view = cap.build_view(build_model(scenario))
-    g = build_utility(scenario)
+def cmd_metrics(args, scenario: Scenario, view: CapacityRegionView, g: Utility) -> int:
     out = game.efficiency_metrics(view, g, seed=substream_seed(scenario.seed, "face"))
     print(f"spoa = {fmt(out['spoa'])}")
     print(f"pos = {fmt(out['pos'])}")
@@ -141,9 +125,7 @@ def cmd_metrics(args, scenario: Scenario) -> int:
     return 0
 
 
-def cmd_normalized(args, scenario: Scenario) -> int:
-    view = cap.build_view(build_model(scenario))
-    g = build_utility(scenario)
+def cmd_normalized(args, scenario: Scenario, view: CapacityRegionView, g: Utility) -> int:
     weights = _parse_rates(args.tau) if args.tau else None
     result = sel.normalized_equilibrium(view, sel.NormalizedEqConfig(g=g, weights=weights))
     print("profile = " + ",".join(fmt(v) for v in result.profile))
@@ -160,9 +142,7 @@ def cmd_normalized(args, scenario: Scenario) -> int:
     return 0
 
 
-def cmd_ess(args, scenario: Scenario) -> int:
-    view = cap.build_view(build_model(scenario))
-    g = build_utility(scenario)
+def cmd_ess(args, scenario: Scenario, view: CapacityRegionView, g: Utility) -> int:
     resident = args.resident if args.resident is not None else view.total / view.m
     spec = evo.EssTestSpec(
         resident=resident,
@@ -180,17 +160,14 @@ def cmd_ess(args, scenario: Scenario) -> int:
     return 0 if result.is_ess else 1
 
 
-def _dynamics_objects(scenario: Scenario):
-    model = build_model(scenario)
-    view = cap.build_view(model)
-    g = build_utility(scenario)
-    include = view.total / view.m if model.symmetric else None
+def dynamics_run(scenario: Scenario, view: CapacityRegionView) -> dyn.DynamicsRun:
+    """The scenario's `dynamics` run on this channel: uniform start on its action grid."""
+    include = view.total / view.m if view.model.symmetric else None
     grid = evo.make_grid(float(view.single_caps.max()), scenario.grid_points,
                          include=include)
-    state0 = evo.PopulationState.uniform(grid)
-    run = dyn.DynamicsRun(
+    return dyn.DynamicsRun(
         protocol=build_protocol(scenario),
-        state0=state0,
+        state0=evo.PopulationState.uniform(grid),
         dt=scenario.dt,
         steps=scenario.steps,
         record_every=scenario.record_every,
@@ -198,17 +175,20 @@ def _dynamics_objects(scenario: Scenario):
         payoff_method=scenario.payoff_method,
         samples=scenario.samples,
     )
-    return view, g, run
+
+
+def _write_csv(path: str, header: str, *columns) -> None:
+    row = ",".join(["{:.17g}"] * len(columns)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for values in zip(*columns):
+            fh.write(row.format(*values))
 
 
 def write_trace(path: str, trace: dyn.Trace) -> None:
     """Write a dynamics trace as CSV: t, mean_rate, avg_payoff, velocity_l1, mass_drift."""
-    with open(path, "w") as fh:
-        fh.write("t,mean_rate,avg_payoff,velocity_l1,mass_drift\n")
-        for i in range(trace.t.size):
-            fh.write(",".join(format(val, ".17g") for val in (
-                trace.t[i], trace.mean_rate[i], trace.avg_payoff[i],
-                trace.velocity_l1[i], trace.mass_drift[i])) + "\n")
+    _write_csv(path, "t,mean_rate,avg_payoff,velocity_l1,mass_drift", trace.t,
+               trace.mean_rate, trace.avg_payoff, trace.velocity_l1, trace.mass_drift)
 
 
 # The name perfbench/tracing.py times the writer under.
@@ -216,14 +196,11 @@ _write_trace = write_trace
 
 
 def _write_state(path: str, state: evo.PopulationState) -> None:
-    with open(path, "w") as fh:
-        fh.write("grid_value,mass\n")
-        for x, p in zip(state.grid, state.masses):
-            fh.write(f"{format(x, '.17g')},{format(p, '.17g')}\n")
+    _write_csv(path, "grid_value,mass", state.grid, state.masses)
 
 
-def cmd_dynamics(args, scenario: Scenario) -> int:
-    view, g, run = _dynamics_objects(scenario)
+def cmd_dynamics(args, scenario: Scenario, view: CapacityRegionView, g: Utility) -> int:
+    run = dynamics_run(scenario, view)
     trace = dyn.simulate(view, g, run)
     write_trace(scenario.trace_csv, trace)
     _write_state(scenario.state_csv, trace.final_state)
@@ -236,10 +213,7 @@ def cmd_dynamics(args, scenario: Scenario) -> int:
     return 0
 
 
-def _verify_checks(scenario: Scenario):
-    model = build_model(scenario)
-    view = cap.build_view(model)
-    g = build_utility(scenario)
+def _verify_checks(scenario: Scenario, view: CapacityRegionView, g: Utility):
     m = view.m
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(scenario.seed)))
 
@@ -336,12 +310,12 @@ def _verify_checks(scenario: Scenario):
             worst = max(worst, float(np.max(np.abs(covered / (tau * res.multipliers) - 1.0))),
                         float(np.max(cap.subset_sums(res.profile) - view.cap)))
             ok = ok and res.tight_sets[-1] == tuple(range(m)) and min(res.set_multipliers) >= 0
-            if model.symmetric and np.all(tau == 1.0):
+            if view.model.symmetric and np.all(tau == 1.0):
                 ok = ok and bool(np.all(np.abs(res.profile - view.total / m) < 1e-9))
         return ok and worst <= tol, f"2^m certificate gap {worst:.2e} (tol {tol:g})"
 
     def check_ess():
-        if not model.symmetric:
+        if not view.model.symmetric:
             return None, "asymmetric channel, not applicable"
         spec = evo.EssTestSpec(resident=view.total / m, mutant_grid=40)
         good = evo.ess_check(view, g, spec)
@@ -351,7 +325,7 @@ def _verify_checks(scenario: Scenario):
         return ok, "equal split stable, 0.9x split invaded"
 
     def check_rest_points():
-        if not model.symmetric:
+        if not view.model.symmetric:
             return None, "asymmetric channel, not applicable"
         rstar = view.total / m
         grid = evo.make_grid(float(view.single_caps.max()), min(scenario.grid_points, 51),
@@ -403,9 +377,9 @@ def _verify_checks(scenario: Scenario):
     ]
 
 
-def cmd_verify(args, scenario: Scenario) -> int:
+def cmd_verify(args, scenario: Scenario, view: CapacityRegionView, g: Utility) -> int:
     passed = failed = skipped = 0
-    for name, fn in _verify_checks(scenario):
+    for name, fn in _verify_checks(scenario, view, g):
         ok, detail = fn()
         if ok is None:
             skipped += 1
@@ -476,20 +450,18 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # every input or output problem, the scenario's included, is a clean exit 2
     try:
         scenario = _load_scenario(args)
-    except (ScenarioError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.dump_config:
-        print(dump_scenario(scenario), end="")
-        return 0
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return 2
-    try:
-        return _COMMANDS[args.command](args, scenario)
-    except (ValueError, RuntimeError) as exc:
+        if args.dump_config:
+            print(dump_scenario(scenario), end="")
+            return 0
+        if args.command is None:
+            parser.print_usage(sys.stderr)
+            return 2
+        view = cap.build_view(build_model(scenario))
+        return _COMMANDS[args.command](args, scenario, view, build_utility(scenario))
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -188,6 +188,8 @@ class DynamicsRun:
             raise ValueError("record_every must be at least 1")
         if self.payoff_method not in PAYOFF_METHODS:
             raise ValueError(f"unknown payoff method '{self.payoff_method}'")
+        if self.samples < 1:
+            raise ValueError(f"samples must be at least 1, got {self.samples}")
 
 
 @dataclass
@@ -230,4 +232,4 @@ def simulate(view: CapacityRegionView, g: Utility, run: DynamicsRun) -> Trace:
         if k % run.record_every == 0 or k == run.steps:
             rows.append((k * run.dt, mean, Fbar, float(np.abs(v).sum()), drift))
     return Trace(*(np.array(col) for col in zip(*rows)),
-                 final_state=PopulationState(grid, masses, w))
+                 final_state=PopulationState(grid, masses))

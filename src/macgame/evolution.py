@@ -64,11 +64,10 @@ def make_grid(upper: float, n: int, include: Optional[float] = None) -> np.ndarr
 
 @dataclass
 class PopulationState:
-    """Probability masses over a sorted action grid, plus base-measure weights."""
+    """Probability masses over a sorted action grid."""
 
     grid: np.ndarray
     masses: np.ndarray
-    base_weights: np.ndarray = None
 
     def __post_init__(self):
         self.grid = np.atleast_1d(np.asarray(self.grid, dtype=float))
@@ -84,20 +83,16 @@ class PopulationState:
         np.clip(self.masses, 0.0, None, out=self.masses)
         if abs(float(self.masses.sum()) - 1.0) > MASS_TOL:
             raise ValueError(f"masses sum to {self.masses.sum():.12f}, not 1")
-        if self.base_weights is None:
-            if self.grid.size > 1:
-                step = (self.grid[-1] - self.grid[0]) / (self.grid.size - 1)
-            else:
-                step = 1.0
-            self.base_weights = np.full(self.grid.size, step)
-        else:
-            self.base_weights = np.atleast_1d(np.asarray(self.base_weights, dtype=float))
-            if self.base_weights.shape != self.grid.shape or np.any(self.base_weights <= 0):
-                raise ValueError("base weights must be positive and match grid length")
 
     @property
     def n(self) -> int:
         return int(self.grid.size)
+
+    @property
+    def base_weights(self) -> np.ndarray:
+        """Base-measure weight of each grid point: the uniform grid step (1 on one point)."""
+        step = (self.grid[-1] - self.grid[0]) / (self.n - 1) if self.n > 1 else 1.0
+        return np.full(self.n, step)
 
     @classmethod
     def uniform(cls, grid) -> "PopulationState":
@@ -115,7 +110,7 @@ class PopulationState:
         return cls(grid, masses)
 
     def replace_masses(self, masses: np.ndarray) -> "PopulationState":
-        return PopulationState(self.grid, masses, self.base_weights)
+        return PopulationState(self.grid, masses)
 
 
 def mean_rate(state: PopulationState) -> float:
@@ -293,6 +288,8 @@ def _admitted_mass(view, actions, grid, masses, samples=None, seed=0) -> np.ndar
     if samples is None:
         fits, weights = _exact_fits(view, actions, grid)
         return _fit_mass(fits, actions.size, weights(masses))
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rng = np.random.Generator(np.random.Philox(seed))   # seed: int or SeedSequence
     idx = rng.choice(grid.size, size=(samples, view.m - 1), p=masses)
     return _fit_mass(_fit_counts(actions, reply_slack(view, 0, grid[idx])), actions.size) / samples

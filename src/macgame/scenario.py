@@ -52,7 +52,7 @@ class ScenarioError(ValueError):
         super().__init__("\n".join(self.problems))
 
 
-def _convert(key: str, raw: str, line_no: int, problems: list):
+def _convert(key: str, raw: str, where: str, problems: list):
     typ = _KEYS[key]
     try:
         if typ is tuple:
@@ -63,32 +63,39 @@ def _convert(key: str, raw: str, line_no: int, problems: list):
             return float(raw)
         return raw
     except ValueError:
-        problems.append(f"line {line_no}: {key} must be {typ.__name__}, got '{raw}'")
+        problems.append(f"{where}: {key} must be {typ.__name__}, got '{raw}'")
         return None
 
 
-def parse_scenario(text: str) -> Scenario:
+def parse_scenario(text: str, overrides: dict = None) -> Scenario:
+    """Parse scenario text; `overrides` maps keys to raw values (`--set key=value`) that
+    replace the text's lines for those keys. Problems are located by the text's own line
+    numbers, or as `--set key`."""
+    overrides = overrides or {}
+    entries = [(f"line {n}", line) for n, line in enumerate(text.splitlines(), start=1)
+               if not overrides
+               or line.split("#", 1)[0].split("=", 1)[0].strip().lower() not in overrides]
+    entries += [(f"--set {key}", f"{key} = {raw}") for key, raw in overrides.items()]
     problems: list[str] = []
     values: dict = {}
-    key_lines: dict = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    key_where: dict = {}
+    for where, line in entries:
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
         if "=" not in body:
-            problems.append(f"line {line_no}: expected 'key = value', got '{body}'")
+            problems.append(f"{where}: expected 'key = value', got '{body}'")
             continue
         key, raw = (part.strip() for part in body.split("=", 1))
         key = key.lower()
         if key not in _KEYS:
-            problems.append(f"line {line_no}: unknown key '{key}'")
+            problems.append(f"{where}: unknown key '{key}'")
             continue
         if key in values:
-            problems.append(
-                f"line {line_no}: duplicate key '{key}' (first on line {key_lines[key]})")
+            problems.append(f"{where}: duplicate key '{key}' (first on {key_where[key]})")
             continue
-        key_lines[key] = line_no
-        val = _convert(key, raw, line_no, problems)
+        key_where[key] = where
+        val = _convert(key, raw, where, problems)
         if val is not None:
             values[key] = val
 
@@ -100,59 +107,59 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError(problems)
 
     scenario = Scenario(**values)
-    problems.extend(_validate(scenario, key_lines))
+    problems.extend(_validate(scenario, key_where))
     if problems:
         raise ScenarioError(problems)
     return scenario
 
 
-def _where(key_lines: dict, key: str) -> str:
-    return f"line {key_lines[key]}: " if key in key_lines else ""
+def _where(key_where: dict, key: str) -> str:
+    return f"{key_where[key]}: " if key in key_where else ""
 
 
-def _validate(s: Scenario, key_lines: dict) -> list:
+def _validate(s: Scenario, key_where: dict) -> list:
     problems = []
     if s.m < 1:
-        problems.append(f"{_where(key_lines, 'm')}m must be >= 1")
+        problems.append(f"{_where(key_where, 'm')}m must be >= 1")
     if s.snr is not None:
         if len(s.snr) != s.m:
-            problems.append(f"{_where(key_lines, 'snr')}snr needs {s.m} entries, got {len(s.snr)}")
+            problems.append(f"{_where(key_where, 'snr')}snr needs {s.m} entries, got {len(s.snr)}")
         if any(v <= 0 for v in s.snr):
-            problems.append(f"{_where(key_lines, 'snr')}every snr must be positive")
+            problems.append(f"{_where(key_where, 'snr')}every snr must be positive")
     else:
         if s.p is not None and s.p <= 0:
-            problems.append(f"{_where(key_lines, 'p')}p must be positive")
+            problems.append(f"{_where(key_where, 'p')}p must be positive")
         if s.sigma2 <= 0:
-            problems.append(f"{_where(key_lines, 'sigma2')}sigma2 must be positive")
+            problems.append(f"{_where(key_where, 'sigma2')}sigma2 must be positive")
         if s.h is not None:
             if len(s.h) != s.m:
-                problems.append(f"{_where(key_lines, 'h')}h needs {s.m} entries, got {len(s.h)}")
+                problems.append(f"{_where(key_where, 'h')}h needs {s.m} entries, got {len(s.h)}")
             if any(v <= 0 for v in s.h):
-                problems.append(f"{_where(key_lines, 'h')}every gain must be positive")
+                problems.append(f"{_where(key_where, 'h')}every gain must be positive")
     if s.g not in UTILITY_KINDS:
-        problems.append(f"{_where(key_lines, 'g')}g must be one of {', '.join(UTILITY_KINDS)}")
+        problems.append(f"{_where(key_where, 'g')}g must be one of {', '.join(UTILITY_KINDS)}")
     if not 0.0 < s.g_power < 1.0:
-        problems.append(f"{_where(key_lines, 'g_power')}g_power must lie in (0, 1)")
+        problems.append(f"{_where(key_where, 'g_power')}g_power must lie in (0, 1)")
     if s.grid_points < 2:
-        problems.append(f"{_where(key_lines, 'grid_points')}grid_points must be >= 2")
+        problems.append(f"{_where(key_where, 'grid_points')}grid_points must be >= 2")
     if s.protocol not in PROTOCOL_KINDS:
         problems.append(
-            f"{_where(key_lines, 'protocol')}protocol must be one of {', '.join(PROTOCOL_KINDS)}")
+            f"{_where(key_where, 'protocol')}protocol must be one of {', '.join(PROTOCOL_KINDS)}")
     if s.protocol == "smith" and s.theta < 1.0:
-        problems.append(f"{_where(key_lines, 'theta')}theta must be >= 1")
+        problems.append(f"{_where(key_where, 'theta')}theta must be >= 1")
     if s.k <= 0:
-        problems.append(f"{_where(key_lines, 'k')}k must be positive")
+        problems.append(f"{_where(key_where, 'k')}k must be positive")
     if s.dt <= 0:
-        problems.append(f"{_where(key_lines, 'dt')}dt must be positive")
+        problems.append(f"{_where(key_where, 'dt')}dt must be positive")
     if s.steps < 0:
-        problems.append(f"{_where(key_lines, 'steps')}steps must be >= 0")
+        problems.append(f"{_where(key_where, 'steps')}steps must be >= 0")
     if s.record_every < 1:
-        problems.append(f"{_where(key_lines, 'record_every')}record_every must be >= 1")
+        problems.append(f"{_where(key_where, 'record_every')}record_every must be >= 1")
     if s.payoff_method not in PAYOFF_METHODS:
         methods = " or ".join(PAYOFF_METHODS)
-        problems.append(f"{_where(key_lines, 'payoff_method')}payoff_method must be {methods}")
+        problems.append(f"{_where(key_where, 'payoff_method')}payoff_method must be {methods}")
     if s.samples < 1:
-        problems.append(f"{_where(key_lines, 'samples')}samples must be >= 1")
+        problems.append(f"{_where(key_where, 'samples')}samples must be >= 1")
     return problems
 
 

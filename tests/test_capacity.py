@@ -136,6 +136,18 @@ class TestSafeRate:
         with pytest.raises(ValueError):
             safe_rate(sym3_example(), 2, {0, 1})
 
+    def test_matches_view_when_one_snr_dominates(self):
+        # the other users' SNRs are summed directly; sum(subset) - s_user cancels
+        model = ChannelModel(np.array([6455.95, 0.069082]))
+        assert safe_rate(model, 0, {0, 1}) == math.log1p(6455.95 / (1.0 + 0.069082))
+        rng = np.random.default_rng(0)
+        eps = np.finfo(float).eps
+        for _ in range(2000):
+            model = ChannelModel(np.exp(rng.uniform(-9.2, 9.2, size=int(rng.integers(1, 9)))))
+            view = build_view(model)
+            got = [safe_rate(model, i, range(model.m)) for i in range(model.m)]
+            assert np.all(np.abs(got - view.safe_rates) <= 4 * eps * view.safe_rates)
+
     @given(snr_models())
     @settings(max_examples=200, deadline=None)
     def test_difference_identity(self, model):

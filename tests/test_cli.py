@@ -4,6 +4,7 @@ import math
 import runpy
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from macgame.cli import main
@@ -193,3 +194,60 @@ class TestPlumbing:
                              "m = 2\nsnr = 1,1\nprotocol = smith\ntheta = 0.5\n")
         assert main(["-s", cfg, "region"]) == 2
         assert "theta must be >= 1" in capsys.readouterr().err
+
+    def test_file_line_numbers_survive_set(self, capsys):
+        assert main(["-s", str(SCENARIOS / "sym2.cfg"), "--set", "m=1", "region"]) == 2
+        assert "error: line 3: snr needs 1 entries, got 2" in capsys.readouterr().err
+
+    def test_override_problem_names_its_key(self, capsys):
+        assert main(["-s", str(SCENARIOS / "sym2.cfg"), "--set", "m=x", "region"]) == 2
+        assert "error: --set m: m must be int, got 'x'" in capsys.readouterr().err
+
+    def test_override_replaces_file_line_and_last_wins(self, tmp_path, capsys):
+        # the file's m is neither converted nor reported as a duplicate
+        cfg = write_scenario(tmp_path, "m = x\nm = 5\nsnr = 1,1\n")
+        assert main(["-s", cfg, "--set", "m=3", "--set", "M = 2", "region"]) == 0
+        assert "C{1,2} = 1.09861229" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key", ["trace_csv", "state_csv"])
+    def test_unwritable_output_exit_2(self, key, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["-s", str(SCENARIOS / "sym2.cfg"), "--set", "steps=2",
+                     "--set", f"{key}={tmp_path}/missing/out.csv", "dynamics"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+SWEEP_USERS = (1, 2, 3, 4, 5, 6, 8, 13, 21, 30)
+SWEEP_COMMANDS = ("region", "br", "check-eq", "metrics", "normalized", "ess", "dynamics",
+                  "verify")
+
+
+def sweep_argv(seed, command, tmp_path):
+    """A random valid scenario (ROADMAP item 2's generator) and one subcommand on it."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.choice(SWEEP_USERS))
+    snr = np.exp(rng.uniform(-6.0, 6.0, size=1 if seed % 2 else m)) * np.ones(m)
+    argv = ["--set", f"m={m}", "--set", "snr=" + ",".join(format(v, ".17g") for v in snr),
+            "--set", f"g={rng.choice(['identity', 'log1p', 'power'])}",
+            "--set", "grid_points=11", "--set", "steps=5",
+            "--set", f"trace_csv={tmp_path}/t.csv", "--set", f"state_csv={tmp_path}/s.csv",
+            command]
+    if command == "br":   # opponents up to 1.5x their safe rates: some infeasible
+        others = np.log1p(snr / (1.0 + snr.sum() - snr))[1:] * rng.uniform(0.0, 1.5, m - 1)
+        argv += ["--user", "1", "--others", ",".join(format(v, ".17g") for v in others)]
+    if command == "check-eq":
+        argv += ["--profile", ",".join([format(np.log1p(snr.sum()) / m, ".17g")] * m)]
+    return argv
+
+
+class TestExitCodeSweep:
+    """Every subcommand on random valid scenarios ends in 0, 1 or 2, never a traceback."""
+
+    @pytest.mark.parametrize("command", SWEEP_COMMANDS)
+    @pytest.mark.parametrize("seed", range(16))
+    def test_clean_exit(self, seed, command, tmp_path, capsys):
+        code = main(sweep_argv(seed, command, tmp_path))
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert any(line.startswith("error:")
+                       for line in capsys.readouterr().err.splitlines())

@@ -405,6 +405,12 @@ class TestSimulate:
         assert np.array_equal(got, np.array(rows))
         assert np.array_equal(trace.final_state.masses, state.masses)
 
+    def test_montecarlo_needs_a_sample(self, sym2):
+        state0 = PopulationState.uniform(grid_with_rstar(sym2, n=11))
+        with pytest.raises(ValueError, match="samples"):
+            DynamicsRun(protocol=Protocol.bnn(), state0=state0, payoff_method="montecarlo",
+                        samples=0)
+
     def test_zero_steps_single_record(self, sym2, gid):
         grid = grid_with_rstar(sym2)
         run = DynamicsRun(protocol=Protocol.bnn(), state0=PopulationState.uniform(grid),

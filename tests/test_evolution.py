@@ -54,6 +54,7 @@ class TestPopulationState:
     def test_default_base_weights_uniform(self):
         s = PopulationState.uniform(np.linspace(0.0, LN2, 51))
         assert np.allclose(s.base_weights, LN2 / 50.0)
+        assert PopulationState.uniform(np.array([0.2])).base_weights.tolist() == [1.0]
 
     def test_dirac_requires_grid_point(self):
         grid = np.linspace(0.0, LN2, 11)
@@ -220,6 +221,10 @@ class TestExpectedPayoff:
                             method="montecarlo", samples=5000, seed=12)
         assert a == b
         assert a != c
+
+    def test_mc_needs_a_sample(self, sym2):
+        with pytest.raises(ValueError, match="samples"):
+            expected_payoff_mc(sym2, Utility.identity(), 0.3, three_point_state(), samples=0)
 
     def test_mc_agrees_with_exact(self, sym2):
         rng = np.random.default_rng(17)
