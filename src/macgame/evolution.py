@@ -34,7 +34,7 @@ from .capacity import (
     max_face_residual,
     reply_slack,
 )
-from .game import Utility, payoff
+from .game import Utility
 
 MASS_TOL = 1e-9
 INDICATOR_SLACK = 1e-12
@@ -169,51 +169,42 @@ class EssResult:
 
 
 def ess_check(view: CapacityRegionView, g: Utility, spec: EssTestSpec) -> EssResult:
-    """Invasion test for a symmetric resident rate.
+    """Invasion test for a symmetric resident rate, one pass over (share, mutant).
 
-    For each mutant rate on a grid over [0, C(N)/m] and the smallest
-    invasion share that keeps the invaded monomorphic profile feasible, the
-    resident must strictly outperform the mutant; the first failure is
-    returned as a witness. Mutants that cannot invade feasibly at any share
-    are counted separately and never threaten the resident.
+    Each mutant on a grid over [0, C(N)/m] invades at the smallest share
+    whose invaded mean b stays in the mixed region, and the resident must
+    then strictly outperform it against b; the first failure in grid order
+    is the witness. Mutants with no such share are counted up to the witness
+    and never threaten the resident. Every feasibility question is
+    `_mixed_gate`, exact here: (a, b, ..., b) is feasible iff a <= C({1}),
+    b <= C(m-1)/(m-1) and a <= C(N) - (m-1)b, as C(k+1) - kb is concave in k
+    (smallest at k = 0 or m-1); for a, b <= C(N)/m only the last can bind.
     """
-    m = view.m
     if not view.model.symmetric:
         raise ValueError("ESS test requires a symmetric channel")
-    rstar = view.total / m
+    rstar = view.total / view.m
     r = float(spec.resident)
-    if not -1e-12 <= r <= rstar + 1e-12:
+    if not (r >= -1e-12 and _mixed_gate(view, r, r)):
         raise ValueError(f"resident {r} outside the feasible symmetric range [0, {rstar:g}]")
     g.validate(float(view.single_caps.max()))
 
     mutants = np.linspace(0.0, rstar, spec.mutant_grid)
-    eps_sorted = sorted(spec.epsilon_grid)
-    infeasible = 0
-    for mut in mutants:
-        mut = float(mut)
-        if abs(mut - r) <= 1e-12:
-            continue
-        invaded = None
-        for eps in eps_sorted:
-            r_eps = eps * mut + (1.0 - eps) * r
-            if is_feasible(view, np.full(m, r_eps)):
-                invaded = (eps, r_eps)
-                break
-        if invaded is None:
-            infeasible += 1
-            continue
-        eps, r_eps = invaded
-        background = np.full(m, r_eps)
-        res_profile = background.copy()
-        res_profile[0] = r
-        mut_profile = background.copy()
-        mut_profile[0] = mut
-        u_res = payoff(view, g, res_profile, 0)
-        u_mut = payoff(view, g, mut_profile, 0)
-        if not u_res > u_mut + 1e-12:
-            return EssResult(is_ess=False, witness=(mut, eps),
-                             infeasible_invasions=infeasible)
-    return EssResult(is_ess=True, witness=None, infeasible_invasions=infeasible)
+    mutants = mutants[np.abs(mutants - r) > 1e-12]
+    eps = np.sort(np.asarray(spec.epsilon_grid, dtype=float))
+    means = eps[:, None] * mutants + (1.0 - eps[:, None]) * r
+    fits = _mixed_gate(view, means, means)
+    first = fits.argmax(axis=0)
+    invades = fits.any(axis=0)
+    b = means[first, np.arange(mutants.size)]
+    u_res = _own_values(g, np.array([r])) * _mixed_gate(view, r, b)
+    u_mut = _own_values(g, mutants) * _mixed_gate(view, mutants, b)
+    fails = np.flatnonzero(invades & ~(u_res > u_mut + 1e-12))
+    if fails.size:
+        j = fails[0]
+        return EssResult(is_ess=False, witness=(float(mutants[j]), float(eps[first[j]])),
+                         infeasible_invasions=int(np.count_nonzero(~invades[:j])))
+    return EssResult(is_ess=True, witness=None,
+                     infeasible_invasions=int(np.count_nonzero(~invades)))
 
 
 def exact_rows(view: CapacityRegionView, n: int) -> int:
@@ -301,8 +292,8 @@ def _own_values(g: Utility, actions: np.ndarray) -> np.ndarray:
     return np.where(actions >= -FEASIBILITY_TOL, gvals, 0.0)
 
 
-def _mixed_gate(view, actions, mean: float) -> np.ndarray:
-    """Actions inside the mixed region: a <= C(N) - (m-1)E, E the state's mean rate."""
+def _mixed_gate(view, actions, mean) -> np.ndarray:
+    """Actions inside the mixed region: a <= C(N) - (m-1)E, E the (broadcast) mean rate."""
     return actions <= view.total - (view.m - 1) * mean + INDICATOR_SLACK
 
 

@@ -72,15 +72,15 @@ def parse_scenario(text: str, overrides: dict = None) -> Scenario:
     replace the text's lines for those keys. Problems are located by the text's own line
     numbers, or as `--set key`."""
     overrides = overrides or {}
-    entries = [(f"line {n}", line) for n, line in enumerate(text.splitlines(), start=1)
-               if not overrides
-               or line.split("#", 1)[0].split("=", 1)[0].strip().lower() not in overrides]
+    bodies = (line.split("#", 1)[0] for line in text.splitlines())
+    entries = [(f"line {n}", body) for n, body in enumerate(bodies, start=1)
+               if not overrides or body.split("=", 1)[0].strip().lower() not in overrides]
     entries += [(f"--set {key}", f"{key} = {raw}") for key, raw in overrides.items()]
     problems: list[str] = []
     values: dict = {}
     key_where: dict = {}
-    for where, line in entries:
-        body = line.split("#", 1)[0].strip()
+    for where, body in entries:
+        body = body.strip()
         if not body:
             continue
         if "=" not in body:
@@ -95,6 +95,9 @@ def parse_scenario(text: str, overrides: dict = None) -> Scenario:
             problems.append(f"{where}: duplicate key '{key}' (first on {key_where[key]})")
             continue
         key_where[key] = where
+        if "#" in raw:   # only an override can hold one; a file line would lose it
+            problems.append(f"{where}: '#' starts a comment and cannot appear in a value")
+            continue
         val = _convert(key, raw, where, problems)
         if val is not None:
             values[key] = val

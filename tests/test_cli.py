@@ -163,6 +163,16 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "failed 0" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["--set", "m=21", "--set", "p=1"],                  # 2^m parts skipped above 20 users
+        ["--set", "m=2", "--set", "snr=0.0029,0.0029"],     # rest-point probe at tiny payoffs
+        ["--set", "m=3", "--set", "snr=0.0235,0.0235,0.0235", "--set", "seed=1"],  # p_hat = 1
+    ])
+    def test_holds_on_edge_scenarios(self, argv, capsys):
+        assert main(argv + ["verify"]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out and "failed 0" in out
+
     def test_rest_points_skip_beyond_exact_limit(self, capsys):
         assert main(["--set", "m=7", "--set", "p=1", "verify"]) == 0
         out = capsys.readouterr().out
@@ -209,6 +219,20 @@ class TestPlumbing:
         assert main(["-s", cfg, "--set", "m=3", "--set", "M = 2", "region"]) == 0
         assert "C{1,2} = 1.09861229" in capsys.readouterr().out
 
+    def test_hash_in_set_value_exit_2(self, capsys):
+        assert main(["-s", str(SCENARIOS / "sym2.cfg"), "--set", "trace_csv=run#1.csv",
+                     "--dump-config"]) == 2
+        assert "error: --set trace_csv: '#'" in capsys.readouterr().err
+
+    def test_unwritable_output_fails_before_simulating(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr("macgame.dynamics.simulate", lambda *a, **k: calls.append(a))
+        monkeypatch.chdir(tmp_path)
+        assert main(["-s", str(SCENARIOS / "sym2.cfg"),
+                     "--set", f"state_csv={tmp_path}/missing/s.csv", "dynamics"]) == 2
+        assert calls == []
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize("key", ["trace_csv", "state_csv"])
     def test_unwritable_output_exit_2(self, key, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -241,13 +265,16 @@ def sweep_argv(seed, command, tmp_path):
 
 
 class TestExitCodeSweep:
-    """Every subcommand on random valid scenarios ends in 0, 1 or 2, never a traceback."""
+    """Every subcommand on random valid scenarios ends in 0, 1 or 2, never a traceback;
+    verify holds on each of them."""
 
     @pytest.mark.parametrize("command", SWEEP_COMMANDS)
     @pytest.mark.parametrize("seed", range(16))
     def test_clean_exit(self, seed, command, tmp_path, capsys):
         code = main(sweep_argv(seed, command, tmp_path))
         assert code in (0, 1, 2)
+        out, err = capsys.readouterr()
         if code == 2:
-            assert any(line.startswith("error:")
-                       for line in capsys.readouterr().err.splitlines())
+            assert any(line.startswith("error:") for line in err.splitlines())
+        if command == "verify":
+            assert code == 0 and "FAIL" not in out

@@ -34,6 +34,14 @@ def test_comments_and_blank_lines():
     assert s.m == 2
 
 
+def test_hash_in_override_value_rejected():
+    # a file line would lose everything from '#' on, so dump_scenario could not keep it
+    with pytest.raises(ScenarioError, match="--set trace_csv: '#' starts a comment"):
+        parse_scenario("", {"m": "2", "snr": "1,1", "trace_csv": "run#1.csv"})
+    s = parse_scenario("m = 2\nsnr = 1,1  # comment\ntrace_csv = run.csv#1\n")
+    assert s.trace_csv == "run.csv"
+
+
 def test_unknown_key_reports_line():
     with pytest.raises(ScenarioError, match="line 4: unknown key 'frobnicate'"):
         parse_scenario(MINIMAL + "frobnicate = 3\n")
