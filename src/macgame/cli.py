@@ -145,19 +145,12 @@ def cmd_normalized(args, scenario: Scenario, view: CapacityRegionView, g: Utilit
 
 def cmd_ess(args, scenario: Scenario, view: CapacityRegionView, g: Utility) -> int:
     resident = args.resident if args.resident is not None else view.total / view.m
-    spec = evo.EssTestSpec(
-        resident=resident,
-        mutant_grid=args.mutants,
-        epsilon_grid=tuple(float(e) for e in args.epsilons.split(",")),
-    )
-    result = evo.ess_check(view, g, spec)
+    result = evo.ess_check(view, g, evo.EssTestSpec(resident=resident, mutant_grid=args.mutants))
     print(f"resident = {fmt(resident)}")
     print(f"ess = {str(result.is_ess).lower()}")
     if result.witness is not None:
         mut, eps = result.witness
         print(f"witness: mutant = {fmt(mut)}, epsilon = {fmt(eps)}")
-    if result.infeasible_invasions:
-        print(f"infeasible invasions = {result.infeasible_invasions}")
     return 0 if result.is_ess else 1
 
 
@@ -373,7 +366,7 @@ def _verify_checks(scenario: Scenario, view: CapacityRegionView, g: Utility):
             masses = rng.dirichlet(np.ones(grid.size))
             state = evo.PopulationState(grid, masses)
             a = float(rng.uniform(0.0, grid[-1]))
-            exact = evo.expected_payoff(view, g, a, state, method="exact")
+            exact = evo.expected_payoff(view, g, a, state)
             mc, _ = evo.expected_payoff_mc(
                 view, g, a, state, samples=samples,
                 seed=substream_seed(scenario.seed, "montecarlo") + t)
@@ -452,9 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_es = sub.add_parser("ess", help="constrained ESS invasion test")
     p_es.add_argument("--resident", type=float, help="resident rate (default C(N)/m)")
-    p_es.add_argument("--mutants", type=int, default=50, help="mutant grid points")
-    p_es.add_argument("--epsilons", default="0.1,0.01,0.001",
-                      help="comma-separated invasion shares")
+    p_es.add_argument("--mutants", type=int, default=evo.EssTestSpec.mutant_grid,
+                      help="mutant grid points (default %(default)s)")
 
     sub.add_parser("dynamics", help="simulate the configured protocol, write CSV traces")
     sub.add_parser("verify", help="run the invariant suite for this scenario")

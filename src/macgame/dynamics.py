@@ -26,6 +26,7 @@ import numpy as np
 from .capacity import CapacityRegionView
 from .game import Utility
 from .evolution import (
+    MC_SAMPLES,
     PAYOFF_METHODS,
     PopulationState,
     _admitted_mass,
@@ -50,21 +51,22 @@ class Protocol:
     def __post_init__(self):
         if self.kind not in PROTOCOL_KINDS:
             raise ValueError(f"unknown protocol '{self.kind}'")
-        if self.kind == "smith" and self.theta < 1.0:
+        if self.kind == "smith" and not self.theta >= 1.0:
             raise ValueError("theta must be >= 1")
-        if self.K <= 0.0:
+        if not self.K > 0.0:
             raise ValueError("growth parameter K must be positive")
 
+    # the defaults below are read from the fields above, in the class body
     @classmethod
-    def bnn(cls, K: float = 1.0) -> "Protocol":
+    def bnn(cls, K: float = K) -> "Protocol":
         return cls("bnn", K=K)
 
     @classmethod
-    def replicator(cls, K: float = 1.0) -> "Protocol":
+    def replicator(cls, K: float = K) -> "Protocol":
         return cls("replicator", K=K)
 
     @classmethod
-    def smith(cls, theta: float = 1.0, K: float = 1.0) -> "Protocol":
+    def smith(cls, theta: float = theta, K: float = K) -> "Protocol":
         return cls("smith", theta=theta, K=K)
 
 
@@ -92,17 +94,12 @@ class PayoffTable:
         return self.gvals * _fit_mass(self.fits, self.grid.size, self.weights(masses)) * gate
 
 
-def _payoff_vector(view, g, grid, masses, table, payoff_method, samples, seed_seq, gate=None):
-    if table is not None or payoff_method == "exact":
-        return (table or PayoffTable(view, g, grid)).payoffs(masses, gate)
-    if payoff_method not in PAYOFF_METHODS:
-        raise ValueError(f"unknown payoff method '{payoff_method}'")
-    if gate is None:
-        gate = _mixed_gate(view, grid, float(np.dot(grid, masses)))
-    # one opponent sample per call; every grid point reads F off it
-    nu = _admitted_mass(view, grid, grid, masses, samples,
-                        0 if seed_seq is None else seed_seq)
-    return _own_values(g, grid) * nu * gate
+def _payoff_vector(view, g, grid, masses, gate, table=None, samples=None, seed=0):
+    """F over the grid, gated: read off the exact table when there is one, else from
+    one seeded sample of `samples` opponent draws (exact draws when samples is None)."""
+    if table is not None:
+        return table.payoffs(masses, gate)
+    return _own_values(g, grid) * _admitted_mass(view, grid, grid, masses, samples, seed) * gate
 
 
 def _flow(view: CapacityRegionView, protocol: Protocol, w: np.ndarray, lam: np.ndarray,
@@ -123,13 +120,10 @@ def _flow(view: CapacityRegionView, protocol: Protocol, w: np.ndarray, lam: np.n
 
 
 def velocity(view: CapacityRegionView, g: Utility, protocol: Protocol,
-             state: PopulationState, table: PayoffTable = None,
-             payoff_method: str = "exact", samples: int = 100_000,
-             seed_seq=None) -> np.ndarray:
-    """Population flow of the given protocol at this state; sums to zero."""
+             state: PopulationState, table: PayoffTable = None) -> np.ndarray:
+    """Population flow of the given protocol at this state, on exact payoffs; sums to zero."""
     gate = _mixed_gate(view, state.grid, mean_rate(state))
-    F = _payoff_vector(view, g, state.grid, state.masses, table, payoff_method, samples,
-                       seed_seq, gate)
+    F = _payoff_vector(view, g, state.grid, state.masses, gate, table)
     return _flow(view, protocol, state.base_weights, state.masses, F, gate,
                  float(np.dot(state.masses, F)))
 
@@ -153,7 +147,7 @@ def euler_update(masses: np.ndarray, v: np.ndarray, dt: float) -> tuple:
 def step(view: CapacityRegionView, g: Utility, protocol: Protocol,
          state: PopulationState, dt: float, table: PayoffTable = None) -> PopulationState:
     """Advance the state by one Euler step of the protocol flow."""
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError("dt must be positive")
     v = velocity(view, g, protocol, state, table=table)
     masses, _ = euler_update(state.masses, v, dt)
@@ -177,10 +171,10 @@ class DynamicsRun:
     record_every: int = 100
     seed: int = 0
     payoff_method: str = "exact"
-    samples: int = 100_000
+    samples: int = MC_SAMPLES
 
     def __post_init__(self):
-        if self.dt <= 0.0:
+        if not self.dt > 0.0:
             raise ValueError("dt must be positive")
         if self.steps < 0:
             raise ValueError("steps must be non-negative")
@@ -221,12 +215,10 @@ def simulate(view: CapacityRegionView, g: Utility, run: DynamicsRun) -> Trace:
     for k in range(run.steps + 1):
         if k:
             masses, drift = euler_update(masses, v, run.dt)
-        seq = (np.random.SeedSequence(run.seed, spawn_key=(k,))
-               if run.payoff_method == "montecarlo" else None)
         mean = float(np.dot(grid, masses))
         gate = _mixed_gate(view, grid, mean)
-        F = _payoff_vector(view, g, grid, masses, table, run.payoff_method, run.samples, seq,
-                           gate)
+        seed = 0 if table is not None else np.random.SeedSequence(run.seed, spawn_key=(k,))
+        F = _payoff_vector(view, g, grid, masses, gate, table, run.samples, seed)
         Fbar = float(np.dot(masses, F))
         v = _flow(view, run.protocol, w, masses, F, gate, Fbar)
         if k % run.record_every == 0 or k == run.steps:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .capacity import ChannelModel
-from .dynamics import PAYOFF_METHODS, PROTOCOL_KINDS, Protocol
+from .dynamics import PAYOFF_METHODS, PROTOCOL_KINDS, DynamicsRun, Protocol
 from .game import Utility
 
 UTILITY_KINDS = ("identity", "log1p", "power")
@@ -27,14 +27,14 @@ class Scenario:
     g_power: float = 0.5
     grid_points: int = 51
     protocol: str = "bnn"
-    theta: float = 1.0
-    k: float = 1.0
-    dt: float = 0.01
-    steps: int = 20_000
-    record_every: int = 100
+    theta: float = Protocol.theta
+    k: float = Protocol.K
+    dt: float = DynamicsRun.dt
+    steps: int = DynamicsRun.steps
+    record_every: int = DynamicsRun.record_every
     seed: int = 0
-    payoff_method: str = "exact"
-    samples: int = 100_000
+    payoff_method: str = DynamicsRun.payoff_method
+    samples: int = DynamicsRun.samples
     trace_csv: str = "trace.csv"
     state_csv: str = "state.csv"
 
@@ -55,16 +55,18 @@ class ScenarioError(ValueError):
 def _convert(key: str, raw: str, where: str, problems: list):
     typ = _KEYS[key]
     try:
-        if typ is tuple:
-            return tuple(float(part) for part in raw.split(","))
         if typ is int:
             return int(raw)
-        if typ is float:
-            return float(raw)
-        return raw
+        if typ is str:
+            return raw
+        floats = [float(part) for part in (raw.split(",") if typ is tuple else [raw])]
     except ValueError:
         problems.append(f"{where}: {key} must be {typ.__name__}, got '{raw}'")
         return None
+    if not np.isfinite(floats).all():
+        problems.append(f"{where}: {key} must be finite, got '{raw}'")
+        return None
+    return tuple(floats) if typ is tuple else floats[0]
 
 
 def parse_scenario(text: str, overrides: dict = None) -> Scenario:

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: subcommands, output format, exit codes."""
 
 import math
+import re
 import runpy
 from pathlib import Path
 
@@ -205,6 +206,14 @@ class TestPlumbing:
         assert main(["-s", cfg, "region"]) == 2
         assert "theta must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["dynamics", "--dump-config"])
+    def test_non_finite_value_exit_2(self, command, tmp_path, monkeypatch, capsys):
+        # refused when parsed, not reported later as a diverging step
+        monkeypatch.chdir(tmp_path)
+        assert main(["-s", str(SCENARIOS / "sym2.cfg"), "--set", "dt=nan", command]) == 2
+        out, err = capsys.readouterr()
+        assert err == "error: --set dt: dt must be finite, got 'nan'\n" and out == ""
+
     def test_file_line_numbers_survive_set(self, capsys):
         assert main(["-s", str(SCENARIOS / "sym2.cfg"), "--set", "m=1", "region"]) == 2
         assert "error: line 3: snr needs 1 entries, got 2" in capsys.readouterr().err
@@ -244,6 +253,14 @@ class TestPlumbing:
 SWEEP_USERS = (1, 2, 3, 4, 5, 6, 8, 13, 21, 30)
 SWEEP_COMMANDS = ("region", "br", "check-eq", "metrics", "normalized", "ess", "dynamics",
                   "verify")
+# the refusal each subcommand documents for a valid scenario (README, exit codes)
+SWEEP_REFUSALS = {
+    "region": r"subset listing supports at most 12 users",
+    "br": r"no feasible action set: opponents' rates violate the region",
+    "normalized": r"utility '\w+' is not strictly concave on \(0, [0-9.e+-]+\)",
+    "ess": r"ESS test requires a symmetric channel",
+    "dynamics": r"exact table needs \d+ rows \(> 10000000\); use the Monte Carlo method",
+}
 
 
 def sweep_argv(seed, command, tmp_path):
@@ -266,7 +283,7 @@ def sweep_argv(seed, command, tmp_path):
 
 class TestExitCodeSweep:
     """Every subcommand on random valid scenarios ends in 0, 1 or 2, never a traceback;
-    verify holds on each of them."""
+    an exit 2 is the subcommand's documented refusal, and verify holds on each of them."""
 
     @pytest.mark.parametrize("command", SWEEP_COMMANDS)
     @pytest.mark.parametrize("seed", range(16))
@@ -275,6 +292,7 @@ class TestExitCodeSweep:
         assert code in (0, 1, 2)
         out, err = capsys.readouterr()
         if code == 2:
-            assert any(line.startswith("error:") for line in err.splitlines())
+            assert command in SWEEP_REFUSALS, err
+            assert re.fullmatch(f"error: {SWEEP_REFUSALS[command]}\n", err), err
         if command == "verify":
             assert code == 0 and "FAIL" not in out

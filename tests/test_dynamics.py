@@ -25,8 +25,9 @@ from macgame import (
 )
 from macgame.capacity import FEASIBILITY_TOL, reply_slack, subset_sums
 from macgame.cli import _random_mixed_state
-from macgame.dynamics import _payoff_vector, euler_update
-from macgame.evolution import EXACT_ENUM_LIMIT, _fit_mass, exact_rows, region_mass
+from macgame.dynamics import _flow, _payoff_vector, euler_update
+from macgame.evolution import (EXACT_ENUM_LIMIT, _fit_mass, _mixed_gate, exact_rows,
+                               region_mass)
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -57,6 +58,18 @@ class TestProtocol:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown"):
             Protocol("brownian")
+
+    def test_nan_settings_rejected(self, sym2):
+        nan = float("nan")
+        with pytest.raises(ValueError, match="theta"):
+            Protocol.smith(nan)
+        with pytest.raises(ValueError, match="K must be positive"):
+            Protocol.bnn(K=nan)
+        state0 = PopulationState.uniform(grid_with_rstar(sym2, n=11))
+        with pytest.raises(ValueError, match="dt must be positive"):
+            DynamicsRun(protocol=Protocol.bnn(), state0=state0, dt=nan)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            step(sym2, Utility.identity(), Protocol.bnn(), state0, nan)
 
     def test_positive_growth(self):
         with pytest.raises(ValueError, match="K"):
@@ -172,7 +185,8 @@ class TestPayoffEngine:
         state = PopulationState(grid, masses / masses.sum())   # mean low enough to gate few
         samples = 50_000
         exact = PayoffTable(view, g, grid).payoffs(state.masses)
-        mc = _payoff_vector(view, g, grid, state.masses, None, "montecarlo", samples,
+        gate = _mixed_gate(view, grid, mean_rate(state))
+        mc = _payoff_vector(view, g, grid, state.masses, gate, None, samples,
                             np.random.SeedSequence(11))
         gvals = g(grid)
         p = np.divide(exact, gvals, out=np.zeros_like(exact), where=gvals > 0)
@@ -387,13 +401,19 @@ class TestSimulate:
                           record_every=7, seed=3, payoff_method=method, samples=500)
         trace = simulate(view, g, run)
 
+        # exact payoffs step through the public velocity; Monte Carlo ones draw one
+        # sample per step from the seed's substream k, through _payoff_vector and _flow
         table = PayoffTable(view, g, grid) if method == "exact" else None
         state, rows, drift = run.state0, [], 0.0
         for k in range(run.steps + 1):
-            seq = np.random.SeedSequence(run.seed, spawn_key=(k,))
-            F = _payoff_vector(view, g, grid, state.masses, table, method, run.samples, seq)
-            v = velocity(view, g, proto, state, table=table, payoff_method=method,
-                         samples=run.samples, seed_seq=seq)
+            gate = _mixed_gate(view, grid, mean_rate(state))
+            F = _payoff_vector(view, g, grid, state.masses, gate, table, run.samples,
+                               np.random.SeedSequence(run.seed, spawn_key=(k,)))
+            if table is not None:
+                v = velocity(view, g, proto, state, table=table)
+            else:
+                v = _flow(view, proto, state.base_weights, state.masses, F, gate,
+                          float(np.dot(state.masses, F)))
             if k % run.record_every == 0 or k == run.steps:
                 rows.append((k * run.dt, mean_rate(state), float(np.dot(state.masses, F)),
                              float(np.abs(v).sum()), drift))
@@ -474,11 +494,16 @@ class TestNegativeGridPoints:
         grid = np.linspace(-5e-10, LN2, 21)
         g = Utility.power(0.5)
         state = PopulationState.uniform(grid)
-        F = _payoff_vector(sym2, g, grid, state.masses, None, method, 500,
+        gate = _mixed_gate(sym2, grid, mean_rate(state))
+        samples = None if method == "exact" else 500   # None: the exact draws, no table
+        F = _payoff_vector(sym2, g, grid, state.masses, gate, None, samples,
                            np.random.SeedSequence(1))
         assert np.all(np.isfinite(F)) and F[0] == 0.0
-        v = velocity(sym2, g, Protocol.bnn(), state, payoff_method=method, samples=500)
+        v = _flow(sym2, Protocol.bnn(), state.base_weights, state.masses, F, gate,
+                  float(np.dot(state.masses, F)))
         assert np.all(np.isfinite(v))
+        if method == "exact":
+            assert np.array_equal(v, velocity(sym2, g, Protocol.bnn(), state))
         run = DynamicsRun(protocol=Protocol.bnn(K=8.0), state0=state, steps=20,
                           record_every=5, payoff_method=method, samples=500)
         trace = simulate(sym2, g, run)

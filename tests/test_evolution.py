@@ -22,6 +22,7 @@ from macgame import (
     payoff,
     symmetric_equilibrium,
 )
+from macgame.evolution import ESS_SHARE
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -36,36 +37,35 @@ def three_point_state():
     return PopulationState(np.array([0.0, 0.3, 0.6]), np.full(3, 1.0 / 3.0))
 
 
-def pure_profile_ess_check(view, g, spec):
+def pure_profile_ess_check(view, g, spec, shares=(ESS_SHARE,)):
     """Second route to `ess_check`: the pure-game oracle on each invaded profile.
 
-    For each mutant, the smallest share whose monomorphic invaded profile
-    (b, ..., b) is feasible, then the payoffs of (r, b, ..., b) and
-    (mutant, b, ..., b) to user 0, at the oracle's FEASIBILITY_TOL.
+    For each mutant, the smallest of `shares` whose monomorphic invaded
+    profile (b, ..., b) is feasible (a mutant with none is skipped), then the
+    payoffs of (r, b, ..., b) and (mutant, b, ..., b) to user 0, at the
+    oracle's FEASIBILITY_TOL.
     """
     m, rstar, r = view.m, view.total / view.m, float(spec.resident)
     if not -1e-12 <= r <= rstar + 1e-12:
         raise ValueError(f"resident {r} outside [0, {rstar:g}]")
-    infeasible = 0
     for mut in np.linspace(0.0, rstar, spec.mutant_grid):
         mut = float(mut)
         if abs(mut - r) <= 1e-12:
             continue
-        shares = [e for e in sorted(spec.epsilon_grid)
-                  if is_feasible(view, np.full(m, e * mut + (1.0 - e) * r))]
-        if not shares:
-            infeasible += 1
+        fitting = [e for e in sorted(shares)
+                   if is_feasible(view, np.full(m, e * mut + (1.0 - e) * r))]
+        if not fitting:
             continue
-        b = np.full(m, shares[0] * mut + (1.0 - shares[0]) * r)
+        b = np.full(m, fitting[0] * mut + (1.0 - fitting[0]) * r)
         u_res = payoff(view, g, np.r_[r, b[1:]], 0)
         u_mut = payoff(view, g, np.r_[mut, b[1:]], 0)
         if not u_res > u_mut + 1e-12:
-            return EssResult(is_ess=False, witness=(mut, shares[0]),
-                             infeasible_invasions=infeasible)
-    return EssResult(is_ess=True, witness=None, infeasible_invasions=infeasible)
+            return EssResult(is_ess=False, witness=(mut, fitting[0]))
+    return EssResult(is_ess=True, witness=None)
 
 
 ESS_USERS = (1, 2, 3, 4, 5, 8, 13, 30, 1001)
+# share grids the reference route also invades at, to check that no share moves a verdict
 ESS_SHARES = ((0.1, 0.01, 0.001), (0.5,), (0.3, 0.9, 0.01), (1e-12,), (1e-12, 0.01))
 
 
@@ -159,7 +159,9 @@ class TestEssCheck:
     @pytest.mark.parametrize("m", ESS_USERS)
     def test_matches_pure_profile_route(self, m, shares):
         # residents at or below the split: 0, the split, a mutant grid point, uniform below,
-        # and 5e-11 above a grid point, where the mutant below scores within 1e-9 of it
+        # and 5e-11 above a grid point, where the mutant below scores within 1e-9 of it.
+        # The route at ESS_SHARE gives the same result; at the first fitting share of
+        # `shares` it gives the same verdict and witness mutant.
         rng = np.random.default_rng([m, len(shares), int(1e3 * shares[-1])])
         for kind in range(10):
             view = build_view(ChannelModel(np.full(m, math.exp(rng.uniform(-9.0, 9.0)))))
@@ -169,23 +171,20 @@ class TestEssCheck:
             grid = np.linspace(0.0, rstar, k)
             r = (0.0, rstar, float(grid[rng.integers(k)]), rstar * rng.uniform(),
                  float(grid[rng.integers(k - 1)]) + 5e-11)[kind % 5]
-            spec = EssTestSpec(resident=r, mutant_grid=k, epsilon_grid=shares)
-            assert ess_check(view, g, spec) == pure_profile_ess_check(view, g, spec)
+            spec = EssTestSpec(resident=r, mutant_grid=k)
+            got = ess_check(view, g, spec)
+            assert got == pure_profile_ess_check(view, g, spec)
+            other = pure_profile_ess_check(view, g, spec, shares)
+            assert other.is_ess == got.is_ess
+            assert (other.witness or (None,))[0] == (got.witness or (None,))[0]
 
     @pytest.mark.parametrize("m", [2, 3, 1001])
     def test_band_above_split_rejected(self, m):
         # the pure route admits residents up to 1e-12 above the split and answers them at
         # the oracle's 1e-9 tolerance; the gate admits m r <= C(N) + 1e-12
         view = build_view(ChannelModel(np.ones(m)))
-        specs = [EssTestSpec(resident=view.total / m + 1e-12, epsilon_grid=shares)
-                 for shares in ((1e-12,), (1e-12, 0.01))]
-        for spec in specs:
-            with pytest.raises(ValueError, match="outside the feasible symmetric range"):
-                ess_check(view, Utility.identity(), spec)
-        if m == 1001:   # where the pure route counted infeasible invasions, or a 0.01 witness
-            alone, paired = (pure_profile_ess_check(view, Utility.identity(), spec)
-                             for spec in specs)
-            assert alone.infeasible_invasions == 8 and paired.witness[1] == 0.01
+        with pytest.raises(ValueError, match="outside the feasible symmetric range"):
+            ess_check(view, Utility.identity(), EssTestSpec(resident=view.total / m + 1e-12))
 
 
 class TestMeanAndMixedRegion:

@@ -1,5 +1,7 @@
 """Scenario text format: parsing, validation, and the dump round trip."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,18 @@ def test_duplicate_key_rejected():
 def test_type_errors_reported():
     with pytest.raises(ScenarioError, match="m must be int"):
         parse_scenario("m = two\nsnr = 1,1\n")
+
+
+@pytest.mark.parametrize("key, raw", [("dt", "nan"), ("dt", "inf"), ("k", "nan"),
+                                      ("theta", "nan"), ("sigma2", "-inf"), ("snr", "nan,1")])
+def test_non_finite_values_rejected(key, raw):
+    # every float and float-list key, from an override or a file line
+    msg = f"{key} must be finite, got '{raw}'"
+    others = {k: v for k, v in {"m": "2", "snr": "1,1", "protocol": "smith"}.items() if k != key}
+    with pytest.raises(ScenarioError, match=re.escape(f"--set {key}: {msg}")):
+        parse_scenario("", {**others, key: raw})
+    with pytest.raises(ScenarioError, match=re.escape(f"line 1: {msg}")):
+        parse_scenario(f"{key} = {raw}\n", others)
 
 
 def test_snr_length_checked():
