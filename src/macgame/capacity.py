@@ -8,8 +8,8 @@ SNRs s_1..s_m admits the rate region
 a polymatroid whose rank function C(J) = ln(1 + s(J)) is monotone and
 submodular. The maximal face (total rate equal to the grand capacity,
 every user at or above its interference-limited safe rate) is where the
-game-theoretic structure lives, so the module also provides a residual
-and a sampler for it.
+game-theoretic structure lives, so the module also provides a residual,
+a sampler and the greedy vertices for it.
 
 Every membership query goes through one sorted-ratio prefix oracle: C is
 ln1p of a modular function, so the worst subset for a profile is a
@@ -38,8 +38,10 @@ FEASIBILITY_TOL = 1e-9
 # beyond this.
 MAX_ENUM_USERS = 20
 
-# itertools-based ordered subset listings (for display) stay cheap up to here.
+# itertools listings stay cheap up to here: ordered subsets (for display), and
+# all m! greedy vertices (40,320 rows at m = 8).
 MAX_LISTING_USERS = 12
+MAX_VERTEX_USERS = 8
 
 # Bisection on a block's common scale stops at a width of 4 ulps of the root.
 MAX_BISECT_ITER = 200
@@ -307,19 +309,16 @@ def sample_max_face(view: CapacityRegionView, count: int, seed: int) -> np.ndarr
     return np.einsum("ck,ckm->cm", weights, corners)
 
 
-def face_vertices(view: CapacityRegionView, limit: int = 720, seed: int = 0) -> np.ndarray:
-    """Greedy (permutation) vertices of the maximal face.
+def face_vertices(view: CapacityRegionView) -> np.ndarray:
+    """All m! greedy (permutation) vertices of the maximal face, one row each.
 
-    Every permutation pi yields the corner that serves users in order,
-    each taking its marginal capacity. All m! corners for small m, a
-    seeded sample of `limit` permutations otherwise.
+    Permutation pi serves users in its order, each taking its marginal
+    capacity. `game.efficiency_metrics` scores only the one serving users
+    by decreasing SNR; this listing is the tests' second route.
     """
-    m = view.m
-    if math.factorial(m) <= limit:
-        perms = np.array(list(itertools.permutations(range(m))))
-    else:
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        perms = rng.permuted(np.tile(np.arange(m), (limit, 1)), axis=1)
+    if view.m > MAX_VERTEX_USERS:
+        raise ValueError(f"vertex listing supports at most {MAX_VERTEX_USERS} users")
+    perms = np.array(list(itertools.permutations(range(view.m))))
     return _greedy_corners(view.model.snr, perms)
 
 

@@ -1,19 +1,33 @@
-"""Grid second route for the strong-equilibrium and Pareto verdicts.
+"""Grid second route for the strong-equilibrium and Pareto verdicts, and test vertices.
 
 Brute force over lattices of deviations, independent of the reply-slack
 test in `macgame.game`: exact only up to grid resolution, and exponential
-in the number of users, so it serves the tests alone.
+in the number of users, so it serves the tests alone. `greedy_vertices`
+draws test profiles at the face's corners for any m.
 """
 
 import itertools
+import math
 
 import numpy as np
 
 from macgame import is_feasible
-from macgame.capacity import feasible_rows
+from macgame.capacity import _greedy_corners, feasible_rows
 from macgame.game import IMPROVEMENT_MARGIN
 
 LATTICE_BLOCK_ROWS = 200_000
+
+
+def greedy_vertices(view, limit, seed):
+    """Greedy vertices of the maximal face: all m! of them when that is at most
+    `limit`, else `limit` rows from seeded random permutations."""
+    m = view.m
+    if math.factorial(m) <= limit:
+        perms = np.array(list(itertools.permutations(range(m))))
+    else:
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        perms = rng.permuted(np.tile(np.arange(m), (limit, 1)), axis=1)
+    return _greedy_corners(view.model.snr, perms)
 
 
 def _lattice_blocks(axes):

@@ -27,6 +27,8 @@ from macgame.capacity import (
     subset_sums,
 )
 
+from lattice import greedy_vertices
+
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
 
@@ -75,7 +77,7 @@ def oracle_cases(seed, count=40):
         if t % 3 == 0:
             snr = rng.choice(snr[: max(1, m // 2)], size=m)   # repeated SNRs
         view = build_view(ChannelModel(snr))
-        corners = face_vertices(view, limit=24, seed=t)
+        corners = greedy_vertices(view, 24, seed=t)
         mix = rng.dirichlet(np.ones(len(corners)), size=6) @ corners
         # rate moved between two users: the total stays C(N), an inner
         # constraint may break
@@ -284,6 +286,11 @@ class TestMaxFace:
         assert verts.shape == (6, 3)
         assert all(max_face_residual(view, v) == 0.0 for v in verts)
 
+    def test_vertex_listing_refused_above_eight_users(self):
+        assert face_vertices(build_view(ChannelModel(np.ones(8)))).shape == (40320, 8)
+        with pytest.raises(ValueError, match="at most 8 users"):
+            face_vertices(build_view(ChannelModel(np.ones(9))))
+
     def test_corners_exact_when_one_snr_dominates(self):
         # safe rates from total - s_i lost 1.8e-14 to cancellation here
         view = build_view(ChannelModel(np.array([6455.95, 0.0690820])))
@@ -328,7 +335,7 @@ class TestOracleAgainstEnumeration:
     def test_thousand_users(self):
         rng = np.random.default_rng(1000)
         view = build_view(ChannelModel(np.exp(rng.uniform(math.log(1e-2), math.log(1e2), 1000))))
-        corner = face_vertices(view, limit=1, seed=4)[0]
+        corner = greedy_vertices(view, 1, seed=4)[0]
         assert max_face_residual(view, corner) == 0.0
         assert is_nash(view, Utility.identity(), corner)
         assert not is_feasible(view, corner * 1.001)

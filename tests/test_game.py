@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import timeit
 import tracemalloc
 
 import numpy as np
@@ -24,11 +25,11 @@ from macgame import (
     potential,
     sample_max_face,
 )
-from macgame.capacity import face_vertices, feasible_rows, is_feasible, reply_slack
+from macgame.capacity import _greedy_corners, feasible_rows, is_feasible, reply_slack
 from macgame import game as game_module
 from macgame.game import IMPROVEMENT_MARGIN, NASH_TOL, _reply_slacks
 
-from lattice import pareto_by_lattice, strong_by_lattice
+from lattice import greedy_vertices, pareto_by_lattice, strong_by_lattice
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -54,13 +55,17 @@ class TestUtility:
         for g in (Utility.identity(), Utility.log1p(), Utility.power(0.5)):
             g.validate(LN2)
 
+    @staticmethod
+    def _table(ys):
+        return Utility(kind="table", fn=lambda x: np.interp(x, [0.0, 0.5, 1.0], ys))
+
     def test_table_kind(self):
-        g = Utility.from_table([0.0, 0.5, 1.0], [0.0, 0.4, 0.6])
+        g = self._table([0.0, 0.4, 0.6])
         g.validate(1.0)
         assert g(0.25) == pytest.approx(0.2)
 
     def test_decreasing_table_rejected_by_validate(self):
-        g = Utility.from_table([0.0, 0.5, 1.0], [0.0, 0.5, 0.3])
+        g = self._table([0.0, 0.5, 0.3])
         with pytest.raises(ValueError, match="increasing"):
             g.validate(1.0)
 
@@ -154,7 +159,7 @@ class TestNash:
 def _large_game_corners(m):
     """A greedy corner of a random m-user channel, and that corner scaled by 0.999."""
     view = build_view(ChannelModel(10.0 ** np.random.default_rng(m).uniform(-2.0, 2.0, size=m)))
-    corner = face_vertices(view, limit=1, seed=m)[0]
+    corner = greedy_vertices(view, 1, seed=m)[0]
     return view, corner, corner * 0.999
 
 
@@ -305,7 +310,7 @@ class TestOneSortSlacks:
     @staticmethod
     def _profiles(rng, view):
         m = view.m
-        corners = face_vertices(view, limit=6, seed=int(rng.integers(1 << 30)))
+        corners = greedy_vertices(view, 6, seed=int(rng.integers(1 << 30)))
         face = sample_max_face(view, 2, seed=int(rng.integers(1 << 30)))
         snr = view.model.snr
         tied = np.vstack([np.full(m, view.total / m),               # equal split
@@ -357,7 +362,7 @@ class TestOneSortSlacks:
         # the (m, m + 1) slack table is filled in blocks of users: at m = 2,000
         # one table alone would take 32 MB
         view = build_view(ChannelModel(np.full(2000, 0.01)))
-        corner = face_vertices(view, limit=1, seed=3)[0]
+        corner = greedy_vertices(view, 1, seed=3)[0]
         tracemalloc.start()
         try:
             assert is_nash(view, Utility.identity(), corner)
@@ -402,14 +407,14 @@ class TestEfficiency:
     @pytest.mark.parametrize("snr", [[1.0, 1.0], [1.0, 1.0, 1.0]])
     def test_identity_is_fully_efficient(self, snr, gid):
         view = build_view(ChannelModel(np.array(snr)))
-        out = efficiency_metrics(view, gid, seed=0)
+        out = efficiency_metrics(view, gid)
         assert out["spoa"] == pytest.approx(1.0, abs=1e-6)
         assert out["pos"] == pytest.approx(1.0, abs=1e-6)
         assert out["social_opt"] == pytest.approx(view.total, abs=1e-9)
 
     def test_concave_best_equilibrium_is_efficient(self, sym2):
         g = Utility.log1p()
-        out = efficiency_metrics(sym2, g, seed=2)
+        out = efficiency_metrics(sym2, g)
         # grid search along the face parameterization is the oracle for the
         # welfare optimum: alpha_1 in [r, C1], alpha_2 = C2 - alpha_1
         xs = np.linspace(float(sym2.safe_rates[0]), LN2, 20_001)
@@ -427,7 +432,7 @@ class TestEfficiency:
         model = ChannelModel(10.0 ** rng.uniform(-2.0, 2.0, size=m))
         view = build_view(model)
         g = Utility.log1p() if seed % 2 else Utility.power(0.5)
-        out = efficiency_metrics(view, g, seed=seed)
+        out = efficiency_metrics(view, g)
         face = sample_max_face(view, 5000, seed=seed + 100)
         assert out["social_opt"] >= float(g(face).sum(axis=1).max()) - 1e-12
         worst = np.inf
@@ -442,6 +447,90 @@ class TestEfficiency:
 
     def test_single_user_trivial(self, gid):
         view = build_view(ChannelModel(np.array([2.0])))
-        out = efficiency_metrics(view, gid, seed=1)
+        out = efficiency_metrics(view, gid)
         assert out["spoa"] == pytest.approx(1.0, abs=1e-12)
         assert out["pos"] == pytest.approx(1.0, abs=1e-12)
+
+
+VERTEX_UTILITIES = (Utility.identity(), Utility.log1p(), Utility.power(0.05),
+                    Utility.power(0.5), Utility.power(0.95))
+
+
+def _vertex_channels(seed, ms):
+    """SNRs spanning e^-9..e^9 for each m: distinct, with ties, and all equal."""
+    rng = np.random.default_rng(seed)
+    for m in ms:
+        snr = np.exp(rng.uniform(-9.0, 9.0, m))
+        yield snr
+        yield rng.choice(snr[: max(1, m // 2)], size=m)
+        yield np.full(m, snr[0])
+
+
+def _marginal_table(snr):
+    """(m, 2**m) table of user j's marginal capacity after the users of bitmask R.
+
+    C(R + j) - C(R), taken as ln(1 + s_j / (1 + s(R))) so a weak user keeps
+    its digits; the 0/1 membership rows of every mask come with it.
+    """
+    masks = np.arange(1 << snr.size)
+    members = (masks[:, None] >> np.arange(snr.size)) & 1
+    return np.log1p(snr[:, None] / (1.0 + members @ snr)), members
+
+
+def _worst_by_orders(snr, g):
+    """Lowest welfare over the greedy vertices of all m! service orders."""
+    table, _ = _marginal_table(snr)
+    perms = np.array(list(itertools.permutations(range(snr.size))))
+    served_before = np.cumsum(1 << perms, axis=1) - (1 << perms)
+    return float(g(table[perms, served_before]).sum(axis=1).min())
+
+
+def _worst_by_subsets(snr, g):
+    """The same minimum by a DP over served sets, O(2**m m):
+    f(S) = min over j in S of f(S - j) + g(C(S) - C(S - j)), answer f(N)."""
+    table, members = _marginal_table(snr)
+    f = np.zeros(1 << snr.size)
+    for k in range(1, snr.size + 1):
+        sets = np.flatnonzero(members.sum(axis=1) == k)
+        best = np.full(sets.size, np.inf)
+        for j in range(snr.size):
+            has = members[sets, j] == 1
+            rest = sets[has] ^ (1 << j)
+            best[has] = np.minimum(best[has], f[rest] + g(table[j, rest]))
+        f[sets] = best
+    return float(f[-1])
+
+
+class TestWorstVertex:
+    """The one decreasing-SNR vertex against every vertex of the face."""
+
+    @pytest.mark.parametrize("g", VERTEX_UTILITIES, ids=lambda g: g.kind)
+    def test_matches_every_order(self, g):
+        for snr in _vertex_channels(1, range(1, 8)):
+            out = efficiency_metrics(build_view(ChannelModel(snr)), g)
+            worst = _worst_by_orders(snr, g)
+            assert out["spoa"] == pytest.approx(worst / out["social_opt"], rel=1e-12)
+            assert out["pos"] == 1.0
+
+    @pytest.mark.parametrize("g", VERTEX_UTILITIES, ids=lambda g: g.kind)
+    def test_matches_subset_dp(self, g):
+        for snr in _vertex_channels(2, range(7, 13)):
+            out = efficiency_metrics(build_view(ChannelModel(snr)), g)
+            worst = _worst_by_subsets(snr, g)
+            assert out["spoa"] == pytest.approx(worst / out["social_opt"], rel=1e-12)
+
+    def test_vertex_on_face(self):
+        g = Utility.log1p()
+        for snr in _vertex_channels(4, (1, 2, 5, 12, 100, 1000)):
+            view = build_view(ChannelModel(snr))
+            vertex = _greedy_corners(snr, np.argsort(-snr, kind="stable")[None])[0]
+            assert max_face_residual(view, vertex) == 0.0
+            out = efficiency_metrics(view, g)
+            assert out["spoa"] * out["social_opt"] == pytest.approx(float(g(vertex).sum()),
+                                                                    rel=1e-12)
+
+    @pytest.mark.parametrize("g", [Utility.identity(), Utility.log1p()], ids=lambda g: g.kind)
+    def test_thousand_users_in_milliseconds(self, g):
+        view = build_view(ChannelModel(np.exp(np.random.default_rng(7).uniform(-4.0, 4.0, 1000))))
+        best = min(timeit.repeat(lambda: efficiency_metrics(view, g), number=1, repeat=5))
+        assert best < 0.01
