@@ -367,9 +367,9 @@ def _verify_checks(scenario: Scenario, view: CapacityRegionView, g: Utility):
         hits = 0
         trials, samples, z = 20, 20_000, 3.0
         for t in range(trials):
-            masses = rng.dirichlet(np.ones(grid.size))
-            state = evo.PopulationState(grid, masses)
-            a = float(rng.uniform(0.0, grid[-1]))
+            # the state's mean keeps the gate C(N) - (m-1)E non-empty, and a lies inside it
+            state = _random_mixed_state(rng, grid, view.total / max(m - 1, 1))
+            a = float(rng.uniform(0.0, min(grid[-1], view.total - (m - 1) * evo.mean_rate(state))))
             exact = evo.expected_payoff(view, g, a, state)
             mc, _ = evo.expected_payoff_mc(
                 view, g, a, state, samples=samples,

@@ -221,7 +221,7 @@ def _exact_fits(view: CapacityRegionView, actions: np.ndarray, grid: np.ndarray)
         raise ValueError(f"exact table needs {rows} rows (> {EXACT_ENUM_LIMIT}); "
                          "use the Monte Carlo method")
     if rows == n ** k:   # ordered tuples: the sorted listing is no shorter
-        idx, mult = np.indices((n,) * k).reshape(k, rows), None
+        idx, mult = _ordered_listing(n, k), None
     else:
         idx = np.ascontiguousarray(np.fromiter(itertools.chain.from_iterable(
             itertools.combinations_with_replacement(range(n), k)), np.intp, rows * k
@@ -236,7 +236,7 @@ def _exact_fits(view: CapacityRegionView, actions: np.ndarray, grid: np.ndarray)
         for lo in range(0, rows, EXACT_BLOCK_ROWS)])
     if k < 2:
         return fits, (lambda masses: masses) if k else (lambda masses: np.ones(1))
-    pair, rest = idx[0] * n + idx[1], idx[2:]
+    pair, rest = idx[0] * n + idx[1], idx[2:].copy()   # a copy, so idx can be freed
 
     def weights(masses: np.ndarray) -> np.ndarray:
         w = np.multiply.outer(masses, masses).ravel().take(pair)
@@ -244,6 +244,11 @@ def _exact_fits(view: CapacityRegionView, actions: np.ndarray, grid: np.ndarray)
             w *= masses.take(col)
         return w if mult is None else w * mult
     return fits, weights
+
+
+def _ordered_listing(n: int, k: int) -> np.ndarray:
+    """The n**k ordered opponent index tuples in C order, one per column: a (k, n**k) array."""
+    return np.indices((n,) * k).reshape(k, n ** k)
 
 
 def _fit_counts(actions: np.ndarray, slack: np.ndarray) -> np.ndarray:
@@ -265,7 +270,9 @@ def _admitted_mass(view, actions, grid, masses, samples=None, seed=0) -> np.ndar
 
     Exact over the opponent draws of `_exact_fits` (up to EXACT_ENUM_LIMIT
     rows) when samples is None, else the share of `samples` iid draws, fixed
-    per seed.
+    per seed. When the n**(m-1) ordered tuples are no more than the draws,
+    each tuple's fit count is computed once and each draw reads its own by
+    its C-order flat index: the same integer counts as one slack per draw.
     """
     if samples is None:
         fits, weights = _exact_fits(view, actions, grid)
@@ -273,8 +280,14 @@ def _admitted_mass(view, actions, grid, masses, samples=None, seed=0) -> np.ndar
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     rng = np.random.Generator(np.random.Philox(seed))   # seed: int or SeedSequence
-    idx = rng.choice(grid.size, size=(samples, view.m - 1), p=masses)
-    return _fit_mass(_fit_counts(actions, reply_slack(view, 0, grid[idx])), actions.size) / samples
+    n, k = grid.size, view.m - 1
+    idx = rng.choice(n, size=(samples, k), p=masses)
+    if n ** k <= samples:
+        tuple_fits = _fit_counts(actions, reply_slack(view, 0, grid[_ordered_listing(n, k)].T))
+        fits = tuple_fits.take(idx @ n ** np.arange(k - 1, -1, -1))
+    else:
+        fits = _fit_counts(actions, reply_slack(view, 0, grid[idx]))
+    return _fit_mass(fits, actions.size) / samples
 
 
 def _own_values(g: Utility, actions: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ from macgame.cli import main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 COMPARISON = SCENARIOS.parent / "scripts" / "run_protocol_comparison.py"
+COMPARE_OUTPUTS = SCENARIOS.parent / "scripts" / "compare_outputs.py"
 
 
 def write_scenario(tmp_path, text, name="case.cfg"):
@@ -155,6 +156,14 @@ class TestProtocolComparisonScript:
                      "--set", "trace_csv=cli_trace.csv", "dynamics"]) == 0
         ours = (tmp_path / "asym2_trace.bnn.csv").read_bytes()
         assert ours == (tmp_path / "cli_trace.csv").read_bytes()
+
+
+class TestCompareOutputsScript:
+    def test_same_tree_shows_no_difference(self, capsys):
+        src = str(SCENARIOS.parent / "src")
+        script = runpy.run_path(str(COMPARE_OUTPUTS), run_name="compare_outputs")
+        assert script["main"]([src, src, str(SCENARIOS / "sym3.cfg")]) == 0
+        assert capsys.readouterr().out == "1 scenario(s) compared, 0 output(s) differ\n"
 
 
 class TestVerify:

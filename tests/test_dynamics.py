@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -193,6 +194,22 @@ class TestPayoffEngine:
         se = gvals * np.sqrt(p * (1.0 - p) / samples)
         assert np.count_nonzero((exact > 0) & (exact < gvals)) >= 5
         assert np.all(np.abs(mc - exact) <= 3.0 * se + 1e-12)
+
+    def test_retains_at_most_48_bytes_per_row(self):
+        # per sorted row: the pair index, three further index columns, the multiplicity
+        # and the fit count, 8 bytes each; the full (m - 1, rows) index array is freed
+        view = build_view(ChannelModel(np.ones(6)))
+        grid = np.linspace(0.0, float(view.single_caps.max()), 31)
+        rows = exact_rows(view, grid.size)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table = PayoffTable(view, Utility.identity(), grid)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert (rows, table.fits.size) == (324_632, rows)
+        assert retained <= 48 * rows + 64 * 1024   # a fixed 64 KiB for the per-grid part
 
 
 def ordered_listing(view, grid):

@@ -7,9 +7,11 @@ import pytest
 
 from macgame import (
     ChannelModel,
+    DynamicsRun,
     EssResult,
     EssTestSpec,
     PopulationState,
+    Protocol,
     Utility,
     build_view,
     ess_check,
@@ -20,9 +22,11 @@ from macgame import (
     mean_rate,
     mixed_feasible,
     payoff,
+    simulate,
     symmetric_equilibrium,
 )
-from macgame.evolution import ESS_SHARE
+from macgame.capacity import FEASIBILITY_TOL, reply_slack
+from macgame.evolution import ESS_SHARE, _admitted_mass
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -319,3 +323,76 @@ class TestExpectedPayoff:
         view = build_view(ChannelModel(np.array([1.0])))
         state = PopulationState(np.array([0.0, 0.3]), np.array([0.5, 0.5]))
         assert expected_payoff(view, Utility.identity(), 0.4, state) == pytest.approx(0.4)
+
+
+def per_draw_admitted_mass(view, actions, grid, masses, samples, seed):
+    """Second route to Monte Carlo nu: one reply slack for every sampled opponent draw."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    idx = rng.choice(grid.size, size=(samples, view.m - 1), p=masses)
+    slack = reply_slack(view, 0, grid[idx])
+    return (actions <= slack[:, None] + FEASIBILITY_TOL).sum(axis=0) / samples
+
+
+MC_CHANNELS = {"symmetric": [1.5, 1.5, 1.5, 1.5], "asymmetric": [3.0, 1.0, 0.5, 2.0]}
+
+
+class TestMonteCarloLookup:
+    """Draws read their fit count off the ordered listing when it is no longer than the
+    sample (n**(m-1) <= samples); against a longer listing each draw solves its own slack."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("channel", sorted(MC_CHANNELS))
+    @pytest.mark.parametrize("which", ["one", "grid", "off-grid"])
+    def test_matches_per_draw_route(self, m, channel, which):
+        view = build_view(ChannelModel(np.array(MC_CHANNELS[channel][:m])))
+        n = 5
+        grid = np.linspace(0.0, float(view.single_caps.max()), n)
+        rng = np.random.default_rng(10 * m + len(channel))
+        masses = rng.dirichlet(np.ones(n))
+        masses[1] = 0.0                     # a grid point no draw can land on
+        masses /= masses.sum()
+        actions = {"one": grid[2:3], "grid": grid,
+                   "off-grid": np.sort(rng.uniform(0.0, 1.1 * grid[-1], 6))}[which]
+        rows = n ** (m - 1)
+        for samples in (rows - 1, rows, rows + 1):
+            if samples < 1:
+                continue
+            for seed in (0, 7, np.random.SeedSequence(3, spawn_key=(5,))):
+                got = _admitted_mass(view, actions, grid, masses, samples, seed)
+                want = per_draw_admitted_mass(view, actions, grid, masses, samples, seed)
+                assert np.array_equal(got, want), (samples, seed)
+
+
+class TestSingleUserMonteCarlo:
+    """At m = 1 there are no opponents: every draw is empty and admits every gated action."""
+
+    @pytest.fixture
+    def solo(self):
+        view = build_view(ChannelModel(np.array([2.0])))
+        grid = make_grid(float(view.single_caps.max()), 11)
+        return view, PopulationState(grid, np.random.default_rng(1).dirichlet(np.ones(11)))
+
+    @pytest.mark.parametrize("samples", [1, 2, 1000])
+    def test_admitted_mass_is_one(self, solo, samples):
+        view, state = solo
+        nu = _admitted_mass(view, state.grid, state.grid, state.masses, samples, 4)
+        assert np.array_equal(nu, np.ones(state.n))
+        assert np.array_equal(nu, _admitted_mass(view, state.grid, state.grid, state.masses))
+
+    def test_expected_payoff_mc_matches_exact(self, solo):
+        view, state = solo
+        g = Utility.log1p()
+        for a in state.grid:
+            val, se = expected_payoff_mc(view, g, float(a), state, samples=500, seed=2)
+            assert (val, se) == (expected_payoff(view, g, float(a), state), 0.0)
+            assert val == float(g(a))
+
+    def test_simulate_matches_exact(self, solo):
+        view, state = solo
+        traces = [simulate(view, Utility.log1p(),
+                           DynamicsRun(protocol=Protocol.bnn(), state0=state, steps=30,
+                                       record_every=10, payoff_method=method, samples=200))
+                  for method in ("exact", "montecarlo")]
+        for field in ("t", "mean_rate", "avg_payoff", "velocity_l1", "mass_drift"):
+            assert np.array_equal(getattr(traces[0], field), getattr(traces[1], field))
+        assert np.array_equal(traces[0].final_state.masses, traces[1].final_state.masses)
