@@ -41,7 +41,6 @@ from .evolution import (
     make_grid,
     mean_rate,
     mixed_feasible,
-    symmetric_equilibrium,
 )
 from .dynamics import (
     DynamicsRun,
@@ -50,7 +49,6 @@ from .dynamics import (
     Trace,
     rest_point_residual,
     simulate,
-    step,
     velocity,
 )
 from .scenario import Scenario, ScenarioError, dump_scenario, parse_scenario

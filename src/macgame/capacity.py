@@ -71,13 +71,6 @@ class ChannelModel:
         return bool(np.all(np.abs(self.snr - s0) <= 1e-12 * max(abs(s0), 1.0)))
 
     @classmethod
-    def symmetric_model(cls, m: int, power: float, noise_var: float, gain: float = 1.0):
-        """All users share the same transmit power, gain, and noise floor."""
-        if m < 1:
-            raise ValueError("need at least one user")
-        return cls(np.full(m, power * gain / noise_var))
-
-    @classmethod
     def from_link_budget(cls, powers, gains, noise_var: float):
         powers = np.asarray(powers, dtype=float)
         gains = np.asarray(gains, dtype=float)

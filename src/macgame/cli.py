@@ -364,7 +364,7 @@ def _verify_checks(scenario: Scenario, view: CapacityRegionView, g: Utility):
         if m > 3:
             return None, "m > 3, exact oracle too large"
         grid = np.linspace(0.0, float(view.single_caps.max()), 21)
-        hits = 0
+        hits, dev, var = 0, 0.0, 0.0
         trials, samples, z = 20, 20_000, 3.0
         for t in range(trials):
             # the state's mean keeps the gate C(N) - (m-1)E non-empty, and a lies inside it
@@ -384,8 +384,14 @@ def _verify_checks(scenario: Scenario, view: CapacityRegionView, g: Utility):
                                           + z * z / (4 * samples * samples))
             if abs(nu - centre) <= half + 1e-12:
                 hits += 1
-        return hits >= trials - 1, (f"{hits}/{trials} exact nu in the Wilson interval "
-                                    f"(z = {z:g}, slack 1e-12)")
+            dev += p_hat - nu
+            var += nu * (1.0 - nu) / samples
+        # pooled over the trials, which catches a bias too small for any one interval; with
+        # every nu in {0, 1} each p_hat equals its nu, so z is 0 unless the sum moved
+        pooled = dev / math.sqrt(var) if var > 0.0 else (0.0 if abs(dev) <= 1e-12 else math.inf)
+        return hits >= trials - 1 and abs(pooled) <= z, (
+            f"{hits}/{trials} exact nu in the Wilson interval (z = {z:g}, slack 1e-12), "
+            f"pooled z = {pooled:.2f} (tol |z| <= {z:g})")
 
     return [
         ("capacity-identities", check_capacity_identities),

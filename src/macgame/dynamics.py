@@ -144,16 +144,6 @@ def euler_update(masses: np.ndarray, v: np.ndarray, dt: float) -> tuple:
     return clipped / s, abs(s - 1.0)
 
 
-def step(view: CapacityRegionView, g: Utility, protocol: Protocol,
-         state: PopulationState, dt: float, table: PayoffTable = None) -> PopulationState:
-    """Advance the state by one Euler step of the protocol flow."""
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    v = velocity(view, g, protocol, state, table=table)
-    masses, _ = euler_update(state.masses, v, dt)
-    return state.replace_masses(masses)
-
-
 def rest_point_residual(view: CapacityRegionView, g: Utility, protocol: Protocol,
                         state: PopulationState, table: PayoffTable = None) -> float:
     """L1 norm of the protocol velocity; zero exactly at rest points."""

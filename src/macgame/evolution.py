@@ -31,7 +31,6 @@ from .capacity import (
     FEASIBILITY_TOL,
     CapacityRegionView,
     is_feasible,
-    max_face_residual,
     reply_slack,
 )
 from .game import Utility
@@ -117,18 +116,6 @@ class PopulationState:
 
 def mean_rate(state: PopulationState) -> float:
     return float(np.dot(state.grid, state.masses))
-
-
-def symmetric_equilibrium(view: CapacityRegionView) -> float:
-    """The equal split C(N)/m, the unique symmetric pure equilibrium rate."""
-    if not view.model.symmetric:
-        raise ValueError("symmetric equilibrium requires a symmetric channel")
-    rstar = view.total / view.m
-    if view.safe_rates.max() > rstar + 1e-12:
-        raise ValueError("safe rate exceeds the equal split; channel data corrupt")
-    if max_face_residual(view, np.full(view.m, rstar)) != 0.0:
-        raise ValueError("equal split is off the maximal face; channel data corrupt")
-    return rstar
 
 
 def mixed_feasible(view: CapacityRegionView, states) -> bool:
@@ -281,13 +268,55 @@ def _admitted_mass(view, actions, grid, masses, samples=None, seed=0) -> np.ndar
         raise ValueError(f"samples must be at least 1, got {samples}")
     rng = np.random.Generator(np.random.Philox(seed))   # seed: int or SeedSequence
     n, k = grid.size, view.m - 1
-    idx = rng.choice(n, size=(samples, k), p=masses)
+    idx = _draw_indices(rng, n, masses, (samples, k))
     if n ** k <= samples:
         tuple_fits = _fit_counts(actions, reply_slack(view, 0, grid[_ordered_listing(n, k)].T))
-        fits = tuple_fits.take(idx @ n ** np.arange(k - 1, -1, -1))
+        flat = np.zeros(samples, np.intp)
+        for col in idx.T:                  # Horner: the draw's C-order index in the listing
+            flat *= n
+            flat += col
+        fits = tuple_fits.take(flat)
     else:
         fits = _fit_counts(actions, reply_slack(view, 0, grid[idx]))
     return _fit_mass(fits, actions.size) / samples
+
+
+def _draw_indices(rng: np.random.Generator, n: int, masses, shape) -> np.ndarray:
+    """`rng.choice(n, size=shape, p=masses)`, draw for draw, without its binary search per draw.
+
+    The same checks on p (as ValueErrors), the same normalised cdf and the same
+    uniforms u; `choice` returns cdf.searchsorted(u, "right"). Here a guide
+    table (Chen & Asau 1974) splits [0, 1) into B = 2**b equal buckets: u * B
+    and its floor are exact, and a bucket with no cdf value inside its interval
+    gives every u in it the index of its left edge. Only the uniforms in the
+    at most n buckets that do hold one are searched.
+    """
+    p = np.asarray(masses, dtype=float)
+    if p.ndim != 1:
+        raise ValueError("p must be 1-dimensional")
+    if p.size != n:
+        raise ValueError("a and p must have same size")
+    total = p.sum()
+    if np.isnan(total):
+        raise ValueError("Probabilities contain NaN")
+    if np.any(p < 0.0):
+        raise ValueError("Probabilities are not non-negative")
+    if abs(total - 1.0) > math.sqrt(np.finfo(float).eps):
+        raise ValueError("Probabilities do not sum to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(shape)
+    # a power of two >= 64 n, but none above the first one >= the draw count (so a small
+    # sample builds no large table), and at least 256
+    buckets = 1 << max(8, (min(64 * n, u.size) - 1).bit_length())
+    edges = np.arange(buckets + 1) / buckets
+    left = cdf.searchsorted(edges[:-1], side="right")
+    guide = np.where(left == cdf.searchsorted(edges[1:], side="left"), left, -1)
+    idx = guide.take((u * buckets).astype(np.intp))
+    flat = idx.reshape(-1)
+    search = np.flatnonzero(flat < 0)
+    flat[search] = cdf.searchsorted(u.reshape(-1).take(search), side="right")
+    return idx
 
 
 def _own_values(g: Utility, actions: np.ndarray) -> np.ndarray:

@@ -37,7 +37,6 @@ from macgame import (
     safe_rate,
     sample_max_face,
     simulate,
-    symmetric_equilibrium,
 )
 from macgame.cli import _random_mixed_state
 
@@ -101,7 +100,7 @@ def test_criterion_02_nash_iff_max_face():
 
 def test_criterion_03_strong_equilibria_on_face():
     t0 = time.time()
-    view = build_view(ChannelModel.symmetric_model(3, power=25.0, noise_var=0.1))
+    view = build_view(ChannelModel(np.full(3, 25.0 * 1.0 / 0.1)))
     g = Utility.identity()
     rng = np.random.default_rng(303)
     face = sample_max_face(view, 50, seed=23)
@@ -173,7 +172,7 @@ def test_criterion_07_ess():
     t0 = time.time()
     for m in (2, 3):
         view = build_view(ChannelModel(np.ones(m)))
-        rstar = symmetric_equilibrium(view)
+        rstar = view.total / view.m
         for g in (Utility.identity(), Utility.log1p()):
             good = ess_check(view, g, EssTestSpec(resident=rstar, mutant_grid=50))
             assert good.is_ess and good.witness is None

@@ -35,7 +35,7 @@ LN3 = math.log(3.0)
 
 def sym3_example():
     # P = 25, noise variance 0.1 -> per-user SNR 250
-    return ChannelModel.symmetric_model(3, power=25.0, noise_var=0.1)
+    return ChannelModel(np.full(3, 25.0 * 1.0 / 0.1))
 
 
 def snr_models(max_m=8):

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from macgame import evolution as evo
 from macgame.cli import main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -182,6 +183,20 @@ class TestVerify:
         assert main(argv + ["verify"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out and "failed 0" in out
+
+    @pytest.mark.parametrize("name", ["sym2.cfg", "sym3.cfg", "asym2.cfg"])
+    def test_montecarlo_bias_of_one_percent_fails(self, name, capsys, monkeypatch):
+        # every Monte Carlo nu scaled by 0.99: on asym2 each trial's interval still holds
+        # it, so the pooled z over the 20 trials is what fails there
+        exact = evo._admitted_mass
+
+        def biased(view, actions, grid, masses, samples=None, seed=0):
+            nu = exact(view, actions, grid, masses, samples, seed)
+            return nu if samples is None else 0.99 * nu
+        monkeypatch.setattr(evo, "_admitted_mass", biased)
+        assert main(["-s", str(SCENARIOS / name), "verify"]) == 1
+        line = next(ln for ln in capsys.readouterr().out.splitlines() if "montecarlo" in ln)
+        assert line.startswith("FAIL montecarlo-payoffs:") and "(tol |z| <= 3)" in line
 
     def test_rest_points_skip_beyond_exact_limit(self, capsys):
         assert main(["--set", "m=7", "--set", "p=1", "verify"]) == 0

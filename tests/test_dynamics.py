@@ -21,7 +21,6 @@ from macgame import (
     mean_rate,
     rest_point_residual,
     simulate,
-    step,
     velocity,
 )
 from macgame.capacity import FEASIBILITY_TOL, reply_slack, subset_sums
@@ -69,8 +68,6 @@ class TestProtocol:
         state0 = PopulationState.uniform(grid_with_rstar(sym2, n=11))
         with pytest.raises(ValueError, match="dt must be positive"):
             DynamicsRun(protocol=Protocol.bnn(), state0=state0, dt=nan)
-        with pytest.raises(ValueError, match="dt must be positive"):
-            step(sym2, Utility.identity(), Protocol.bnn(), state0, nan)
 
     def test_positive_growth(self):
         with pytest.raises(ValueError, match="K"):
@@ -349,14 +346,16 @@ class TestStep:
     def test_zero_velocity_is_identity(self, sym2, gid):
         grid = grid_with_rstar(sym2)
         state = PopulationState.dirac(grid, sym2.total / 2)
-        after = step(sym2, gid, Protocol.bnn(), state, dt=0.01)
+        run = DynamicsRun(protocol=Protocol.bnn(), state0=state, dt=0.01, steps=1)
+        after = simulate(sym2, gid, run).final_state
         assert np.array_equal(after.masses, state.masses)
 
     def test_mass_stays_normalized(self, sym2, gid):
         grid = grid_with_rstar(sym2)
         state = PopulationState.uniform(grid)
         for _ in range(50):
-            state = step(sym2, gid, Protocol.bnn(K=32.0), state, dt=0.01)
+            run = DynamicsRun(protocol=Protocol.bnn(K=32.0), state0=state, dt=0.01, steps=1)
+            state = simulate(sym2, gid, run).final_state
         assert abs(state.masses.sum() - 1.0) < 1e-12
         assert state.masses.min() >= 0.0
 

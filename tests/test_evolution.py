@@ -19,14 +19,14 @@ from macgame import (
     expected_payoff_mc,
     is_feasible,
     make_grid,
+    max_face_residual,
     mean_rate,
     mixed_feasible,
     payoff,
     simulate,
-    symmetric_equilibrium,
 )
 from macgame.capacity import FEASIBILITY_TOL, reply_slack
-from macgame.evolution import ESS_SHARE, _admitted_mass
+from macgame.evolution import ESS_SHARE, _admitted_mass, _draw_indices
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -106,23 +106,33 @@ class TestPopulationState:
         assert np.all(np.diff(grid) > 0)
 
 
+def equal_split(view):
+    """C(N)/m, asserted to be the symmetric pure equilibrium: on the maximal face and
+    no lower than any safe rate."""
+    rstar = view.total / view.m
+    assert max_face_residual(view, np.full(view.m, rstar)) == 0.0
+    assert view.safe_rates.max() <= rstar + 1e-12
+    return rstar
+
+
 class TestSymmetricEquilibrium:
     def test_two_user(self, sym2):
-        assert symmetric_equilibrium(sym2) == pytest.approx(LN3 / 2, abs=1e-15)
+        assert equal_split(sym2) == pytest.approx(LN3 / 2, abs=1e-15)
 
     def test_three_user_example(self):
-        view = build_view(ChannelModel.symmetric_model(3, power=25.0, noise_var=0.1))
-        assert symmetric_equilibrium(view) == pytest.approx(
-            math.log(751.0) / 3.0, abs=1e-12)
+        view = build_view(ChannelModel(np.full(3, 25.0 * 1.0 / 0.1)))
+        assert equal_split(view) == pytest.approx(math.log(751.0) / 3.0, abs=1e-12)
 
     def test_single_user(self):
         view = build_view(ChannelModel(np.array([1.0])))
-        assert symmetric_equilibrium(view) == pytest.approx(LN2, abs=1e-15)
+        assert equal_split(view) == pytest.approx(LN2, abs=1e-15)
 
     def test_asymmetric_rejected(self):
+        # the equal split leaves the region, and the ESS test refuses the channel
         view = build_view(ChannelModel(np.array([3.0, 1.0])))
+        assert not is_feasible(view, np.full(2, view.total / 2))
         with pytest.raises(ValueError, match="symmetric"):
-            symmetric_equilibrium(view)
+            ess_check(view, Utility.identity(), EssTestSpec(resident=0.1))
 
 
 class TestEssCheck:
@@ -396,3 +406,73 @@ class TestSingleUserMonteCarlo:
         for field in ("t", "mean_rate", "avg_payoff", "velocity_l1", "mass_drift"):
             assert np.array_equal(getattr(traces[0], field), getattr(traces[1], field))
         assert np.array_equal(traces[0].final_state.masses, traces[1].final_state.masses)
+
+
+def draw_states(n):
+    """Named mass vectors on n points: smooth, sparse, Dirac, 1e-300 masses, bucket edges."""
+    rng = np.random.default_rng(n)
+    smooth = rng.dirichlet(np.ones(n))
+    sparse = rng.dirichlet(np.full(n, 0.3))
+    sparse[rng.random(n) < 0.5] = 0.0
+    sparse[-1] += 1.0 - sparse.sum()
+    tiny = np.full(n, 1e-300)
+    tiny[n // 2] = 1.0 - (n - 1) * 1e-300
+    states = {"smooth": smooth, "sparse": sparse, "dirac-first": np.eye(n)[0],
+              "dirac-last": np.eye(n)[-1], "tiny": tiny}
+    if n % 4 == 0 or n == 2:
+        states["uniform"] = np.full(n, 1.0 / n)    # every cdf value on a bucket edge
+    return states
+
+
+class TestDrawIndices:
+    """`_draw_indices` returns `Generator.choice`'s draws, one for one."""
+
+    @staticmethod
+    def choice(n, masses, shape, seed):
+        return np.random.Generator(np.random.Philox(seed)).choice(n, size=shape, p=masses)
+
+    @staticmethod
+    def draw(n, masses, shape, seed):
+        return _draw_indices(np.random.Generator(np.random.Philox(seed)), n, masses, shape)
+
+    @pytest.mark.parametrize("n", [2, 21, 31, 51, 201])
+    def test_matches_choice(self, n):
+        seeds = (0, 12345, np.random.SeedSequence(7, spawn_key=(3,)))
+        for name, masses in draw_states(n).items():
+            for shape in ((20_000, 2), (1, 1), (3000, 3), (50, 0)):
+                for seed in seeds:
+                    got = self.draw(n, masses, shape, seed)
+                    want = self.choice(n, masses, shape, seed)
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert np.array_equal(got, want), (name, shape, seed)
+
+    @pytest.mark.parametrize("masses", [[0.25, 0.25, 0.5], [0.5, 0.0, 0.25, 0.25],
+                                        [0.0, 0.0, 1.0], [0.75, 0.25, 0.0]])
+    def test_cdf_on_bucket_edges(self, masses):
+        for seed in range(5):
+            assert np.array_equal(self.draw(len(masses), masses, (100_000, 2), seed),
+                                  self.choice(len(masses), masses, (100_000, 2), seed))
+
+    def test_single_user_shape(self):
+        masses = draw_states(21)["smooth"]
+        got = self.draw(21, masses, (1000, 0), 4)
+        assert got.shape == (1000, 0)
+        assert np.array_equal(got, self.choice(21, masses, (1000, 0), 4))
+
+    @pytest.mark.parametrize("masses, match", [
+        ([0.5, -0.1, 0.6], "non-negative"),
+        ([0.5, np.nan, 0.5], "NaN"),
+        ([0.5, 0.5 - 1e-6], "sum to 1"),
+        ([0.5, 0.5 + 1e-6], "sum to 1"),
+        ([[0.5, 0.5], [0.5, 0.5]], "1-dimensional"),
+    ])
+    def test_invalid_masses_rejected_as_choice_does(self, masses, match):
+        n = len(masses)
+        with pytest.raises(ValueError):
+            self.choice(n, masses, (10, 2), 0)
+        with pytest.raises(ValueError, match=match):
+            self.draw(n, masses, (10, 2), 0)
+
+    def test_size_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="same size"):
+            self.draw(3, [0.5, 0.5], (10, 2), 0)

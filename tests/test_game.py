@@ -42,7 +42,7 @@ def sym2():
 
 @pytest.fixture
 def sym3():
-    return build_view(ChannelModel.symmetric_model(3, power=25.0, noise_var=0.1))
+    return build_view(ChannelModel(np.full(3, 25.0 * 1.0 / 0.1)))
 
 
 @pytest.fixture
