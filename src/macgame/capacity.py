@@ -21,6 +21,12 @@ one maximiser of a weighted separable concave welfare over the face. The
 2**m table of `subset_sums` (`view.cap`) is the independent second route,
 kept for listings and checks.
 
+At small m a one-profile query costs numpy dispatch, not arithmetic, so
+those paths take the cheapest call with the same result: a 1-D extreme is
+read as x[x.argmin()] or x[x.argmax()], the value x.min() or x.max() gives
+(NaN included) without a ufunc reduction's fixed cost, and running sums
+call np.add.accumulate, which x.cumsum() wraps.
+
 Users are indexed 0..m-1 throughout.
 """
 from __future__ import annotations
@@ -184,10 +190,12 @@ def build_view(model: ChannelModel) -> CapacityRegionView:
 
 
 def as_profile(m: int, rates) -> np.ndarray:
-    rates = np.atleast_1d(np.asarray(rates, dtype=float))
+    rates = np.asarray(rates, dtype=float)
+    if rates.ndim == 0:
+        rates = rates.reshape(1)
     if rates.shape != (m,):
         raise ValueError(f"rate profile must have length {m}, got shape {rates.shape}")
-    if not np.all(np.isfinite(rates)):
+    if np.count_nonzero(np.isfinite(rates)) < m:
         raise ValueError("rate profile must be finite")
     return rates
 
@@ -200,11 +208,11 @@ def _ratio_prefixes(rates: np.ndarray, snr: np.ndarray) -> tuple:
     alpha_i / s_i (ties in index order). The prefix axis comes first so the
     running sums vectorise over the batch.
     """
-    order = np.argsort(-(rates / snr).T, axis=0, kind="stable")
     if rates.ndim == 1:
-        picked = rates[order]
-    else:
-        picked = rates[np.arange(rates.shape[0]), order]
+        order = (-(rates / snr)).argsort(kind="stable")
+        return order, np.add.accumulate(rates[order]), np.add.accumulate(snr[order])
+    order = (-(rates / snr)).T.argsort(axis=0, kind="stable")
+    picked = rates[np.arange(rates.shape[0]), order]
     return order, picked.cumsum(axis=0), snr[order].cumsum(axis=0)
 
 
@@ -218,8 +226,8 @@ def worst_excess(view: CapacityRegionView, rates):
     """
     rates = np.asarray(rates, dtype=float)
     _, cum_rates, cum_snr = _ratio_prefixes(rates, view.model.snr)
-    worst = (cum_rates - np.log1p(cum_snr)).max(axis=0)
-    return worst if rates.ndim == 2 else float(worst)
+    excess = cum_rates - np.log1p(cum_snr)
+    return excess.max(axis=0) if rates.ndim == 2 else float(excess[excess.argmax()])
 
 
 def reply_slack(view: CapacityRegionView, user: int, others):
@@ -233,12 +241,20 @@ def reply_slack(view: CapacityRegionView, user: int, others):
     others = np.asarray(others, dtype=float)
     snr = view.model.snr
     own = float(snr[user])
-    _, cum_rates, cum_snr = _ratio_prefixes(others, np.delete(snr, user))
-    slack = np.minimum(math.log1p(own),
-                       (np.log1p(own + cum_snr) - cum_rates).min(axis=0, initial=np.inf))
+    user %= snr.size   # a negative user counts from the end, as in snr[user]
+    _, cum_rates, cum_snr = _ratio_prefixes(others, np.concatenate((snr[:user], snr[user + 1:])))
+    gaps = np.log1p(own + cum_snr) - cum_rates
+    excess = cum_rates - np.log1p(cum_snr)
+    if others.ndim == 1:
+        if not others.size:   # no opponents (m = 1): the cap is C({user})
+            return math.log1p(own)
+        if not (others[others.argmin()] >= -FEASIBILITY_TOL
+                and excess[excess.argmax()] <= FEASIBILITY_TOL):
+            return -math.inf
+        return min(math.log1p(own), float(gaps[gaps.argmin()]))
+    slack = np.minimum(math.log1p(own), gaps.min(axis=0, initial=np.inf))
     alone = ((others.T.min(axis=0, initial=np.inf) >= -FEASIBILITY_TOL)
-             & ((cum_rates - np.log1p(cum_snr)).max(axis=0, initial=-np.inf)
-                <= FEASIBILITY_TOL))
+             & (excess.max(axis=0, initial=-np.inf) <= FEASIBILITY_TOL))
     slack = np.where(alone, slack, -np.inf)
     return slack if others.ndim == 2 else float(slack)
 
@@ -246,7 +262,7 @@ def reply_slack(view: CapacityRegionView, user: int, others):
 def is_feasible(view: CapacityRegionView, rates, tol: float = FEASIBILITY_TOL) -> bool:
     """Membership test: nonnegative and every subset constraint within `tol`."""
     rates = as_profile(view.m, rates)
-    return bool(rates.min() >= -tol and worst_excess(view, rates) <= tol)
+    return bool(rates[rates.argmin()] >= -tol and worst_excess(view, rates) <= tol)
 
 
 def feasible_rows(view: CapacityRegionView, profiles: np.ndarray,
@@ -264,10 +280,11 @@ def max_face_residual(view: CapacityRegionView, rates,
     rate equal to C(N). Violations below `tol` count as zero.
     """
     rates = as_profile(view.m, rates)
+    short = view.safe_rates - rates
     worst = max(
-        float(-rates.min()),
+        -float(rates[rates.argmin()]),
         worst_excess(view, rates),
-        float((view.safe_rates - rates).max()),
+        float(short[short.argmax()]),
         abs(float(rates.sum()) - view.total),
     )
     return 0.0 if worst <= tol else worst

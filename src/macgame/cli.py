@@ -364,34 +364,48 @@ def _verify_checks(scenario: Scenario, view: CapacityRegionView, g: Utility):
         if m > 3:
             return None, "m > 3, exact oracle too large"
         grid = np.linspace(0.0, float(view.single_caps.max()), 21)
-        hits, dev, var = 0, 0.0, 0.0
         trials, samples, z = 20, 20_000, 3.0
-        for t in range(trials):
+        cases = []
+        for _ in range(trials):
             # the state's mean keeps the gate C(N) - (m-1)E non-empty, and a lies inside it
             state = _random_mixed_state(rng, grid, view.total / max(m - 1, 1))
             a = float(rng.uniform(0.0, min(grid[-1], view.total - (m - 1) * evo.mean_rate(state))))
-            exact = evo.expected_payoff(view, g, a, state)
-            mc, _ = evo.expected_payoff_mc(
-                view, g, a, state, samples=samples,
-                seed=substream_seed(scenario.seed, "montecarlo") + t)
-            ga = float(g(a))
-            nu, p_hat = (exact / ga, mc / ga) if ga > 0.0 else (0.0, 0.0)
-            # Wilson score interval: unlike p_hat +- z se it keeps its width at p_hat in {0, 1};
-            # its end sits exactly at 0 (or 1) there, so a 1e-12 slack absorbs the rounding
-            shrink = 1.0 + z * z / samples
-            centre = (p_hat + z * z / (2 * samples)) / shrink
-            half = z / shrink * math.sqrt(p_hat * (1.0 - p_hat) / samples
-                                          + z * z / (4 * samples * samples))
-            if abs(nu - centre) <= half + 1e-12:
-                hits += 1
-            dev += p_hat - nu
-            var += nu * (1.0 - nu) / samples
-        # pooled over the trials, which catches a bias too small for any one interval; with
-        # every nu in {0, 1} each p_hat equals its nu, so z is 0 unless the sum moved
-        pooled = dev / math.sqrt(var) if var > 0.0 else (0.0 if abs(dev) <= 1e-12 else math.inf)
-        return hits >= trials - 1 and abs(pooled) <= z, (
-            f"{hits}/{trials} exact nu in the Wilson interval (z = {z:g}, slack 1e-12), "
-            f"pooled z = {pooled:.2f} (tol |z| <= {z:g})")
+            cases.append((state, a, evo.expected_payoff(view, g, a, state)))
+
+        def judge(first_seed):
+            hits, dev, var = 0, 0.0, 0.0
+            for t, (state, a, exact) in enumerate(cases):
+                mc, _ = evo.expected_payoff_mc(view, g, a, state, samples=samples,
+                                               seed=first_seed + t)
+                ga = float(g(a))
+                nu, p_hat = (exact / ga, mc / ga) if ga > 0.0 else (0.0, 0.0)
+                # Wilson score interval: unlike p_hat +- z se it keeps its width at p_hat in
+                # {0, 1}; its end sits exactly at 0 (or 1) there, so a 1e-12 slack absorbs
+                # the rounding
+                shrink = 1.0 + z * z / samples
+                centre = (p_hat + z * z / (2 * samples)) / shrink
+                half = z / shrink * math.sqrt(p_hat * (1.0 - p_hat) / samples
+                                              + z * z / (4 * samples * samples))
+                if abs(nu - centre) <= half + 1e-12:
+                    hits += 1
+                dev += p_hat - nu
+                var += nu * (1.0 - nu) / samples
+            # pooled over the trials, which catches a bias too small for any one interval;
+            # with every nu in {0, 1} each p_hat equals its nu, so z is 0 unless the sum moved
+            pooled = dev / math.sqrt(var) if var > 0.0 else (0.0 if abs(dev) <= 1e-12
+                                                             else math.inf)
+            return hits >= trials - 1 and abs(pooled) <= z, (
+                f"{hits}/{trials} exact nu in the Wilson interval (z = {z:g}, slack 1e-12), "
+                f"pooled z = {pooled:.2f} (tol |z| <= {z:g})")
+
+        # a valid scenario fails either test by chance now and then, so a failure is
+        # redrawn once with fresh samples on the same trials and stands only if both fail
+        first = substream_seed(scenario.seed, "montecarlo")
+        ok, detail = judge(first)
+        if ok:
+            return ok, detail
+        ok, again = judge(first + trials)
+        return ok, f"{detail}; redrawn once with fresh samples: {again}"
 
     return [
         ("capacity-identities", check_capacity_identities),

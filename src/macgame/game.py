@@ -108,11 +108,16 @@ def best_response(view: CapacityRegionView, g: Utility, user: int, others) -> fl
     action for `user` at all.
     """
     user = int(user)
-    others = np.atleast_1d(np.asarray(others, dtype=float))
+    others = np.asarray(others, dtype=float)
+    if others.ndim == 0:
+        others = others.reshape(1)
     if others.shape != (view.m - 1,):
         raise ValueError(f"expected {view.m - 1} opponent rates, got {others.shape}")
     slack = reply_slack(view, user, others)
     if slack == -np.inf:
+        # a non-finite rate also reads as -inf; it is checked only on this path
+        if not np.isfinite(others).all():
+            raise ValueError("rate profile must be finite")
         raise ValueError("no feasible action set: opponents' rates violate the region")
     return max(float(view.safe_rates[user]), slack)
 
@@ -130,10 +135,11 @@ def _reply_slacks(view: CapacityRegionView, profile: np.ndarray):
     """
     order, cum_rates, cum_snr = _ratio_prefixes(profile, view.model.snr)
     excess = cum_rates - np.log1p(cum_snr)
-    if profile.min() < -FEASIBILITY_TOL or excess.max() > FEASIBILITY_TOL:
+    if profile[profile.argmin()] < -FEASIBILITY_TOL or excess[excess.argmax()] > FEASIBILITY_TOL:
         return None
-    prefixes = np.concatenate((np.zeros((3, 1)), (cum_rates, cum_snr, excess)), axis=1)
-    rank, snr, m = np.argsort(order), view.model.snr, profile.size
+    rank, snr, m = order.argsort(), view.model.snr, profile.size
+    prefixes = np.zeros((3, m + 1))
+    prefixes[0, 1:], prefixes[1, 1:], prefixes[2, 1:] = cum_rates, cum_snr, excess
     if m * (m + 1) <= SLACK_BLOCK_CELLS:
         return _slack_rows(snr, rank, profile, *prefixes)
     step = max(1, SLACK_BLOCK_CELLS // (m + 1))
@@ -153,8 +159,10 @@ def is_nash(view: CapacityRegionView, g: Utility, profile, tol: float = NASH_TOL
     """Every user already plays its unique best reply, within `tol`."""
     profile = as_profile(view.m, profile)
     slacks = _reply_slacks(view, profile)
-    return slacks is not None and bool(
-        np.all(np.abs(np.maximum(view.safe_rates, slacks) - profile) <= tol))
+    if slacks is None:
+        return False
+    gaps = np.abs(np.maximum(view.safe_rates, slacks) - profile)
+    return bool(gaps[gaps.argmax()] <= tol)
 
 
 def _no_solo_gain(view: CapacityRegionView, g: Utility, profile, tol: float) -> bool:
@@ -162,7 +170,7 @@ def _no_solo_gain(view: CapacityRegionView, g: Utility, profile, tol: float) -> 
     profile = as_profile(view.m, profile)
     slacks = _reply_slacks(view, profile)
     return slacks is not None and bool(
-        np.all(g(np.maximum(slacks, 0.0)) <= g(np.maximum(profile, 0.0)) + tol))
+        (g(np.maximum(slacks, 0.0)) <= g(np.maximum(profile, 0.0)) + tol).all())
 
 
 def is_strong_equilibrium(view: CapacityRegionView, g: Utility, profile,

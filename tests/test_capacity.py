@@ -21,11 +21,16 @@ from macgame import (
 )
 from macgame.capacity import (
     FEASIBILITY_TOL,
+    _ratio_prefixes,
     all_subsets,
+    as_profile,
     face_vertices,
     feasible_rows,
+    reply_slack,
     subset_sums,
+    worst_excess,
 )
+from macgame.game import NASH_TOL, _reply_slacks
 
 from lattice import greedy_vertices
 
@@ -339,3 +344,225 @@ class TestOracleAgainstEnumeration:
         assert max_face_residual(view, corner) == 0.0
         assert is_nash(view, Utility.identity(), corner)
         assert not is_feasible(view, corner * 1.001)
+
+
+# The region oracle's formulas as they were before its per-call trims (array methods,
+# argmin/argmax extremes, slices for np.delete), kept as the reference those trims must
+# match bit for bit.
+
+def ref_as_profile(m, rates):
+    rates = np.atleast_1d(np.asarray(rates, dtype=float))
+    if rates.shape != (m,):
+        raise ValueError(f"rate profile must have length {m}, got shape {rates.shape}")
+    if not np.all(np.isfinite(rates)):
+        raise ValueError("rate profile must be finite")
+    return rates
+
+
+def ref_ratio_prefixes(rates, snr):
+    order = np.argsort(-(rates / snr).T, axis=0, kind="stable")
+    if rates.ndim == 1:
+        picked = rates[order]
+    else:
+        picked = rates[np.arange(rates.shape[0]), order]
+    return order, picked.cumsum(axis=0), snr[order].cumsum(axis=0)
+
+
+def ref_worst_excess(view, rates):
+    rates = np.asarray(rates, dtype=float)
+    _, cum_rates, cum_snr = ref_ratio_prefixes(rates, view.model.snr)
+    worst = (cum_rates - np.log1p(cum_snr)).max(axis=0)
+    return worst if rates.ndim == 2 else float(worst)
+
+
+def ref_reply_slack(view, user, others):
+    others = np.asarray(others, dtype=float)
+    snr = view.model.snr
+    own = float(snr[user])
+    _, cum_rates, cum_snr = ref_ratio_prefixes(others, np.delete(snr, user))
+    slack = np.minimum(math.log1p(own),
+                       (np.log1p(own + cum_snr) - cum_rates).min(axis=0, initial=np.inf))
+    alone = ((others.T.min(axis=0, initial=np.inf) >= -FEASIBILITY_TOL)
+             & ((cum_rates - np.log1p(cum_snr)).max(axis=0, initial=-np.inf)
+                <= FEASIBILITY_TOL))
+    slack = np.where(alone, slack, -np.inf)
+    return slack if others.ndim == 2 else float(slack)
+
+
+def ref_is_feasible(view, rates):
+    rates = ref_as_profile(view.m, rates)
+    return bool(rates.min() >= -FEASIBILITY_TOL
+                and ref_worst_excess(view, rates) <= FEASIBILITY_TOL)
+
+
+def ref_feasible_rows(view, profiles):
+    profiles = np.asarray(profiles, dtype=float)
+    return ((profiles.T.min(axis=0) >= -FEASIBILITY_TOL)
+            & (ref_worst_excess(view, profiles) <= FEASIBILITY_TOL))
+
+
+def ref_max_face_residual(view, rates):
+    rates = ref_as_profile(view.m, rates)
+    worst = max(float(-rates.min()), ref_worst_excess(view, rates),
+                float((view.safe_rates - rates).max()), abs(float(rates.sum()) - view.total))
+    return 0.0 if worst <= FEASIBILITY_TOL else worst
+
+
+def ref_best_response(view, user, others):
+    user = int(user)
+    others = np.atleast_1d(np.asarray(others, dtype=float))
+    if others.shape != (view.m - 1,):
+        raise ValueError(f"expected {view.m - 1} opponent rates, got {others.shape}")
+    slack = ref_reply_slack(view, user, others)
+    if slack == -np.inf:
+        raise ValueError("no feasible action set: opponents' rates violate the region")
+    return max(float(view.safe_rates[user]), slack)
+
+
+def ref_reply_slacks(view, profile):
+    order, cum_rates, cum_snr = ref_ratio_prefixes(profile, view.model.snr)
+    excess = cum_rates - np.log1p(cum_snr)
+    if profile.min() < -FEASIBILITY_TOL or excess.max() > FEASIBILITY_TOL:
+        return None
+    rates0, snr0, excess0 = np.concatenate((np.zeros((3, 1)), (cum_rates, cum_snr, excess)),
+                                           axis=1)
+    before = np.arange(rates0.size) <= np.argsort(order)[:, None]
+    return np.where(before, np.log1p(view.model.snr[:, None] + snr0) - rates0,
+                    profile[:, None] - excess0).min(axis=1)
+
+
+def ref_is_nash(view, profile):
+    profile = ref_as_profile(view.m, profile)
+    slacks = ref_reply_slacks(view, profile)
+    return slacks is not None and bool(
+        np.all(np.abs(np.maximum(view.safe_rates, slacks) - profile) <= NASH_TOL))
+
+
+def bits(x):
+    """x down to the bits: arrays by dtype, shape and bytes, floats by type and bytes."""
+    if isinstance(x, tuple):
+        return tuple(bits(v) for v in x)
+    if isinstance(x, np.ndarray):
+        return "array", x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, float):
+        return type(x), np.float64(x).tobytes()
+    return type(x), x
+
+
+def outcome(fn, *args):
+    """What a call gave: its value's bits, or its exception's type and message."""
+    try:
+        return bits(fn(*args))
+    except (ValueError, IndexError, TypeError) as exc:
+        return "raised", type(exc), str(exc)
+
+
+def identity_cases(seed=14):
+    """Channels with m = 1..20 and SNRs over e^-9..e^9 (a third with repeated SNRs), each
+    with greedy corners as they are and scaled by 1 -+ 1e-12, face mixes, interior and
+    infeasible profiles, tied and equal alpha_i / s_i, zero and slightly negative rates."""
+    rng = np.random.default_rng(seed)
+    for m in range(1, 21):
+        for c in range(3):
+            snr = np.exp(rng.uniform(-9.0, 9.0, m))
+            if c == 1:
+                snr = rng.choice(snr[: max(1, m // 2)], size=m)
+            view = build_view(ChannelModel(snr))
+            corners = greedy_vertices(view, 6, seed=m)
+            face = rng.dirichlet(np.ones(len(corners)), size=4) @ corners
+            tied = face.copy()
+            i, j = rng.integers(m, size=2)
+            tied[:, j] = tied[:, i] * snr[j] / snr[i]
+            zeros = face * (rng.uniform(size=face.shape) < 0.4)
+            rows = [corners, corners * (1.0 - 1e-12), corners * (1.0 + 1e-12), face,
+                    face * rng.uniform(0.2, 0.99, (4, 1)), face * rng.uniform(1.01, 1.5, (4, 1)),
+                    np.outer(rng.uniform(0.0, 2.0, 3), snr) / m, tied, zeros, np.zeros((1, m)),
+                    face - rng.uniform(0.0, 2e-9, face.shape)]
+            yield view, np.concatenate(rows)
+
+
+class TestOracleBitIdentity:
+    """The trimmed oracle gives what the reference formulas above give, bit for bit."""
+
+    G = Utility.identity()
+
+    def test_profiles(self):
+        for view, rows in identity_cases():
+            snr = view.model.snr
+            for p in rows:
+                assert outcome(as_profile, view.m, p) == outcome(ref_as_profile, view.m, p)
+                assert (outcome(_ratio_prefixes, p, snr)
+                        == outcome(ref_ratio_prefixes, p, snr))
+                for lib, ref in ((worst_excess, ref_worst_excess),
+                                 (is_feasible, ref_is_feasible),
+                                 (max_face_residual, ref_max_face_residual)):
+                    assert outcome(lib, view, p) == outcome(ref, view, p), lib.__name__
+                assert outcome(_reply_slacks, view, p) == outcome(ref_reply_slacks, view, p)
+                assert is_nash(view, self.G, p) is ref_is_nash(view, p)
+                for user in range(view.m):
+                    others = np.delete(p, user)
+                    assert (outcome(reply_slack, view, user, others)
+                            == outcome(ref_reply_slack, view, user, others))
+                    assert (outcome(best_response, view, self.G, user, others)
+                            == outcome(ref_best_response, view, user, others))
+
+    def test_batches(self):
+        for view, rows in identity_cases():
+            assert outcome(feasible_rows, view, rows) == outcome(ref_feasible_rows, view, rows)
+            assert outcome(worst_excess, view, rows) == outcome(ref_worst_excess, view, rows)
+            assert (outcome(_ratio_prefixes, rows, view.model.snr)
+                    == outcome(ref_ratio_prefixes, rows, view.model.snr))
+            for user in range(view.m):
+                others = np.delete(rows, user, axis=1)
+                assert (outcome(reply_slack, view, user, others)
+                        == outcome(ref_reply_slack, view, user, others))
+
+    def test_input_forms(self):
+        one = build_view(ChannelModel([3.0]))
+        two = build_view(ChannelModel([1.0, 2.0]))
+        three = build_view(ChannelModel([1.0, 2.0, 4.0]))
+        for view, p in ((one, 0.3), (one, 5.0), (one, [0.3]), (two, [0.2, 0.5]),
+                        (two, np.array([0, 1])), (three, [0.1, 0.2, 0.3]),
+                        (three, (1, 0, 0)), (three, [-0.0, 0.0, 0.1])):
+            for lib, ref in ((as_profile, ref_as_profile), (is_feasible, ref_is_feasible),
+                             (max_face_residual, ref_max_face_residual)):
+                args = (view.m, p) if lib is as_profile else (view, p)
+                assert outcome(lib, *args) == outcome(ref, *args), (lib.__name__, p)
+            assert is_nash(view, self.G, p) is ref_is_nash(view, p)
+        for view, user, others in ((one, 0, []), (two, 0, 0.3), (two, 1, [0.3]),
+                                   (two, np.int64(1), np.array([0])), (three, -1, [0.1, 0.2]),
+                                   (three, 2, (0.1, 0.2)), (two, 0, 2.0)):
+            assert (outcome(best_response, view, self.G, user, others)
+                    == outcome(ref_best_response, view, user, others))
+            assert (outcome(reply_slack, view, user, others)
+                    == outcome(ref_reply_slack, view, user, others))
+        no_opponents = np.zeros((3, 0))
+        assert (outcome(reply_slack, one, 0, no_opponents)
+                == outcome(ref_reply_slack, one, 0, no_opponents))
+
+    @pytest.mark.parametrize("bad", [
+        [0.1, 0.2], [[0.1, 0.2, 0.3]], 0.3, [], [0.1, math.nan, 0.2], [math.inf, 0.0, 0.0],
+        [0.0, 0.0, -math.inf],
+    ])
+    def test_profile_errors(self, bad):
+        view = build_view(ChannelModel([1.0, 2.0, 4.0]))
+        for lib, ref in ((as_profile, ref_as_profile), (is_feasible, ref_is_feasible),
+                         (max_face_residual, ref_max_face_residual),
+                         (lambda v, p: is_nash(v, self.G, p), ref_is_nash)):
+            args = (view.m, bad) if lib is as_profile else (view, bad)
+            got = outcome(lib, *args)
+            assert got[0] == "raised" and got == outcome(ref, *args)
+
+    @pytest.mark.parametrize("others", [[0.1], [0.1, 0.2, 0.3], [[0.1, 0.2]], 0.1])
+    def test_opponent_shape_errors(self, others):
+        view = build_view(ChannelModel([1.0, 2.0, 4.0]))
+        got = outcome(best_response, view, self.G, 0, others)
+        assert got[0] == "raised" and got == outcome(ref_best_response, view, 0, others)
+
+    @pytest.mark.parametrize("others", [[math.nan, 0.1], [0.1, math.inf], [-math.inf, 0.0]])
+    def test_non_finite_opponents(self, others):
+        # reply_slack reads them as -inf, as before; best_response now names the cause
+        view = build_view(ChannelModel([1.0, 2.0, 4.0]))
+        assert outcome(reply_slack, view, 0, others) == outcome(ref_reply_slack, view, 0, others)
+        with pytest.raises(ValueError, match="^rate profile must be finite$"):
+            best_response(view, self.G, 0, others)

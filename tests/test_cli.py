@@ -60,6 +60,14 @@ class TestBestResponse:
     def test_infeasible_opponents_exit_2(self, sym2_cfg, capsys):
         assert main(["-s", sym2_cfg, "br", "--user", "1", "--others", "0.8"]) == 2
 
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-inf"])
+    def test_non_finite_opponents_exit_2(self, rate, capsys):
+        # named as check-eq names a non-finite profile, not as a region violation
+        assert main(["-s", str(SCENARIOS / "sym2.cfg"), "br", "--user", "1",
+                     f"--others={rate}"]) == 2
+        out, err = capsys.readouterr()
+        assert err == "error: rate profile must be finite\n" and out == ""
+
 
 class TestCheckEq:
     def test_equal_split_verdicts(self, sym2_cfg, capsys):
@@ -197,6 +205,17 @@ class TestVerify:
         assert main(["-s", str(SCENARIOS / name), "verify"]) == 1
         line = next(ln for ln in capsys.readouterr().out.splitlines() if "montecarlo" in ln)
         assert line.startswith("FAIL montecarlo-payoffs:") and "(tol |z| <= 3)" in line
+
+    def test_montecarlo_chance_failure_redrawn(self, tmp_path, capsys):
+        # a valid scenario whose first Monte Carlo draw lands 2 of 20 trials outside
+        # their intervals; the one redraw passes, and the line reports both
+        cfg = write_scenario(tmp_path, "m = 3\np = 25.912400888327554\nsigma2 = 0.1\n"
+                                       "g = identity\ngrid_points = 31\nprotocol = bnn\n"
+                                       "k = 32\nseed = 796769087\n")
+        assert main(["-s", cfg, "verify"]) == 0
+        line = next(ln for ln in capsys.readouterr().out.splitlines() if "montecarlo" in ln)
+        assert line.startswith("ok   montecarlo-payoffs: 18/20 exact nu")
+        assert "; redrawn once with fresh samples: 20/20 exact nu" in line
 
     def test_rest_points_skip_beyond_exact_limit(self, capsys):
         assert main(["--set", "m=7", "--set", "p=1", "verify"]) == 0
