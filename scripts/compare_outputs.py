@@ -3,8 +3,11 @@
 
 Each tree is the directory put on PYTHONPATH, the `src` of a checkout. Per
 scenario (default: the three shipped ones) the battery is every subcommand,
-`dynamics` with exact payoffs and `dynamics` with Monte Carlo payoffs for
-40 steps at 3,000 samples. Every call is a fresh `python -m macgame` in its
+`dynamics` with exact payoffs, `dynamics` with Monte Carlo payoffs for
+40 steps at 3,000 samples, and `dynamics` for 2,000 steps under the
+replicator and under Smith with theta = 2, so that every flow is compared
+whichever protocol the scenario sets (the shipped ones run BNN and Smith
+with theta = 1). Every call is a fresh `python -m macgame` in its
 own temporary directory; its stdout, stderr, exit code and both CSVs are
 compared. `br` and `check-eq` are asked at 0.9 times the safe rates that
 the new tree's `region` prints. Exits 1 naming every output that differs,
@@ -55,6 +58,8 @@ def battery(rates: list) -> list:
         ["metrics"], ["normalized"], ["ess"], ["verify"],
         ["--set", "payoff_method=exact", "dynamics"],
         [*MONTE_CARLO, "dynamics"],
+        ["--set", "protocol=replicator", "--set", "steps=2000", "dynamics"],
+        ["--set", "protocol=smith", "--set", "theta=2", "--set", "steps=2000", "dynamics"],
     ]
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
+import os
 import sys
 
 import numpy as np
@@ -198,6 +199,10 @@ def cmd_dynamics(args, scenario: Scenario, view: CapacityRegionView, g: Utility)
     run = dynamics_run(scenario, view)
     for path in (scenario.trace_csv, scenario.state_csv):
         open(path, "a").close()   # an unwritable output fails here, not after the run
+    if os.path.samefile(scenario.trace_csv, scenario.state_csv):
+        # the state would overwrite the trace
+        raise ValueError(f"trace_csv '{scenario.trace_csv}' and state_csv "
+                         f"'{scenario.state_csv}' are the same file")
     trace = dyn.simulate(view, g, run)
     write_trace(scenario.trace_csv, trace)
     _write_state(scenario.state_csv, trace.final_state)

@@ -13,12 +13,16 @@ to leave):
   smith       pairwise comparisons, switch rate max(F_j - F_i, 0)^theta
 
 F comes from the payoff engine in `evolution`, read over the whole grid.
+The grid is strictly increasing, so the mixed-region gate is a prefix of
+it and is carried as a count: the gated tail of F, of the BNN excess and
+of the Smith rate rows is zeroed by one slice.
 Velocities sum to zero by construction; explicit Euler with clip-and-
 renormalize keeps the raw mass vector that `simulate` steps on the
 simplex, and reports the per-step drift.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +36,7 @@ from .evolution import (
     _admitted_mass,
     _exact_fits,
     _fit_mass,
-    _mixed_gate,
+    _gate_bound,
     _own_values,
     mean_rate,
 )
@@ -70,6 +74,13 @@ class Protocol:
         return cls("smith", theta=theta, K=K)
 
 
+def _gate_count(grid, total: float, others: int, mean: float) -> int:
+    """How many points of the sorted grid lie inside the mixed region at mean rate `mean`
+    (grand capacity `total`, m - 1 = `others`): `evolution._mixed_gate` holds exactly on
+    that prefix."""
+    return bisect_right(grid, _gate_bound(total, others, mean))
+
+
 class PayoffTable:
     """Exact F over one grid, from the reply slack of every exact opponent draw.
 
@@ -87,44 +98,67 @@ class PayoffTable:
         self.gvals = _own_values(g, self.grid)
         self.fits, self.weights = _exact_fits(view, self.grid, self.grid)
 
-    def payoffs(self, masses: np.ndarray, gate: np.ndarray = None) -> np.ndarray:
-        """F over the whole grid for the state with these masses (and its mixed-region gate)."""
-        if gate is None:
-            gate = _mixed_gate(self.view, self.grid, float(np.dot(self.grid, masses)))
-        return self.gvals * _fit_mass(self.fits, self.grid.size, self.weights(masses)) * gate
+    def payoffs(self, masses: np.ndarray, count: int = None) -> np.ndarray:
+        """F over the whole grid for the state with these masses, zero beyond the first
+        `count` grid points (default: the state's mixed-region gate, `_gate_count`)."""
+        if count is None:
+            count = _gate_count(self.grid, self.view.total, self.m - 1,
+                                float(np.dot(self.grid, masses)))
+        # at m = 2 each draw is one opponent rate, weighted by its mass
+        weights = masses if self.m == 2 else self.weights(masses)
+        F = self.gvals * _fit_mass(self.fits, self.grid.size, weights)
+        F[count:] = 0.0   # as `* gate`: g(a) * nu >= +0
+        return F
 
 
-def _payoff_vector(view, g, grid, masses, gate, table=None, samples=None, seed=0):
-    """F over the grid, gated: read off the exact table when there is one, else from
-    one seeded sample of `samples` opponent draws (exact draws when samples is None)."""
+def _payoff_vector(view, gvals, grid, masses, count, table=None, samples=None, seed=0):
+    """F over the grid, zero beyond its first `count` points: read off the exact table
+    when there is one, else g at each point (`gvals`, from `evolution._own_values`) times
+    the admitted mass of one seeded sample of `samples` opponent draws (exact draws when
+    samples is None)."""
     if table is not None:
-        return table.payoffs(masses, gate)
-    return _own_values(g, grid) * _admitted_mass(view, grid, grid, masses, samples, seed) * gate
+        return table.payoffs(masses, count)
+    F = gvals * _admitted_mass(view, grid, grid, masses, samples, seed)
+    F[count:] = 0.0
+    return F
 
 
 def _flow(view: CapacityRegionView, protocol: Protocol, w: np.ndarray, lam: np.ndarray,
-          F: np.ndarray, gate: np.ndarray, Fbar: float) -> np.ndarray:
-    """Velocity at masses `lam`, base weights w, payoffs F (mean Fbar), mixed-region gate;
-    `view` is unread but keeps `protocol` second, where perfbench/tracing.py tags spans."""
-    K = protocol.K
-    if protocol.kind == "bnn":
+          F: np.ndarray, count: int, Fbar: float) -> np.ndarray:
+    """Velocity at masses `lam`, base weights w, payoffs F (mean Fbar), no inflow beyond the
+    first `count` grid points (the mixed-region gate); `view` is unread but keeps
+    `protocol` second, where perfbench/tracing.py tags spans."""
+    kind, K = protocol.kind, protocol.K
+    if kind == "bnn":
         excess = np.maximum(F - Fbar, 0.0)
-        excess[~gate] = 0.0
-        return K * (w * excess - lam * float(np.dot(w, excess)))
-    if protocol.kind == "replicator":
+        excess[count:] = 0.0
+        v = w * excess
+        v -= lam * float(np.dot(w, excess))
+    elif kind == "replicator":
         return K * lam * (F - Fbar)
-    # smith: R[i, j] is the switch rate from j to i, gated on the target i
-    R = np.maximum(F[:, None] - F[None, :], 0.0) ** protocol.theta
-    R[~gate, :] = 0.0
-    return K * (w * (R @ lam) - lam * (w @ R))
+    else:
+        # smith: R[i, j] is the switch rate from j to i, gated on the target i
+        R = np.subtract.outer(F, F)
+        np.maximum(R, 0.0, out=R)
+        theta = protocol.theta
+        if theta == 2.0:
+            R *= R   # numpy's ** 2.0 squares
+        elif theta != 1.0:
+            R **= theta
+        R[count:] = 0.0
+        v = w * (R @ lam)
+        v -= lam * (w @ R)
+    v *= K
+    return v
 
 
 def velocity(view: CapacityRegionView, g: Utility, protocol: Protocol,
              state: PopulationState, table: PayoffTable = None) -> np.ndarray:
     """Population flow of the given protocol at this state, on exact payoffs; sums to zero."""
-    gate = _mixed_gate(view, state.grid, mean_rate(state))
-    F = _payoff_vector(view, g, state.grid, state.masses, gate, table)
-    return _flow(view, protocol, state.base_weights, state.masses, F, gate,
+    count = _gate_count(state.grid, view.total, view.m - 1, mean_rate(state))
+    gvals = None if table is not None else _own_values(g, state.grid)
+    F = _payoff_vector(view, gvals, state.grid, state.masses, count, table)
+    return _flow(view, protocol, state.base_weights, state.masses, F, count,
                  float(np.dot(state.masses, F)))
 
 
@@ -134,14 +168,16 @@ def euler_update(masses: np.ndarray, v: np.ndarray, dt: float) -> tuple:
     Drift is how far the clipped update strays from total mass 1 before
     renormalization.
     """
-    raw = masses + dt * v
-    if not np.isfinite(raw).all():
+    raw = dt * v
+    raw += masses
+    if not np.logical_and.reduce(np.isfinite(raw)):
         raise ValueError("step size too large: masses diverged")
-    clipped = np.maximum(raw, 0.0)
-    s = float(clipped.sum())
+    np.maximum(raw, 0.0, out=raw)
+    s = float(np.add.reduce(raw))
     if s <= 0.0:
         raise ValueError("step size too large: all mass clipped away")
-    return clipped / s, abs(s - 1.0)
+    raw /= s
+    return raw, abs(s - 1.0)
 
 
 def rest_point_residual(view: CapacityRegionView, g: Utility, protocol: Protocol,
@@ -201,17 +237,22 @@ def simulate(view: CapacityRegionView, g: Utility, run: DynamicsRun) -> Trace:
     """
     grid, w, masses = run.state0.grid, run.state0.base_weights, run.state0.masses
     table = PayoffTable(view, g, grid) if run.payoff_method == "exact" else None
-    rows, drift = [], 0.0
-    for k in range(run.steps + 1):
+    gvals = None if table is not None else _own_values(g, grid)
+    protocol, dt, steps, every, samples = (run.protocol, run.dt, run.steps,
+                                           run.record_every, run.samples)
+    points, total, others = grid.tolist(), view.total, view.m - 1
+    rows, drift, seed = [], 0.0, 0
+    for k in range(steps + 1):
         if k:
-            masses, drift = euler_update(masses, v, run.dt)
+            masses, drift = euler_update(masses, v, dt)
         mean = float(np.dot(grid, masses))
-        gate = _mixed_gate(view, grid, mean)
-        seed = 0 if table is not None else np.random.SeedSequence(run.seed, spawn_key=(k,))
-        F = _payoff_vector(view, g, grid, masses, gate, table, run.samples, seed)
+        count = _gate_count(points, total, others, mean)
+        if table is None:
+            seed = np.random.SeedSequence(run.seed, spawn_key=(k,))
+        F = _payoff_vector(view, gvals, grid, masses, count, table, samples, seed)
         Fbar = float(np.dot(masses, F))
-        v = _flow(view, run.protocol, w, masses, F, gate, Fbar)
-        if k % run.record_every == 0 or k == run.steps:
-            rows.append((k * run.dt, mean, Fbar, float(np.abs(v).sum()), drift))
+        v = _flow(view, protocol, w, masses, F, count, Fbar)
+        if k % every == 0 or k == steps:
+            rows.append((k * dt, mean, Fbar, float(np.add.reduce(np.abs(v))), drift))
     return Trace(*(np.array(col) for col in zip(*rows)),
                  final_state=PopulationState(grid, masses))

@@ -247,9 +247,11 @@ def _fit_mass(fits: np.ndarray, size: int, weights=None) -> np.ndarray:
     """Weight (1 per draw unweighted) of the draws admitting each of `size` sorted actions.
 
     Draw c admits action i exactly when i < fits[c], so one bincount and a
-    reverse cumulative sum give every action's mass at once.
+    reverse cumulative sum give every action's mass at once (the sum's last
+    entry, the draws admitting nothing, is dropped).
     """
-    return np.bincount(fits, weights, minlength=size + 1)[::-1].cumsum()[::-1][1:]
+    counts = np.bincount(fits, weights, minlength=size + 1)
+    return np.add.accumulate(counts[::-1])[size - 1::-1]
 
 
 def _admitted_mass(view, actions, grid, masses, samples=None, seed=0) -> np.ndarray:
@@ -325,9 +327,19 @@ def _own_values(g: Utility, actions: np.ndarray) -> np.ndarray:
     return np.where(actions >= -FEASIBILITY_TOL, gvals, 0.0)
 
 
+def _gate_bound(total: float, others: int, mean):
+    """The largest action inside the mixed region, C(N) - (m-1)E + INDICATOR_SLACK, for
+    C(N) = total, m - 1 = others and E the (broadcast) mean rate."""
+    return total - others * mean + INDICATOR_SLACK
+
+
 def _mixed_gate(view, actions, mean) -> np.ndarray:
-    """Actions inside the mixed region: a <= C(N) - (m-1)E, E the (broadcast) mean rate."""
-    return actions <= view.total - (view.m - 1) * mean + INDICATOR_SLACK
+    """Actions inside the mixed region: a <= C(N) - (m-1)E, E the (broadcast) mean rate.
+
+    On a strictly increasing grid the mask is a prefix, `bisect_right(grid, bound)`
+    points long; `dynamics` keeps it as that count.
+    """
+    return actions <= _gate_bound(view.total, view.m - 1, mean)
 
 
 def region_mass(view: CapacityRegionView, a: float, state: PopulationState) -> float:

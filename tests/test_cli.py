@@ -285,6 +285,17 @@ class TestPlumbing:
         assert calls == []
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("state", ["same.csv", "./same.csv", "{tmp}/same.csv"])
+    def test_same_output_file_exit_2(self, state, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr("macgame.dynamics.simulate", lambda *a, **k: calls.append(a))
+        monkeypatch.chdir(tmp_path)
+        assert main(["-s", str(SCENARIOS / "sym2.cfg"), "--set", "trace_csv=same.csv",
+                     "--set", f"state_csv={state.format(tmp=tmp_path)}", "dynamics"]) == 2
+        assert calls == []
+        assert capsys.readouterr().err == ("error: trace_csv 'same.csv' and state_csv "
+                                           f"'{state.format(tmp=tmp_path)}' are the same file\n")
+
     @pytest.mark.parametrize("key", ["trace_csv", "state_csv"])
     def test_unwritable_output_exit_2(self, key, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -7,6 +7,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macgame import (
     ChannelModel,
@@ -25,9 +27,9 @@ from macgame import (
 )
 from macgame.capacity import FEASIBILITY_TOL, reply_slack, subset_sums
 from macgame.cli import _random_mixed_state
-from macgame.dynamics import _flow, _payoff_vector, euler_update
-from macgame.evolution import (EXACT_ENUM_LIMIT, _fit_mass, _mixed_gate, exact_rows,
-                               region_mass)
+from macgame.dynamics import _flow, _gate_count, _payoff_vector, euler_update
+from macgame.evolution import (EXACT_ENUM_LIMIT, INDICATOR_SLACK, _admitted_mass, _fit_mass,
+                               _mixed_gate, _own_values, exact_rows, region_mass)
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -183,9 +185,9 @@ class TestPayoffEngine:
         state = PopulationState(grid, masses / masses.sum())   # mean low enough to gate few
         samples = 50_000
         exact = PayoffTable(view, g, grid).payoffs(state.masses)
-        gate = _mixed_gate(view, grid, mean_rate(state))
-        mc = _payoff_vector(view, g, grid, state.masses, gate, None, samples,
-                            np.random.SeedSequence(11))
+        count = _gate_count(grid, view.total, view.m - 1, mean_rate(state))
+        mc = _payoff_vector(view, _own_values(g, grid), grid, state.masses, count, None,
+                            samples, np.random.SeedSequence(11))
         gvals = g(grid)
         p = np.divide(exact, gvals, out=np.zeros_like(exact), where=gvals > 0)
         se = gvals * np.sqrt(p * (1.0 - p) / samples)
@@ -422,13 +424,13 @@ class TestSimulate:
         table = PayoffTable(view, g, grid) if method == "exact" else None
         state, rows, drift = run.state0, [], 0.0
         for k in range(run.steps + 1):
-            gate = _mixed_gate(view, grid, mean_rate(state))
-            F = _payoff_vector(view, g, grid, state.masses, gate, table, run.samples,
-                               np.random.SeedSequence(run.seed, spawn_key=(k,)))
+            count = _gate_count(grid, view.total, view.m - 1, mean_rate(state))
+            F = _payoff_vector(view, _own_values(g, grid), grid, state.masses, count, table,
+                               run.samples, np.random.SeedSequence(run.seed, spawn_key=(k,)))
             if table is not None:
                 v = velocity(view, g, proto, state, table=table)
             else:
-                v = _flow(view, proto, state.base_weights, state.masses, F, gate,
+                v = _flow(view, proto, state.base_weights, state.masses, F, count,
                           float(np.dot(state.masses, F)))
             if k % run.record_every == 0 or k == run.steps:
                 rows.append((k * run.dt, mean_rate(state), float(np.dot(state.masses, F)),
@@ -510,12 +512,12 @@ class TestNegativeGridPoints:
         grid = np.linspace(-5e-10, LN2, 21)
         g = Utility.power(0.5)
         state = PopulationState.uniform(grid)
-        gate = _mixed_gate(sym2, grid, mean_rate(state))
+        count = _gate_count(grid, sym2.total, sym2.m - 1, mean_rate(state))
         samples = None if method == "exact" else 500   # None: the exact draws, no table
-        F = _payoff_vector(sym2, g, grid, state.masses, gate, None, samples,
-                           np.random.SeedSequence(1))
+        F = _payoff_vector(sym2, _own_values(g, grid), grid, state.masses, count, None,
+                           samples, np.random.SeedSequence(1))
         assert np.all(np.isfinite(F)) and F[0] == 0.0
-        v = _flow(sym2, Protocol.bnn(), state.base_weights, state.masses, F, gate,
+        v = _flow(sym2, Protocol.bnn(), state.base_weights, state.masses, F, count,
                   float(np.dot(state.masses, F)))
         assert np.all(np.isfinite(v))
         if method == "exact":
@@ -524,3 +526,200 @@ class TestNegativeGridPoints:
                           record_every=5, payoff_method=method, samples=500)
         trace = simulate(sym2, g, run)
         assert np.all(np.isfinite(trace.avg_payoff)) and trace.max_drift < 1e-12
+
+
+# -- the step loop with a boolean gate: the reference the count-gated loop must match ---------
+
+def ref_fit_mass(fits, size, weights=None):
+    return np.bincount(fits, weights, minlength=size + 1)[::-1].cumsum()[::-1][1:]
+
+
+def ref_payoffs(table, masses, gate):
+    return table.gvals * ref_fit_mass(table.fits, table.grid.size, table.weights(masses)) * gate
+
+
+def ref_payoff_vector(view, g, grid, masses, gate, table=None, samples=None, seed=0):
+    if table is not None:
+        return ref_payoffs(table, masses, gate)
+    return _own_values(g, grid) * _admitted_mass(view, grid, grid, masses, samples, seed) * gate
+
+
+def ref_flow(protocol, w, lam, F, gate, Fbar):
+    K = protocol.K
+    if protocol.kind == "bnn":
+        excess = np.maximum(F - Fbar, 0.0)
+        excess[~gate] = 0.0
+        return K * (w * excess - lam * float(np.dot(w, excess)))
+    if protocol.kind == "replicator":
+        return K * lam * (F - Fbar)
+    R = np.maximum(F[:, None] - F[None, :], 0.0) ** protocol.theta
+    R[~gate, :] = 0.0
+    return K * (w * (R @ lam) - lam * (w @ R))
+
+
+def ref_euler_update(masses, v, dt):
+    raw = masses + dt * v
+    if not np.isfinite(raw).all():
+        raise ValueError("step size too large: masses diverged")
+    clipped = np.maximum(raw, 0.0)
+    s = float(clipped.sum())
+    if s <= 0.0:
+        raise ValueError("step size too large: all mass clipped away")
+    return clipped / s, abs(s - 1.0)
+
+
+def ref_simulate(view, g, run):
+    grid, w, masses = run.state0.grid, run.state0.base_weights, run.state0.masses
+    table = PayoffTable(view, g, grid) if run.payoff_method == "exact" else None
+    rows, drift = [], 0.0
+    for k in range(run.steps + 1):
+        if k:
+            masses, drift = ref_euler_update(masses, v, run.dt)
+        mean = float(np.dot(grid, masses))
+        gate = _mixed_gate(view, grid, mean)
+        seed = 0 if table is not None else np.random.SeedSequence(run.seed, spawn_key=(k,))
+        F = ref_payoff_vector(view, g, grid, masses, gate, table, run.samples, seed)
+        Fbar = float(np.dot(masses, F))
+        v = ref_flow(run.protocol, w, masses, F, gate, Fbar)
+        if k % run.record_every == 0 or k == run.steps:
+            rows.append((k * run.dt, mean, Fbar, float(np.abs(v).sum()), drift))
+    return [np.array(col) for col in zip(*rows)], masses
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# K off the powers of two, so that where K enters the product shows in the bits
+BIT_PROTOCOLS = [Protocol.bnn(K=7.3), Protocol.replicator(K=3.7)] + [
+    Protocol.smith(theta, K=6.1) for theta in (1.0, 1.5, 2.0, 3.0)]
+BIT_CHANNELS = [[1.5], [1.5, 1.5], [1.5, 1.5, 1.5], [1.5] * 4,
+                [3.0, 1.0], [3.0, 1.0, 0.5], [4.0, 0.3, 1.0, 2.0]]
+
+
+class TestStepLoopBitIdentity:
+    """`simulate` and its helpers, gated by a prefix count, against a copy of the loop
+    gated by the boolean `_mixed_gate` (`excess[~gate]`, `R[~gate, :]`, `** theta`,
+    `masses + dt * v`): every trace column and the final masses, byte for byte."""
+
+    @staticmethod
+    def check(view, g, run):
+        trace = simulate(view, g, run)
+        cols, masses = ref_simulate(view, g, run)
+        for got, want in zip((trace.t, trace.mean_rate, trace.avg_payoff, trace.velocity_l1,
+                              trace.mass_drift), cols):
+            assert_same_bytes(got, want)
+        assert_same_bytes(trace.final_state.masses, masses)
+        return trace
+
+    @pytest.mark.parametrize("snr", BIT_CHANNELS, ids=lambda s: "-".join(map(str, s)))
+    @pytest.mark.parametrize("method", ["exact", "montecarlo"])
+    @pytest.mark.parametrize("proto", BIT_PROTOCOLS, ids=lambda p: f"{p.kind}-{p.theta}")
+    def test_trace_bytes_match_boolean_gate(self, proto, method, snr):
+        view = build_view(ChannelModel(np.array(snr)))
+        n = 11 if view.m < 4 else 7
+        include = view.total / view.m if view.model.symmetric else None
+        grid = make_grid(float(view.single_caps.max()), n, include=include)
+        masses = np.random.default_rng(view.m).dirichlet(np.ones(n))
+        run = DynamicsRun(protocol=proto, state0=PopulationState(grid, masses), steps=40,
+                          record_every=3, seed=9, payoff_method=method, samples=200)
+        self.check(view, Utility.log1p(), run)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("proto", BIT_PROTOCOLS, ids=lambda p: f"{p.kind}-{p.theta}")
+    def test_gate_flips_at_equal_split(self, proto, m):
+        # the equal split is snapped onto the grid; a Dirac there is on the gate bound, and
+        # mass just above it pushes the mean past it, so the count changes along the run
+        view = build_view(ChannelModel(np.full(m, 2.0)))
+        rstar = view.total / m
+        grid = make_grid(float(view.single_caps.max()), 21, include=rstar)
+        i = int(np.argmin(np.abs(grid - rstar)))
+        assert grid[i] == rstar and _mixed_gate(view, grid, rstar).sum() == i + 1
+        masses = np.zeros(grid.size)
+        masses[i - 2:i + 3] = (0.05, 0.1, 0.6, 0.2, 0.05)
+        run = DynamicsRun(protocol=proto, state0=PopulationState(grid, masses), steps=150,
+                          record_every=1)
+        trace = self.check(view, Utility.identity(), run)
+        counts = {int(_mixed_gate(view, grid, mean).sum()) for mean in trace.mean_rate}
+        assert len(counts) > 1
+        dirac = DynamicsRun(protocol=proto, state0=PopulationState.dirac(grid, rstar), steps=5,
+                            record_every=1)
+        self.check(view, Utility.identity(), dirac)
+
+    @pytest.mark.parametrize("method", ["exact", "montecarlo"])
+    @pytest.mark.parametrize("proto", BIT_PROTOCOLS, ids=lambda p: f"{p.kind}-{p.theta}")
+    def test_negative_grid_point(self, sym2, proto, method):
+        grid = np.linspace(-5e-10, LN2, 21)
+        run = DynamicsRun(protocol=proto, state0=PopulationState.uniform(grid), steps=30,
+                          record_every=4, payoff_method=method, samples=300)
+        self.check(sym2, Utility.power(0.5), run)
+
+    @pytest.mark.parametrize("proto", BIT_PROTOCOLS, ids=lambda p: f"{p.kind}-{p.theta}")
+    def test_velocity_and_payoffs(self, proto):
+        view = build_view(ChannelModel(np.array([3.0, 1.0, 0.5])))
+        g = Utility.log1p()
+        grid = make_grid(float(view.single_caps.max()), 9)
+        table = PayoffTable(view, g, grid)
+        rng = np.random.default_rng(6)
+        for _ in range(5):
+            state = PopulationState(grid, rng.dirichlet(np.full(grid.size, 0.5)))
+            gate = _mixed_gate(view, grid, mean_rate(state))
+            F = ref_payoffs(table, state.masses, gate)
+            assert_same_bytes(table.payoffs(state.masses), F)
+            want = ref_flow(proto, state.base_weights, state.masses, F, gate,
+                            float(np.dot(state.masses, F)))
+            assert_same_bytes(velocity(view, g, proto, state, table=table), want)
+            assert_same_bytes(velocity(view, g, proto, state), want)
+
+    @pytest.mark.parametrize("proto", BIT_PROTOCOLS, ids=lambda p: f"{p.kind}-{p.theta}")
+    def test_flow_gates_any_payoffs(self, proto):
+        # in the loop F is zero past the count already; _flow gates the targets by itself
+        rng = np.random.default_rng(3)
+        n = 13
+        w = np.full(n, 0.1)
+        for count in range(n + 1):
+            lam = rng.dirichlet(np.ones(n))
+            F = rng.random(n) + 0.5
+            Fbar = float(np.dot(lam, F))
+            want = ref_flow(proto, w, lam, F, np.arange(n) < count, Fbar)
+            assert_same_bytes(_flow(None, proto, w, lam, F, count, Fbar), want)
+
+    def test_fit_mass_matches_reverse_cumsum(self):
+        rng = np.random.default_rng(12)
+        for size in (1, 2, 7, 51):
+            fits = rng.integers(0, size + 1, 400)
+            assert_same_bytes(_fit_mass(fits, size), ref_fit_mass(fits, size))
+            weights = rng.random(400)
+            assert_same_bytes(_fit_mass(fits, size, weights), ref_fit_mass(fits, size, weights))
+
+    def test_step_errors_unchanged(self):
+        for masses, v, dt in ((np.array([0.5, 0.5]), np.array([np.nan, 0.0]), 0.01),
+                              (np.array([0.5, 0.5]), np.array([-np.inf, 0.0]), 0.01),
+                              (np.array([0.5, 0.5]), np.array([-1.0, -1.0]), 1.0)):
+            with pytest.raises(ValueError) as want:
+                ref_euler_update(masses, v, dt)
+            with pytest.raises(ValueError) as got:
+                euler_update(masses, v, dt)
+            assert str(got.value) == str(want.value)
+        # finite but past the float range when summed: not a divergence, as before
+        huge = (np.array([0.5, 0.5]), np.array([1e308, 1e308]), 1.5)
+        with np.errstate(over="ignore"):
+            pairs = zip(euler_update(*huge), ref_euler_update(*huge))
+            for got, want in pairs:
+                assert_same_bytes(np.asarray(got), np.asarray(want))
+
+    @given(st.lists(st.floats(-1.0, 3.0), min_size=1, max_size=40, unique=True),
+           st.sampled_from([[1.0], [1.0, 1.0], [3.0, 1.0, 0.5], [2.0] * 5]),
+           st.floats(-1.0, 4.0), st.integers(-1, 40))
+    @settings(max_examples=300, deadline=None)
+    def test_count_is_the_gate_prefix(self, points, snr, mean, on):
+        view = build_view(ChannelModel(np.array(snr)))
+        if 0 <= on < len(points):   # put a grid point exactly on the bound
+            points[on] = view.total - (view.m - 1) * mean + INDICATOR_SLACK
+        grid = np.unique(np.array(points))
+        gate = _mixed_gate(view, grid, mean)
+        for points in (grid, grid.tolist()):   # simulate bisects the grid as a list
+            count = _gate_count(points, view.total, view.m - 1, mean)
+            assert count == int(gate.sum())
+            assert np.array_equal(gate, np.arange(grid.size) < count)
