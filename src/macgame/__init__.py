@@ -34,6 +34,7 @@ from .selection import (
 from .evolution import (
     EssResult,
     EssTestSpec,
+    PayoffTable,
     PopulationState,
     ess_check,
     expected_payoff,
@@ -44,7 +45,6 @@ from .evolution import (
 )
 from .dynamics import (
     DynamicsRun,
-    PayoffTable,
     Protocol,
     Trace,
     rest_point_residual,

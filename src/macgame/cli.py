@@ -110,6 +110,8 @@ def cmd_br(args, scenario: Scenario, view: CapacityRegionView, g: Utility) -> in
 
 
 def cmd_check_eq(args, scenario: Scenario, view: CapacityRegionView, g: Utility) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
     profile = _parse_rates(args.profile)
     nash = game.is_nash(view, g, profile, tol=args.tol)
     strong = game.is_strong_equilibrium(view, g, profile, tol=args.tol)
@@ -348,7 +350,7 @@ def _verify_checks(scenario: Scenario, view: CapacityRegionView, g: Utility):
         rows = evo.exact_rows(view, grid.size)
         if rows > evo.EXACT_ENUM_LIMIT:
             return None, f"exact table needs {rows} rows (> {evo.EXACT_ENUM_LIMIT})"
-        table = dyn.PayoffTable(view, g, grid)
+        table = evo.PayoffTable(view, g, grid)
         dirac = evo.PopulationState.dirac(grid, rstar)
         for proto in (dyn.Protocol.bnn(), dyn.Protocol.replicator(),
                       dyn.Protocol.smith(scenario.theta if scenario.theta >= 1 else 1.0),

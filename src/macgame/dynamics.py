@@ -12,17 +12,17 @@ to leave):
               support never grows
   smith       pairwise comparisons, switch rate max(F_j - F_i, 0)^theta
 
-F comes from the payoff engine in `evolution`, read over the whole grid.
-The grid is strictly increasing, so the mixed-region gate is a prefix of
-it and is carried as a count: the gated tail of F, of the BNN excess and
-of the Smith rate rows is zeroed by one slice.
+F comes from the payoff engine in `evolution` (`PayoffTable`,
+`_payoff_vector`), read over the whole grid. The grid is strictly
+increasing, so the mixed-region gate is a prefix of it and is carried as a
+count (`evolution._gate_count`): the gated tail of F, of the BNN excess
+and of the Smith rate rows is zeroed by one slice.
 Velocities sum to zero by construction; explicit Euler with clip-and-
 renormalize keeps the raw mass vector that `simulate` steps on the
 simplex, and reports the per-step drift.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,17 +31,16 @@ from .capacity import CapacityRegionView
 from .game import Utility
 from .evolution import (
     MC_SAMPLES,
-    PAYOFF_METHODS,
+    PayoffTable,
     PopulationState,
-    _admitted_mass,
-    _exact_fits,
-    _fit_mass,
-    _gate_bound,
+    _gate_count,
     _own_values,
+    _payoff_vector,
     mean_rate,
 )
 
 PROTOCOL_KINDS = ("bnn", "replicator", "smith")
+PAYOFF_METHODS = ("exact", "montecarlo")
 
 
 @dataclass(frozen=True)
@@ -72,55 +71,6 @@ class Protocol:
     @classmethod
     def smith(cls, theta: float = theta, K: float = K) -> "Protocol":
         return cls("smith", theta=theta, K=K)
-
-
-def _gate_count(grid, total: float, others: int, mean: float) -> int:
-    """How many points of the sorted grid lie inside the mixed region at mean rate `mean`
-    (grand capacity `total`, m - 1 = `others`): `evolution._mixed_gate` holds exactly on
-    that prefix."""
-    return bisect_right(grid, _gate_bound(total, others, mean))
-
-
-class PayoffTable:
-    """Exact F over one grid, from the reply slack of every exact opponent draw.
-
-    Draw c admits own rate a exactly when a <= slack_c + tol. The slacks
-    never change, so the table keeps how many grid points fit each draw
-    (`evolution._exact_fits`: sorted opponent multisets on a symmetric
-    channel); each evaluation weights the draws and reads F for the whole
-    grid off one bincount and a reverse cumulative sum.
-    """
-
-    def __init__(self, view: CapacityRegionView, g: Utility, grid: np.ndarray):
-        self.view = view
-        self.grid = np.asarray(grid, dtype=float)
-        self.m = view.m
-        self.gvals = _own_values(g, self.grid)
-        self.fits, self.weights = _exact_fits(view, self.grid, self.grid)
-
-    def payoffs(self, masses: np.ndarray, count: int = None) -> np.ndarray:
-        """F over the whole grid for the state with these masses, zero beyond the first
-        `count` grid points (default: the state's mixed-region gate, `_gate_count`)."""
-        if count is None:
-            count = _gate_count(self.grid, self.view.total, self.m - 1,
-                                float(np.dot(self.grid, masses)))
-        # at m = 2 each draw is one opponent rate, weighted by its mass
-        weights = masses if self.m == 2 else self.weights(masses)
-        F = self.gvals * _fit_mass(self.fits, self.grid.size, weights)
-        F[count:] = 0.0   # as `* gate`: g(a) * nu >= +0
-        return F
-
-
-def _payoff_vector(view, gvals, grid, masses, count, table=None, samples=None, seed=0):
-    """F over the grid, zero beyond its first `count` points: read off the exact table
-    when there is one, else g at each point (`gvals`, from `evolution._own_values`) times
-    the admitted mass of one seeded sample of `samples` opponent draws (exact draws when
-    samples is None)."""
-    if table is not None:
-        return table.payoffs(masses, count)
-    F = gvals * _admitted_mass(view, grid, grid, masses, samples, seed)
-    F[count:] = 0.0
-    return F
 
 
 def _flow(view: CapacityRegionView, protocol: Protocol, w: np.ndarray, lam: np.ndarray,
@@ -154,10 +104,12 @@ def _flow(view: CapacityRegionView, protocol: Protocol, w: np.ndarray, lam: np.n
 
 def velocity(view: CapacityRegionView, g: Utility, protocol: Protocol,
              state: PopulationState, table: PayoffTable = None) -> np.ndarray:
-    """Population flow of the given protocol at this state, on exact payoffs; sums to zero."""
+    """Population flow of the given protocol at this state, on exact payoffs read off
+    `table` (without one, a `PayoffTable` on the state's grid); sums to zero."""
+    if table is None:
+        table = PayoffTable(view, g, state.grid)
     count = _gate_count(state.grid, view.total, view.m - 1, mean_rate(state))
-    gvals = None if table is not None else _own_values(g, state.grid)
-    F = _payoff_vector(view, gvals, state.grid, state.masses, count, table)
+    F = table.payoffs(state.masses, count)
     return _flow(view, protocol, state.base_weights, state.masses, F, count,
                  float(np.dot(state.masses, F)))
 

@@ -16,12 +16,15 @@ actions is one bincount of how many fit each draw, taken over every
 opponent grid combination (exact; on a symmetric channel every sorted
 opponent multiset, weighted by its multinomial count) or a seeded iid
 sample (Monte Carlo).
-The expected-payoff functions read it at one action, `dynamics` at all.
+The expected-payoff functions read it at one action; for `dynamics`,
+`PayoffTable` (exact) and `_payoff_vector` read it over a whole grid, zero
+past its first `_gate_count` points (the mixed-region gate).
 """
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,7 +42,6 @@ MASS_TOL = 1e-9
 INDICATOR_SLACK = 1e-12
 EXACT_ENUM_LIMIT = 10_000_000
 EXACT_BLOCK_ROWS = 1 << 16
-PAYOFF_METHODS = ("exact", "montecarlo")
 MC_SAMPLES = 100_000
 ESS_SHARE = 1e-3
 
@@ -75,6 +77,8 @@ class PopulationState:
         self.masses = np.atleast_1d(np.asarray(self.masses, dtype=float)).copy()
         if self.grid.ndim != 1 or self.grid.size < 1:
             raise ValueError("grid must be a non-empty 1-D array")
+        if not (np.isfinite(self.grid).all() and np.isfinite(self.masses).all()):
+            raise ValueError("grid points and masses must be finite")
         if self.grid.size > 1 and np.any(np.diff(self.grid) <= 0.0):
             raise ValueError("grid must be strictly increasing")
         if self.masses.shape != self.grid.shape:
@@ -104,7 +108,7 @@ class PopulationState:
     def dirac(cls, grid, value: float) -> "PopulationState":
         grid = np.asarray(grid, dtype=float)
         i = int(np.argmin(np.abs(grid - value)))
-        if abs(grid[i] - value) > 1e-12:
+        if not abs(grid[i] - value) <= 1e-12:   # NaN is no grid point either
             raise ValueError(f"value {value} is not a grid point (nearest {grid[i]})")
         masses = np.zeros(grid.size)
         masses[i] = 1.0
@@ -254,21 +258,17 @@ def _fit_mass(fits: np.ndarray, size: int, weights=None) -> np.ndarray:
     return np.add.accumulate(counts[::-1])[size - 1::-1]
 
 
-def _admitted_mass(view, actions, grid, masses, samples=None, seed=0) -> np.ndarray:
-    """nu at each sorted action: the mass of opponent draws from the state admitting it.
+def _admitted_mass(view, actions, grid, masses, samples, seed) -> np.ndarray:
+    """Monte Carlo nu at each sorted action: the share of `samples` iid opponent draws from
+    the state admitting it, fixed per seed (an int or a SeedSequence).
 
-    Exact over the opponent draws of `_exact_fits` (up to EXACT_ENUM_LIMIT
-    rows) when samples is None, else the share of `samples` iid draws, fixed
-    per seed. When the n**(m-1) ordered tuples are no more than the draws,
-    each tuple's fit count is computed once and each draw reads its own by
-    its C-order flat index: the same integer counts as one slack per draw.
+    When the n**(m-1) ordered tuples are no more than the draws, each tuple's
+    fit count is computed once and each draw reads its own by its C-order
+    flat index: the same integer counts as one slack per draw.
     """
-    if samples is None:
-        fits, weights = _exact_fits(view, actions, grid)
-        return _fit_mass(fits, actions.size, weights(masses))
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    rng = np.random.Generator(np.random.Philox(seed))   # seed: int or SeedSequence
+    rng = np.random.Generator(np.random.Philox(seed))
     n, k = grid.size, view.m - 1
     idx = _draw_indices(rng, n, masses, (samples, k))
     if n ** k <= samples:
@@ -336,44 +336,86 @@ def _gate_bound(total: float, others: int, mean):
 def _mixed_gate(view, actions, mean) -> np.ndarray:
     """Actions inside the mixed region: a <= C(N) - (m-1)E, E the (broadcast) mean rate.
 
-    On a strictly increasing grid the mask is a prefix, `bisect_right(grid, bound)`
-    points long; `dynamics` keeps it as that count.
+    On a strictly increasing grid the mask is a prefix, `_gate_count` points long.
     """
     return actions <= _gate_bound(view.total, view.m - 1, mean)
+
+
+def _gate_count(grid, total: float, others: int, mean: float) -> int:
+    """How many points of the sorted grid lie inside the mixed region at mean rate `mean`
+    (grand capacity `total`, m - 1 = `others`): `_mixed_gate` holds exactly on that prefix."""
+    return bisect_right(grid, _gate_bound(total, others, mean))
+
+
+class PayoffTable:
+    """Exact F over one grid, from the reply slack of every exact opponent draw.
+
+    Draw c admits own rate a exactly when a <= slack_c + tol. The slacks
+    never change, so the table keeps how many grid points fit each draw
+    (`_exact_fits`: sorted opponent multisets on a symmetric channel); each
+    evaluation weights the draws and reads F for the whole grid off one
+    bincount and a reverse cumulative sum.
+    """
+
+    def __init__(self, view: CapacityRegionView, g: Utility, grid: np.ndarray):
+        self.view = view
+        self.grid = np.asarray(grid, dtype=float)
+        self.m = view.m
+        self.gvals = _own_values(g, self.grid)
+        self.fits, self.weights = _exact_fits(view, self.grid, self.grid)
+
+    def payoffs(self, masses: np.ndarray, count: int = None) -> np.ndarray:
+        """F over the whole grid for the state with these masses, zero beyond the first
+        `count` grid points (default: the state's mixed-region gate, `_gate_count`)."""
+        if count is None:
+            count = _gate_count(self.grid, self.view.total, self.m - 1,
+                                float(np.dot(self.grid, masses)))
+        # at m = 2 each draw is one opponent rate, weighted by its mass
+        weights = masses if self.m == 2 else self.weights(masses)
+        F = self.gvals * _fit_mass(self.fits, self.grid.size, weights)
+        F[count:] = 0.0   # as `* gate`: g(a) * nu >= +0
+        return F
+
+
+def _payoff_vector(view, gvals, grid, masses, count, table, samples, seed) -> np.ndarray:
+    """F over the grid, zero beyond its first `count` points: read off the exact table
+    when there is one, else g at each point (`gvals`, from `_own_values`) times the
+    admitted mass of one seeded sample of `samples` opponent draws."""
+    if table is not None:
+        return table.payoffs(masses, count)
+    F = gvals * _admitted_mass(view, grid, grid, masses, samples, seed)
+    F[count:] = 0.0
+    return F
 
 
 def region_mass(view: CapacityRegionView, a: float, state: PopulationState) -> float:
     """Exact product-measure mass of opponent draws keeping (a, draws) feasible.
 
-    The engine's nu at the single action a, own value 1 (so 0 for a < 0).
+    The engine's nu at the single action a, own value 1 (so 0 for a < 0),
+    over the exact draws of `_exact_fits` (up to EXACT_ENUM_LIMIT rows).
     """
     actions = np.array([float(a)])
-    nu = _admitted_mass(view, actions, state.grid, state.masses)
+    fits, weights = _exact_fits(view, actions, state.grid)
+    nu = _fit_mass(fits, actions.size, weights(state.masses))
     return float(_own_values(np.ones_like, actions)[0] * nu[0])
 
 
 def expected_payoff(view: CapacityRegionView, g: Utility, a: float,
-                    state: PopulationState, method: str = "exact",
-                    samples: int = MC_SAMPLES, seed: int = 0) -> float:
-    """F(a, state): indicator times g(a) times the feasible opponent mass.
+                    state: PopulationState) -> float:
+    """Exact F(a, state): indicator times g(a) times the feasible opponent mass.
 
-    method="exact" enumerates the full opponent grid (within the size cap);
-    method="montecarlo" averages `samples` iid opponent draws, deterministic
-    per seed. Use expected_payoff_mc for the standard error as well. An
-    action outside the mixed region scores 0 before any enumeration or draw.
+    The mass is `region_mass`, within its size cap; expected_payoff_mc is the
+    Monte Carlo F with its standard error. An action outside the mixed
+    region scores 0 before any enumeration.
     """
     a = float(a)
     c1 = float(view.single_caps.max())
     if not -1e-12 <= a <= c1 + 1e-12:
         raise ValueError(f"action {a} outside [0, {c1:g}]")
-    if method not in PAYOFF_METHODS:
-        raise ValueError(f"unknown method '{method}'")
     actions = np.array([a])
     if not _mixed_gate(view, actions, mean_rate(state))[0]:
         return 0.0
-    if method == "exact":
-        return float(_own_values(g, actions)[0] * region_mass(view, a, state))
-    return expected_payoff_mc(view, g, a, state, samples=samples, seed=seed)[0]
+    return float(_own_values(g, actions)[0] * region_mass(view, a, state))
 
 
 def expected_payoff_mc(view: CapacityRegionView, g: Utility, a: float,

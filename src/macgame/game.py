@@ -32,6 +32,7 @@ from .capacity import (
 IMPROVEMENT_MARGIN = 1e-9
 NASH_TOL = 1e-9
 SLACK_BLOCK_CELLS = 1 << 16
+UTILITY_CHECK_POINTS = 100
 
 
 @dataclass
@@ -75,20 +76,20 @@ class Utility:
             inv_deriv=lambda y: (np.asarray(y, dtype=float) / p) ** (1.0 / (p - 1.0)),
         )
 
-    def validate(self, c_max: float, samples: int = 100) -> None:
-        """Check positivity and strict increase on (0, c_max) by sampling."""
-        xs = np.linspace(0.0, c_max, samples + 1)[1:]
+    def validate(self, c_max: float) -> None:
+        """Check positivity and strict increase at UTILITY_CHECK_POINTS points of (0, c_max]."""
+        xs = np.linspace(0.0, c_max, UTILITY_CHECK_POINTS + 1)[1:]
         vals = self(xs)
         if np.any(vals <= 0.0):
             raise ValueError(f"utility '{self.kind}' is not positive on (0, {c_max:g})")
         if np.any(np.diff(vals) <= 0.0):
             raise ValueError(f"utility '{self.kind}' is not strictly increasing on (0, {c_max:g})")
 
-    def require_strictly_concave(self, c_max: float, samples: int = 100) -> None:
-        """Sampled check that g' exists and strictly decreases on (0, c_max)."""
+    def require_strictly_concave(self, c_max: float) -> None:
+        """Check that g' exists and strictly decreases at UTILITY_CHECK_POINTS points."""
         if self.deriv is None:
             raise ValueError(f"utility '{self.kind}' has no derivative")
-        xs = np.linspace(0.0, c_max, samples + 1)[1:]
+        xs = np.linspace(0.0, c_max, UTILITY_CHECK_POINTS + 1)[1:]
         dv = np.asarray(self.deriv(xs), dtype=float)
         if np.any(np.diff(dv) >= 0.0):
             raise ValueError(f"utility '{self.kind}' is not strictly concave on (0, {c_max:g})")

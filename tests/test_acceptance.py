@@ -245,7 +245,7 @@ def test_criterion_10_montecarlo_estimator():
     for trial in range(100):
         state = PopulationState(grid, rng.dirichlet(np.ones(grid.size)))
         a = float(rng.uniform(0.0, grid[-1]))
-        exact = expected_payoff(view, g, a, state, method="exact")
+        exact = expected_payoff(view, g, a, state)
         est, se = expected_payoff_mc(view, g, a, state, samples=100_000, seed=trial)
         if abs(est - exact) <= 3.0 * max(se, 1e-12) or abs(est - exact) < 1e-9:
             agree += 1

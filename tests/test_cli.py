@@ -91,6 +91,14 @@ class TestCheckEq:
         assert main(["-s", cfg, "check-eq", "--profile", split]) == 0
         assert "nash: true, strong: true, pareto: true" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_bad_tolerance_exit_2(self, tol, capsys):
+        # a usage error, not a verdict: nothing on stdout, one error line
+        assert main(["-s", str(SCENARIOS / "sym2.cfg"), "check-eq",
+                     "--profile", "0.549306144,0.549306144", f"--tol={tol}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: --tol must be finite and >= 0, got {float(tol)}\n"
+
 
 class TestMetrics:
     def test_identity_ratios(self, sym2_cfg, capsys):
@@ -196,12 +204,8 @@ class TestVerify:
     def test_montecarlo_bias_of_one_percent_fails(self, name, capsys, monkeypatch):
         # every Monte Carlo nu scaled by 0.99: on asym2 each trial's interval still holds
         # it, so the pooled z over the 20 trials is what fails there
-        exact = evo._admitted_mass
-
-        def biased(view, actions, grid, masses, samples=None, seed=0):
-            nu = exact(view, actions, grid, masses, samples, seed)
-            return nu if samples is None else 0.99 * nu
-        monkeypatch.setattr(evo, "_admitted_mass", biased)
+        unbiased = evo._admitted_mass
+        monkeypatch.setattr(evo, "_admitted_mass", lambda *args: 0.99 * unbiased(*args))
         assert main(["-s", str(SCENARIOS / name), "verify"]) == 1
         line = next(ln for ln in capsys.readouterr().out.splitlines() if "montecarlo" in ln)
         assert line.startswith("FAIL montecarlo-payoffs:") and "(tol |z| <= 3)" in line

@@ -513,9 +513,9 @@ class TestNegativeGridPoints:
         g = Utility.power(0.5)
         state = PopulationState.uniform(grid)
         count = _gate_count(grid, sym2.total, sym2.m - 1, mean_rate(state))
-        samples = None if method == "exact" else 500   # None: the exact draws, no table
-        F = _payoff_vector(sym2, _own_values(g, grid), grid, state.masses, count, None,
-                           samples, np.random.SeedSequence(1))
+        table = PayoffTable(sym2, g, grid) if method == "exact" else None
+        F = _payoff_vector(sym2, _own_values(g, grid), grid, state.masses, count, table,
+                           500, np.random.SeedSequence(1))
         assert np.all(np.isfinite(F)) and F[0] == 0.0
         v = _flow(sym2, Protocol.bnn(), state.base_weights, state.masses, F, count,
                   float(np.dot(state.masses, F)))

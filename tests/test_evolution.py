@@ -22,11 +22,12 @@ from macgame import (
     max_face_residual,
     mean_rate,
     mixed_feasible,
+    parse_scenario,
     payoff,
     simulate,
 )
 from macgame.capacity import FEASIBILITY_TOL, reply_slack
-from macgame.evolution import ESS_SHARE, _admitted_mass, _draw_indices
+from macgame.evolution import ESS_SHARE, _admitted_mass, _draw_indices, region_mass
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -99,6 +100,19 @@ class TestPopulationState:
         grid = np.linspace(0.0, LN2, 11)
         with pytest.raises(ValueError, match="grid point"):
             PopulationState.dirac(grid, 0.1234)
+        with pytest.raises(ValueError, match="grid point"):
+            PopulationState.dirac(grid, math.nan)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_grid_point_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PopulationState(np.array([0.0, 0.2, bad]), np.array([0.5, 0.5, 0.0]))
+        with pytest.raises(ValueError, match="finite"):
+            PopulationState(np.array([bad]), np.array([1.0]))
+
+    def test_nan_mass_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            PopulationState(np.array([0.0, 0.2, 0.4]), np.array([0.5, 0.5, math.nan]))
 
     def test_make_grid_snaps_included_value(self):
         grid = make_grid(LN2, 51, include=LN3 / 2)
@@ -278,14 +292,15 @@ class TestExpectedPayoff:
         view = build_view(ChannelModel(np.ones(4)))
         state = PopulationState.uniform(np.linspace(0.0, LN2, 500))
         with pytest.raises(ValueError, match="Monte Carlo"):
-            expected_payoff(view, Utility.identity(), 0.1, state, method="exact")
+            expected_payoff(view, Utility.identity(), 0.1, state)
 
-    @pytest.mark.parametrize("a", [0.3, 0.62], ids=["inside", "outside"])
-    def test_unknown_method_rejected_on_both_sides_of_the_gate(self, sym2, a):
-        # all opponents at 0.5: the mixed-region bound is ln3 - 0.5 = 0.5986
-        state = PopulationState(np.array([0.0, 0.5]), np.array([0.0, 1.0]))
-        with pytest.raises(ValueError, match="unknown method"):
-            expected_payoff(sym2, Utility.identity(), a, state, method="bogus")
+    def test_unknown_payoff_method_rejected_by_run_and_scenario(self, sym2):
+        # the dynamics run is the one place a payoff method is still named
+        state0 = PopulationState.uniform(np.linspace(0.0, LN2, 11))
+        with pytest.raises(ValueError, match="unknown payoff method 'bogus'"):
+            DynamicsRun(protocol=Protocol.bnn(), state0=state0, payoff_method="bogus")
+        with pytest.raises(ValueError, match="payoff_method must be exact or montecarlo"):
+            parse_scenario("m = 2\nsnr = 1,1\npayoff_method = bogus\n")
 
     def test_action_out_of_range_rejected(self, sym2):
         with pytest.raises(ValueError, match="outside"):
@@ -293,12 +308,8 @@ class TestExpectedPayoff:
 
     def test_mc_deterministic_per_seed(self, sym2):
         state = three_point_state()
-        a = expected_payoff(sym2, Utility.identity(), 0.6, state,
-                            method="montecarlo", samples=5000, seed=11)
-        b = expected_payoff(sym2, Utility.identity(), 0.6, state,
-                            method="montecarlo", samples=5000, seed=11)
-        c = expected_payoff(sym2, Utility.identity(), 0.6, state,
-                            method="montecarlo", samples=5000, seed=12)
+        a, b, c = (expected_payoff_mc(sym2, Utility.identity(), 0.6, state, samples=5000,
+                                      seed=seed)[0] for seed in (11, 11, 12))
         assert a == b
         assert a != c
 
@@ -314,7 +325,7 @@ class TestExpectedPayoff:
         for t in range(100):
             state = PopulationState(grid, rng.dirichlet(np.ones(21)))
             a = float(rng.uniform(0.0, LN2))
-            exact = expected_payoff(sym2, g, a, state, method="exact")
+            exact = expected_payoff(sym2, g, a, state)
             est, se = expected_payoff_mc(sym2, g, a, state, samples=100_000, seed=t)
             if abs(est - exact) > 3.0 * max(se, 1e-12) and abs(est - exact) > 1e-9:
                 misses += 1
@@ -387,7 +398,7 @@ class TestSingleUserMonteCarlo:
         view, state = solo
         nu = _admitted_mass(view, state.grid, state.grid, state.masses, samples, 4)
         assert np.array_equal(nu, np.ones(state.n))
-        assert np.array_equal(nu, _admitted_mass(view, state.grid, state.grid, state.masses))
+        assert np.array_equal(nu, [region_mass(view, float(a), state) for a in state.grid])
 
     def test_expected_payoff_mc_matches_exact(self, solo):
         view, state = solo
