@@ -4,7 +4,9 @@
 Each tree is the directory put on PYTHONPATH, the `src` of a checkout. Per
 scenario (default: the three shipped ones) the battery is every subcommand,
 `dynamics` with exact payoffs, `dynamics` with Monte Carlo payoffs for
-40 steps at 3,000 samples, and `dynamics` for 2,000 steps under the
+10 steps at 40,000 samples (several sampling blocks of
+`macgame.evolution.MC_BLOCK` draws, the last one partial, so a fault at a
+block boundary shows), and `dynamics` for 2,000 steps under the
 replicator and under Smith with theta = 2, so that every flow is compared
 whichever protocol the scenario sets (the shipped ones run BNN and Smith
 with theta = 1). Every call is a fresh `python -m macgame` in its
@@ -24,8 +26,8 @@ import tempfile
 from pathlib import Path
 
 SHIPPED = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.cfg"))
-MONTE_CARLO = ["--set", "payoff_method=montecarlo", "--set", "steps=40",
-               "--set", "samples=3000"]
+MONTE_CARLO = ["--set", "payoff_method=montecarlo", "--set", "steps=10",
+               "--set", "samples=40000"]
 
 
 def run(tree: Path, scenario: Path, argv: list) -> dict:

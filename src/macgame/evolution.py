@@ -43,6 +43,8 @@ INDICATOR_SLACK = 1e-12
 EXACT_ENUM_LIMIT = 10_000_000
 EXACT_BLOCK_ROWS = 1 << 16
 MC_SAMPLES = 100_000
+# Monte Carlo draws per block: a multiple of 4, so every block starts on a Philox counter
+MC_BLOCK = 1 << 13
 ESS_SHARE = 1e-3
 
 
@@ -254,45 +256,82 @@ def _fit_mass(fits: np.ndarray, size: int, weights=None) -> np.ndarray:
     reverse cumulative sum give every action's mass at once (the sum's last
     entry, the draws admitting nothing, is dropped).
     """
-    counts = np.bincount(fits, weights, minlength=size + 1)
-    return np.add.accumulate(counts[::-1])[size - 1::-1]
+    return _admitting(np.bincount(fits, weights, minlength=size + 1))
+
+
+def _admitting(counts: np.ndarray) -> np.ndarray:
+    """From the weight of the draws with each fit count 0..size, the weight admitting
+    each of the size sorted actions: a reverse cumulative sum, its last entry dropped."""
+    return np.add.accumulate(counts[::-1])[-2::-1]
 
 
 def _admitted_mass(view, actions, grid, masses, samples, seed) -> np.ndarray:
     """Monte Carlo nu at each sorted action: the share of `samples` iid opponent draws from
     the state admitting it, fixed per seed (an int or a SeedSequence).
 
+    The sample is `Generator(Philox(seed)).choice(n, size=(samples, m - 1),
+    p=masses)`, draw for draw, walked in blocks of MC_BLOCK draws. Philox is
+    counter-based and yields 4 uniforms per counter, so the block starting at
+    draw lo reads its (m - 1) uniforms per draw from the stream advanced by
+    lo * (m - 1) / 4 counters, exactly where they lie in one long draw. Each
+    uniform is (raw >> 11) * 2**-53 of one raw 64-bit output, as
+    `Generator.random` makes it, so the block reads the raw outputs and looks
+    their indices up off the integers (`_guide_lookup`). The masses are
+    checked, and the cdf and guide table built, once per call.
+
     When the n**(m-1) ordered tuples are no more than the draws, each tuple's
-    fit count is computed once and each draw reads its own by its C-order
-    flat index: the same integer counts as one slack per draw.
+    fit count is computed once per call and each draw reads its own by its
+    C-order flat index (the same integer as its own slack would give);
+    otherwise each draw solves its own reply slack. Each block adds the
+    bincount of its fit counts to one integer tally, so the tally is that of
+    the whole sample, and working memory beyond the listing is
+    O(MC_BLOCK * (m - 1)).
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    rng = np.random.Generator(np.random.Philox(seed))
     n, k = grid.size, view.m - 1
-    idx = _draw_indices(rng, n, masses, (samples, k))
+    cdf = _choice_cdf(n, masses)
+    guide = _guide_table(cdf, samples * k)
+    tuple_fits = None
     if n ** k <= samples:
         tuple_fits = _fit_counts(actions, reply_slack(view, 0, grid[_ordered_listing(n, k)].T))
-        flat = np.zeros(samples, np.intp)
-        for col in idx.T:                  # Horner: the draw's C-order index in the listing
-            flat *= n
-            flat += col
-        fits = tuple_fits.take(flat)
-    else:
-        fits = _fit_counts(actions, reply_slack(view, 0, grid[idx]))
-    return _fit_mass(fits, actions.size) / samples
+    tallies = np.zeros(actions.size + 1, np.intp)
+    bits = np.random.Philox(seed)
+    start = bits.state
+    for lo in range(0, samples, MC_BLOCK):
+        bits.state = start                 # back to Philox(seed) without seeding again
+        bits.advance(lo * k // 4)
+        units = bits.random_raw((min(MC_BLOCK, samples - lo), k))
+        units >>= 11                       # `Generator.random` gives u = units * 2**-53
+        idx = _guide_lookup(cdf, guide, units)
+        if tuple_fits is None:
+            fits = _fit_counts(actions, reply_slack(view, 0, grid[idx]))
+        else:
+            flat = np.zeros(len(idx), np.intp)
+            for col in idx.T:              # Horner: the draw's C-order index in the listing
+                flat *= n
+                flat += col
+            fits = tuple_fits.take(flat)
+        tallies += np.bincount(fits, minlength=tallies.size)
+    return _admitting(tallies) / samples
 
 
 def _draw_indices(rng: np.random.Generator, n: int, masses, shape) -> np.ndarray:
     """`rng.choice(n, size=shape, p=masses)`, draw for draw, without its binary search per draw.
 
-    The same checks on p (as ValueErrors), the same normalised cdf and the same
-    uniforms u; `choice` returns cdf.searchsorted(u, "right"). Here a guide
-    table (Chen & Asau 1974) splits [0, 1) into B = 2**b equal buckets: u * B
-    and its floor are exact, and a bucket with no cdf value inside its interval
-    gives every u in it the index of its left edge. Only the uniforms in the
-    at most n buckets that do hold one are searched.
+    The same checks on p (as ValueErrors), the same normalised cdf
+    (`_choice_cdf`) and the same uniforms u, each a multiple of 2**-53 and so
+    given exactly by the integer u * 2**53; `choice` returns
+    cdf.searchsorted(u, "right"), here read off a guide table (`_guide_table`,
+    `_guide_lookup`).
     """
+    cdf = _choice_cdf(n, masses)
+    units = (rng.random(shape) * 2.0 ** 53).astype(np.uint64)
+    return _guide_lookup(cdf, _guide_table(cdf, units.size), units)
+
+
+def _choice_cdf(n: int, masses) -> np.ndarray:
+    """The normalised cdf `Generator.choice(n, p=masses)` draws from, after its checks on p."""
     p = np.asarray(masses, dtype=float)
     if p.ndim != 1:
         raise ValueError("p must be 1-dimensional")
@@ -307,17 +346,35 @@ def _draw_indices(rng: np.random.Generator, n: int, masses, shape) -> np.ndarray
         raise ValueError("Probabilities do not sum to 1")
     cdf = p.cumsum()
     cdf /= cdf[-1]
-    u = rng.random(shape)
-    # a power of two >= 64 n, but none above the first one >= the draw count (so a small
-    # sample builds no large table), and at least 256
-    buckets = 1 << max(8, (min(64 * n, u.size) - 1).bit_length())
+    return cdf
+
+
+def _guide_table(cdf: np.ndarray, draws: int) -> np.ndarray:
+    """A guide table (Chen & Asau 1974) for `draws` uniforms against the cdf.
+
+    It splits [0, 1) into B = 2**b equal buckets (B is its size): a bucket with
+    no cdf value inside its interval holds the index of its left edge, any
+    other -1. B is a power of two >= 64 n, but none above the first one >= the
+    draw count (so a small sample builds no large table), and at least 256.
+    """
+    buckets = 1 << max(8, (min(64 * cdf.size, draws) - 1).bit_length())
     edges = np.arange(buckets + 1) / buckets
     left = cdf.searchsorted(edges[:-1], side="right")
-    guide = np.where(left == cdf.searchsorted(edges[1:], side="left"), left, -1)
-    idx = guide.take((u * buckets).astype(np.intp))
+    return np.where(left == cdf.searchsorted(edges[1:], side="left"), left, -1)
+
+
+def _guide_lookup(cdf: np.ndarray, guide: np.ndarray, units: np.ndarray) -> np.ndarray:
+    """cdf.searchsorted(u, "right") for the uniforms u = units * 2**-53 (uint64 units).
+
+    A uniform's bucket, floor(u * B) for B = 2**b buckets, is units >> (53 - b)
+    exactly; each takes its bucket's guide entry, and only the uniforms in the
+    at most n buckets that hold a cdf value (entry -1) are searched.
+    """
+    shift = 53 - (guide.size.bit_length() - 1)
+    idx = guide.take((units >> shift).view(np.intp))
     flat = idx.reshape(-1)
     search = np.flatnonzero(flat < 0)
-    flat[search] = cdf.searchsorted(u.reshape(-1).take(search), side="right")
+    flat[search] = cdf.searchsorted(units.reshape(-1).take(search) * 2.0 ** -53, side="right")
     return idx
 
 
@@ -400,6 +457,15 @@ def region_mass(view: CapacityRegionView, a: float, state: PopulationState) -> f
     return float(_own_values(np.ones_like, actions)[0] * nu[0])
 
 
+def _checked_action(view: CapacityRegionView, a) -> float:
+    """The action as a float, within 1e-12 of [0, C({1})] (NaN is not), else a ValueError."""
+    a = float(a)
+    c1 = float(view.single_caps.max())
+    if not -1e-12 <= a <= c1 + 1e-12:
+        raise ValueError(f"action {a} outside [0, {c1:g}]")
+    return a
+
+
 def expected_payoff(view: CapacityRegionView, g: Utility, a: float,
                     state: PopulationState) -> float:
     """Exact F(a, state): indicator times g(a) times the feasible opponent mass.
@@ -408,10 +474,7 @@ def expected_payoff(view: CapacityRegionView, g: Utility, a: float,
     Monte Carlo F with its standard error. An action outside the mixed
     region scores 0 before any enumeration.
     """
-    a = float(a)
-    c1 = float(view.single_caps.max())
-    if not -1e-12 <= a <= c1 + 1e-12:
-        raise ValueError(f"action {a} outside [0, {c1:g}]")
+    a = _checked_action(view, a)
     actions = np.array([a])
     if not _mixed_gate(view, actions, mean_rate(state))[0]:
         return 0.0
@@ -423,12 +486,11 @@ def expected_payoff_mc(view: CapacityRegionView, g: Utility, a: float,
                        seed: int = 0) -> tuple:
     """Monte Carlo F(a, state) with its standard error, deterministic per seed.
 
-    Actions below -INDICATOR_SLACK or outside the mixed region score (0, 0)
-    without drawing.
+    An action outside [0, C({1})] raises, as in expected_payoff; one outside
+    the mixed region scores (0, 0) without drawing.
     """
-    a = float(a)
-    actions = np.array([a])
-    if a < -INDICATOR_SLACK or not _mixed_gate(view, actions, mean_rate(state))[0]:
+    actions = np.array([_checked_action(view, a)])
+    if not _mixed_gate(view, actions, mean_rate(state))[0]:
         return 0.0, 0.0
     ga = float(_own_values(g, actions)[0])
     p_hat = float(_admitted_mass(view, actions, state.grid, state.masses, samples, seed)[0])

@@ -1,6 +1,7 @@
 """Evolutionary statics: symmetric equilibrium, ESS, mixed region, payoffs."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from macgame import (
     simulate,
 )
 from macgame.capacity import FEASIBILITY_TOL, reply_slack
-from macgame.evolution import ESS_SHARE, _admitted_mass, _draw_indices, region_mass
+from macgame.evolution import ESS_SHARE, MC_BLOCK, _admitted_mass, _draw_indices, region_mass
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -302,9 +303,12 @@ class TestExpectedPayoff:
         with pytest.raises(ValueError, match="payoff_method must be exact or montecarlo"):
             parse_scenario("m = 2\nsnr = 1,1\npayoff_method = bogus\n")
 
-    def test_action_out_of_range_rejected(self, sym2):
-        with pytest.raises(ValueError, match="outside"):
-            expected_payoff(sym2, Utility.identity(), 0.8, three_point_state())
+    @pytest.mark.parametrize("func", [expected_payoff, expected_payoff_mc])
+    # above C({1}) = ln 2, inside (0.75) and outside (0.8) the gate ln 3 - 0.3 = 0.799; NaN
+    @pytest.mark.parametrize("a", [0.75, 0.8, math.nan])
+    def test_action_out_of_range_rejected(self, sym2, func, a):
+        with pytest.raises(ValueError, match=r"^action .* outside \[0, 0\.693147\]$"):
+            func(sym2, Utility.identity(), a, three_point_state())
 
     def test_mc_deterministic_per_seed(self, sym2):
         state = three_point_state()
@@ -382,6 +386,92 @@ class TestMonteCarloLookup:
                 got = _admitted_mass(view, actions, grid, masses, samples, seed)
                 want = per_draw_admitted_mass(view, actions, grid, masses, samples, seed)
                 assert np.array_equal(got, want), (samples, seed)
+
+
+def single_array_admitted_mass(view, actions, grid, masses, samples, seed):
+    """The Monte Carlo route before blocks: the whole sample's indices in one array, then
+    every draw's fit count, off the ordered listing when n**(m-1) <= samples."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    n, k = grid.size, view.m - 1
+    idx = rng.choice(n, size=(samples, k), p=masses)
+    if n ** k <= samples:
+        listing = np.indices((n,) * k).reshape(k, n ** k)
+        tuple_slack = reply_slack(view, 0, grid[listing].T)
+        tuple_fits = np.searchsorted(actions, tuple_slack + FEASIBILITY_TOL, side="right")
+        flat = np.zeros(samples, np.intp)
+        for col in idx.T:
+            flat = flat * n + col
+        fits = tuple_fits[flat]
+    else:
+        fits = np.searchsorted(actions, reply_slack(view, 0, grid[idx]) + FEASIBILITY_TOL,
+                               side="right")
+    counts = np.bincount(fits, minlength=actions.size + 1)
+    return np.add.accumulate(counts[::-1])[actions.size - 1::-1] / samples
+
+
+BLOCK_CHANNELS = {"symmetric": [1.5] * 5, "asymmetric": [3.0, 1.0, 0.5, 2.0, 0.7]}
+
+
+class TestMonteCarloBlocks:
+    """The sample walked in blocks of MC_BLOCK draws gives the single-array route's nu,
+    bit for bit, on either side of each block boundary."""
+
+    SAMPLES = (MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 3 * MC_BLOCK + 5)
+
+    def test_block_starts_on_a_philox_counter(self):
+        # Philox yields 4 uniforms per counter; a block starting inside one would shift
+        # every later draw
+        assert MC_BLOCK % 4 == 0
+
+    # with no opponents (m = 1) the one-tuple listing always serves
+    @pytest.mark.parametrize("m, route", [(1, "listing")] + [
+        (m, route) for m in (2, 3, 4, 5) for route in ("listing", "per-draw")])
+    @pytest.mark.parametrize("channel", sorted(BLOCK_CHANNELS))
+    def test_matches_single_array_route(self, m, route, channel):
+        k = m - 1
+        view = build_view(ChannelModel(np.array(BLOCK_CHANNELS[channel][:m])))
+        # the listing serves when n**(m-1) <= samples, so a listing of 5**(m-1) <= 625
+        # rows always does and one longer than the largest sample never does
+        n = 5 if route == "listing" else 1 + math.floor(max(self.SAMPLES) ** (1.0 / k))
+        assert all((n ** k <= samples) == (route == "listing") for samples in self.SAMPLES)
+        grid = np.linspace(0.0, float(view.single_caps.max()), n)
+        rng = np.random.default_rng(10 * m + len(channel))
+        masses = rng.dirichlet(np.ones(n))
+        masses[1] = 0.0
+        masses /= masses.sum()
+        actions = np.sort(rng.uniform(0.0, 1.1 * grid[-1], 9))
+        for samples in self.SAMPLES:
+            for seed in (5, np.random.SeedSequence(3, spawn_key=(5,))):
+                got = _admitted_mass(view, actions, grid, masses, samples, seed)
+                want = single_array_admitted_mass(view, actions, grid, masses, samples, seed)
+                assert np.array_equal(got, want), (samples, seed)
+
+    @pytest.mark.parametrize("channel", sorted(BLOCK_CHANNELS))
+    def test_listing_longer_than_a_block(self, channel):
+        # 150**2 = 22,500 listed tuples: more than one block holds, fewer than the draws
+        view = build_view(ChannelModel(np.array(BLOCK_CHANNELS[channel][:3])))
+        grid = np.linspace(0.0, float(view.single_caps.max()), 150)
+        samples = 3 * MC_BLOCK + 5
+        assert MC_BLOCK < grid.size ** 2 <= samples
+        masses = np.random.default_rng(150).dirichlet(np.ones(grid.size))
+        got = _admitted_mass(view, grid, grid, masses, samples, 7)
+        want = single_array_admitted_mass(view, grid, grid, masses, samples, 7)
+        assert np.array_equal(got, want)
+
+    def test_working_memory_is_one_block(self):
+        # m = 6, n = 31: 31**5 tuples outnumber the draws, so each draw solves its slack.
+        # Holding the whole sample's uniforms, indices and rates at once peaked at 32 MB;
+        # one block of 8192 draws peaks at 3.0 MB, about 370 bytes per draw
+        view = build_view(ChannelModel(np.ones(6)))
+        grid = np.linspace(0.0, float(view.single_caps.max()), 31)
+        masses = np.random.default_rng(6).dirichlet(np.ones(31))
+        tracemalloc.start()
+        try:
+            _admitted_mass(view, grid, grid, masses, 100_000, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8_000_000
 
 
 class TestSingleUserMonteCarlo:
