@@ -13,12 +13,14 @@ with theta = 1). Every call is a fresh `python -m macgame` in its
 own temporary directory; its stdout, stderr, exit code and both CSVs are
 compared. `br` and `check-eq` are asked at 0.9 times the safe rates that
 the new tree's `region` prints. Exits 1 naming every output that differs,
-else 0.
+with the first old/new line pair that differs in it (so a by-design change
+shows which lines moved), else 0.
 
     python scripts/compare_outputs.py ../parent/src src
     python scripts/compare_outputs.py OLD_SRC NEW_SRC scenarios/sym3.cfg
 """
 import argparse
+import itertools
 import os
 import subprocess
 import sys
@@ -65,12 +67,24 @@ def battery(rates: list) -> list:
     ]
 
 
+def first_difference(before, after) -> str:
+    """The first old/new line pair that differs between two outputs (None: not written)."""
+    lines = [[] if out is None else out.decode(errors="replace").splitlines()
+             for out in (before, after)]
+    for number, (old, new) in enumerate(itertools.zip_longest(*lines), 1):
+        if old != new:
+            return f"\n    old line {number}: {old}\n    new line {number}: {new}"
+    return "\n    (the lines agree; only the line endings differ)"
+
+
 def compare(old: Path, new: Path, scenario: Path) -> list:
-    """Names of the outputs that differ between the two trees on this scenario."""
+    """Each output that differs between the two trees on this scenario, named, with its
+    first differing line pair."""
     calls = {"region": (run(old, scenario, ["region"]), run(new, scenario, ["region"]))}
     for argv in battery(safe_rates(calls["region"][1]["stdout"])):
         calls[" ".join(argv)] = (run(old, scenario, argv), run(new, scenario, argv))
-    return [f"{scenario.name}: {call}: {name}" for call, (before, after) in calls.items()
+    return [f"{scenario.name}: {call}: {name}{first_difference(before[name], after[name])}"
+            for call, (before, after) in calls.items()
             for name in before if before[name] != after[name]]
 
 

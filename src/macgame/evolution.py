@@ -46,6 +46,7 @@ MC_SAMPLES = 100_000
 # Monte Carlo draws per block: a multiple of 4, so every block starts on a Philox counter
 MC_BLOCK = 1 << 13
 ESS_SHARE = 1e-3
+ESS_MARGIN = 1e-12   # the resident must out-earn each mutant by more than this
 
 
 def make_grid(upper: float, n: int, include: Optional[float] = None) -> np.ndarray:
@@ -163,8 +164,8 @@ def ess_check(view: CapacityRegionView, g: Utility, spec: EssTestSpec) -> EssRes
     """Invasion test for a symmetric resident rate, one pass over the mutants.
 
     Each mutant on a grid over [0, C(N)/m] invades at share ESS_SHARE, and
-    the resident must then strictly outperform it against the invaded mean
-    b; the first failure in grid order is the witness. Every feasibility
+    the resident must then out-earn it by more than ESS_MARGIN against the
+    invaded mean b; the first failure in grid order is the witness. Every feasibility
     question is `_mixed_gate`, exact here: (a, b, ..., b) is feasible iff
     a <= C({1}), b <= C(m-1)/(m-1) and a <= C(N) - (m-1)b, as C(k+1) - kb is
     concave in k (smallest at k = 0 or m-1); for a, b <= C(N)/m only the
@@ -185,7 +186,7 @@ def ess_check(view: CapacityRegionView, g: Utility, spec: EssTestSpec) -> EssRes
     b = ESS_SHARE * mutants + (1.0 - ESS_SHARE) * r
     u_res = _own_values(g, np.array([r])) * _mixed_gate(view, r, b)
     u_mut = _own_values(g, mutants) * _mixed_gate(view, mutants, b)
-    fails = np.flatnonzero(_mixed_gate(view, b, b) & ~(u_res > u_mut + 1e-12))
+    fails = np.flatnonzero(_mixed_gate(view, b, b) & ~(u_res > u_mut + ESS_MARGIN))
     if fails.size:
         return EssResult(is_ess=False, witness=(float(mutants[fails[0]]), ESS_SHARE))
     return EssResult(is_ess=True, witness=None)
@@ -314,20 +315,6 @@ def _admitted_mass(view, actions, grid, masses, samples, seed) -> np.ndarray:
             fits = tuple_fits.take(flat)
         tallies += np.bincount(fits, minlength=tallies.size)
     return _admitting(tallies) / samples
-
-
-def _draw_indices(rng: np.random.Generator, n: int, masses, shape) -> np.ndarray:
-    """`rng.choice(n, size=shape, p=masses)`, draw for draw, without its binary search per draw.
-
-    The same checks on p (as ValueErrors), the same normalised cdf
-    (`_choice_cdf`) and the same uniforms u, each a multiple of 2**-53 and so
-    given exactly by the integer u * 2**53; `choice` returns
-    cdf.searchsorted(u, "right"), here read off a guide table (`_guide_table`,
-    `_guide_lookup`).
-    """
-    cdf = _choice_cdf(n, masses)
-    units = (rng.random(shape) * 2.0 ** 53).astype(np.uint64)
-    return _guide_lookup(cdf, _guide_table(cdf, units.size), units)
 
 
 def _choice_cdf(n: int, masses) -> np.ndarray:

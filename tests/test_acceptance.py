@@ -38,7 +38,7 @@ from macgame import (
     sample_max_face,
     simulate,
 )
-from macgame.cli import _random_mixed_state
+from macgame.checks import _random_mixed_state
 
 from lattice import strong_by_lattice
 

@@ -1,0 +1,32 @@
+"""The verify battery's exact side: one shared opponent listing for all its trials."""
+
+import numpy as np
+import pytest
+
+from macgame import ChannelModel, PopulationState, Utility, build_view, expected_payoff
+from macgame.checks import _exact_payoffs, _random_mixed_state
+
+CHANNELS = {"symmetric": [1.5] * 5, "asymmetric": [3.0, 1.0, 0.5, 2.0, 0.7]}
+UTILITIES = {"identity": Utility.identity(), "log1p": Utility.log1p(),
+             "power": Utility.power(0.5)}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("channel", sorted(CHANNELS))
+@pytest.mark.parametrize("gname", sorted(UTILITIES))
+def test_shared_listing_matches_expected_payoff(m, channel, gname):
+    view, g = build_view(ChannelModel(np.array(CHANNELS[channel][:m]))), UTILITIES[gname]
+    grid = np.linspace(0.0, float(view.single_caps.max()), 9)
+    rng = np.random.default_rng(m)
+    states = [_random_mixed_state(rng, grid, view.total / max(m - 1, 1)) for _ in range(6)]
+    bound = [min(grid[-1], view.total - (m - 1) * float(s.grid @ s.masses)) for s in states]
+    cases = [(s, float(rng.uniform(0.0, b))) for s, b in zip(states, bound)]
+    cases += [(states[0], cases[1][1]), (states[2], cases[1][1]),   # tied actions
+              (states[3], 0.0), (states[4], float(grid[1])), (states[5], float(grid[3])),
+              (states[1], float(grid[3])),
+              # a Dirac on the top of the grid gates its own point out (m >= 2)
+              (PopulationState.dirac(grid, grid[-1]), float(grid[-1]))]
+    got = _exact_payoffs(view, g, grid, cases)
+    want = [expected_payoff(view, g, a, state) for state, a in cases]
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert (want[-1] == 0.0) == (m >= 2) and min(want[:-1]) >= 0.0

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from macgame import evolution as evo
+from macgame import checks, evolution as evo
 from macgame.cli import main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -20,6 +20,30 @@ def write_scenario(tmp_path, text, name="case.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+@pytest.fixture
+def verify_records(monkeypatch):
+    """The records of the next `checks.run` call, the one `verify` prints."""
+    records, run = [], checks.run
+
+    def recorded(*args):
+        records[:] = run(*args)
+        return records
+    monkeypatch.setattr(checks, "run", recorded)
+    return records
+
+
+def assert_records_hold(records, out):
+    """No check failed, and each one not skipped prints a line that states its finite tol."""
+    lines = out.splitlines()
+    assert len(records) == len(checks.CHECKS) and len(lines) == len(records) + 1
+    for rec, line in zip(records, lines):
+        assert rec.verdict is True or rec.verdict is None, line
+        assert line.endswith(f" {rec.name}: {rec.detail}")
+        numbers = [float(x) for x in re.findall(r"\d+(?:\.\d+)?(?:e[-+]?\d+)?", line)]
+        assert rec.verdict is None or (math.isfinite(rec.tol) and rec.tol in numbers), line
+    assert lines[-1].startswith("passed ") and ", failed 0, " in lines[-1]
 
 
 @pytest.fixture
@@ -182,33 +206,57 @@ class TestCompareOutputsScript:
         assert script["main"]([src, src, str(SCENARIOS / "sym3.cfg")]) == 0
         assert capsys.readouterr().out == "1 scenario(s) compared, 0 output(s) differ\n"
 
+    def test_difference_shows_first_differing_lines(self):
+        script = runpy.run_path(str(COMPARE_OUTPUTS), run_name="compare_outputs")
+        first = script["first_difference"]
+        assert first(b"a\nb\nc\n", b"a\nB\nC\n") == "\n    old line 2: b\n    new line 2: B"
+        assert first(b"a\n", b"a\nb\n") == "\n    old line 2: None\n    new line 2: b"
+        assert first(None, b"x\n") == "\n    old line 1: None\n    new line 1: x"
+
+
+# the shipped scenarios (m <= 3), and Monte Carlo payoffs checked past them: symmetric m = 4
+# and 5, asymmetric m = 5
+VERIFY_ARGV = {"sym2.cfg": ["-s", str(SCENARIOS / "sym2.cfg")],
+               "sym3.cfg": ["-s", str(SCENARIOS / "sym3.cfg")],
+               "asym2.cfg": ["-s", str(SCENARIOS / "asym2.cfg")],
+               "sym4": ["--set", "m=4", "--set", "p=3"], "sym5": ["--set", "m=5", "--set", "p=3"],
+               "asym5": ["--set", "m=5", "--set", "snr=3,1,0.5,2,0.7"]}
+
 
 class TestVerify:
-    @pytest.mark.parametrize("name", ["sym2.cfg", "sym3.cfg", "asym2.cfg"])
-    def test_shipped_scenarios_pass(self, name, capsys):
-        assert main(["-s", str(SCENARIOS / name), "verify"]) == 0
-        out = capsys.readouterr().out
-        assert "failed 0" in out
+    @pytest.mark.parametrize("name", sorted(VERIFY_ARGV))
+    def test_passes_with_montecarlo_run(self, name, verify_records, capsys):
+        assert main(VERIFY_ARGV[name] + ["verify"]) == 0
+        assert_records_hold(verify_records, capsys.readouterr().out)
+        assert verify_records[-1].name == "montecarlo-payoffs" and verify_records[-1].verdict
 
     @pytest.mark.parametrize("argv", [
         ["--set", "m=21", "--set", "p=1"],                  # 2^m parts skipped above 20 users
         ["--set", "m=2", "--set", "snr=0.0029,0.0029"],     # rest-point probe at tiny payoffs
         ["--set", "m=3", "--set", "snr=0.0235,0.0235,0.0235", "--set", "seed=1"],  # p_hat = 1
     ])
-    def test_holds_on_edge_scenarios(self, argv, capsys):
+    def test_holds_on_edge_scenarios(self, argv, verify_records, capsys):
         assert main(argv + ["verify"]) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out and "failed 0" in out
+        assert_records_hold(verify_records, capsys.readouterr().out)
 
-    @pytest.mark.parametrize("name", ["sym2.cfg", "sym3.cfg", "asym2.cfg"])
+    @pytest.mark.parametrize("name", sorted(VERIFY_ARGV))
     def test_montecarlo_bias_of_one_percent_fails(self, name, capsys, monkeypatch):
         # every Monte Carlo nu scaled by 0.99: on asym2 each trial's interval still holds
         # it, so the pooled z over the 20 trials is what fails there
         unbiased = evo._admitted_mass
         monkeypatch.setattr(evo, "_admitted_mass", lambda *args: 0.99 * unbiased(*args))
-        assert main(["-s", str(SCENARIOS / name), "verify"]) == 1
+        assert main(VERIFY_ARGV[name] + ["verify"]) == 1
         line = next(ln for ln in capsys.readouterr().out.splitlines() if "montecarlo" in ln)
         assert line.startswith("FAIL montecarlo-payoffs:") and "(tol |z| <= 3)" in line
+
+    @pytest.mark.parametrize("argv, rows", [
+        (["--set", "m=6", "--set", "snr=3,1,0.5,2,0.7,1.2"], 21 ** 5),
+        (["--set", "m=8", "--set", "p=1"], 888_030),
+    ])
+    def test_montecarlo_skip_beyond_row_limit(self, argv, rows, capsys):
+        assert main(argv + ["verify"]) == 0
+        line = next(ln for ln in capsys.readouterr().out.splitlines() if "montecarlo" in ln)
+        assert line == f"skip montecarlo-payoffs: exact listing needs {rows} rows (> 262144)"
 
     def test_montecarlo_chance_failure_redrawn(self, tmp_path, capsys):
         # a valid scenario whose first Monte Carlo draw lands 2 of 20 trials outside
@@ -345,7 +393,7 @@ class TestExitCodeSweep:
 
     @pytest.mark.parametrize("command", SWEEP_COMMANDS)
     @pytest.mark.parametrize("seed", range(16))
-    def test_clean_exit(self, seed, command, tmp_path, capsys):
+    def test_clean_exit(self, seed, command, tmp_path, verify_records, capsys):
         code = main(sweep_argv(seed, command, tmp_path))
         assert code in (0, 1, 2)
         out, err = capsys.readouterr()
@@ -353,4 +401,5 @@ class TestExitCodeSweep:
             assert command in SWEEP_REFUSALS, err
             assert re.fullmatch(f"error: {SWEEP_REFUSALS[command]}\n", err), err
         if command == "verify":
-            assert code == 0 and "FAIL" not in out
+            assert code == 0
+            assert_records_hold(verify_records, out)

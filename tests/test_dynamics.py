@@ -26,7 +26,7 @@ from macgame import (
     velocity,
 )
 from macgame.capacity import FEASIBILITY_TOL, reply_slack, subset_sums
-from macgame.cli import _random_mixed_state
+from macgame.checks import _random_mixed_state
 from macgame.dynamics import _flow, _gate_count, _payoff_vector, euler_update
 from macgame.evolution import (EXACT_ENUM_LIMIT, INDICATOR_SLACK, _admitted_mass, _fit_mass,
                                _mixed_gate, _own_values, exact_rows, region_mass)

@@ -28,7 +28,7 @@ from macgame import (
     simulate,
 )
 from macgame.capacity import FEASIBILITY_TOL, reply_slack
-from macgame.evolution import ESS_SHARE, MC_BLOCK, _admitted_mass, _draw_indices, region_mass
+from macgame.evolution import ESS_SHARE, MC_BLOCK, _admitted_mass, region_mass
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -525,40 +525,36 @@ def draw_states(n):
     return states
 
 
-class TestDrawIndices:
-    """`_draw_indices` returns `Generator.choice`'s draws, one for one."""
+class TestAdmittedMassDraws:
+    """`_admitted_mass` draws its opponents as `Generator.choice` does: on every mass vector
+    it gives the nu of `single_array_admitted_mass`, which draws through `choice`, and it
+    refuses the masses `choice` refuses, with `choice`'s messages."""
 
-    @staticmethod
-    def choice(n, masses, shape, seed):
-        return np.random.Generator(np.random.Philox(seed)).choice(n, size=shape, p=masses)
+    CHANNEL = [3.0, 1.0, 0.5]   # asymmetric, so the order of a draw's opponents matters
 
-    @staticmethod
-    def draw(n, masses, shape, seed):
-        return _draw_indices(np.random.Generator(np.random.Philox(seed)), n, masses, shape)
+    def nu(self, route, n, masses, m, samples, seed):
+        view = build_view(ChannelModel(np.array(self.CHANNEL[:m])))
+        grid = np.linspace(0.0, float(view.single_caps.max()), n)
+        return route(view, grid, grid, masses, samples, seed)
 
     @pytest.mark.parametrize("n", [2, 21, 31, 51, 201])
     def test_matches_choice(self, n):
         seeds = (0, 12345, np.random.SeedSequence(7, spawn_key=(3,)))
         for name, masses in draw_states(n).items():
-            for shape in ((20_000, 2), (1, 1), (3000, 3), (50, 0)):
+            # samples x (m - 1) draws: 20,000 x 2, 1 x 1, 3,000 x 3 and 50 x 0
+            for m, samples in ((3, 20_000), (2, 1), (4, 3000), (1, 50)):
                 for seed in seeds:
-                    got = self.draw(n, masses, shape, seed)
-                    want = self.choice(n, masses, shape, seed)
-                    assert got.dtype == want.dtype and got.shape == want.shape
-                    assert np.array_equal(got, want), (name, shape, seed)
+                    got = self.nu(_admitted_mass, n, masses, m, samples, seed)
+                    want = self.nu(single_array_admitted_mass, n, masses, m, samples, seed)
+                    assert np.array_equal(got, want), (name, m, samples, seed)
 
     @pytest.mark.parametrize("masses", [[0.25, 0.25, 0.5], [0.5, 0.0, 0.25, 0.25],
                                         [0.0, 0.0, 1.0], [0.75, 0.25, 0.0]])
     def test_cdf_on_bucket_edges(self, masses):
         for seed in range(5):
-            assert np.array_equal(self.draw(len(masses), masses, (100_000, 2), seed),
-                                  self.choice(len(masses), masses, (100_000, 2), seed))
-
-    def test_single_user_shape(self):
-        masses = draw_states(21)["smooth"]
-        got = self.draw(21, masses, (1000, 0), 4)
-        assert got.shape == (1000, 0)
-        assert np.array_equal(got, self.choice(21, masses, (1000, 0), 4))
+            got = self.nu(_admitted_mass, len(masses), masses, 3, 100_000, seed)
+            want = self.nu(single_array_admitted_mass, len(masses), masses, 3, 100_000, seed)
+            assert np.array_equal(got, want), seed
 
     @pytest.mark.parametrize("masses, match", [
         ([0.5, -0.1, 0.6], "non-negative"),
@@ -570,10 +566,10 @@ class TestDrawIndices:
     def test_invalid_masses_rejected_as_choice_does(self, masses, match):
         n = len(masses)
         with pytest.raises(ValueError):
-            self.choice(n, masses, (10, 2), 0)
+            self.nu(single_array_admitted_mass, n, masses, 3, 10, 0)
         with pytest.raises(ValueError, match=match):
-            self.draw(n, masses, (10, 2), 0)
+            self.nu(_admitted_mass, n, masses, 3, 10, 0)
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError, match="same size"):
-            self.draw(3, [0.5, 0.5], (10, 2), 0)
+            self.nu(_admitted_mass, 3, [0.5, 0.5], 3, 10, 0)
