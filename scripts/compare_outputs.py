@@ -2,7 +2,7 @@
 """Run one battery of macgame CLI calls on two source trees and compare the outputs.
 
 Each tree is the directory put on PYTHONPATH, the `src` of a checkout. Per
-scenario (default: the three shipped ones) the battery is every subcommand,
+scenario the battery is every subcommand,
 `dynamics` with exact payoffs, `dynamics` with Monte Carlo payoffs for
 10 steps at 40,000 samples (several sampling blocks of
 `macgame.evolution.MC_BLOCK` draws, the last one partial, so a fault at a
@@ -16,6 +16,13 @@ the new tree's `region` prints. Exits 1 naming every output that differs,
 with the first old/new line pair that differs in it (so a by-design change
 shows which lines moved), else 0.
 
+The default scenarios are the three shipped files and two `--set` variants
+of them (VARIANTS), each on 21 grid points with 200 `steps`: symmetric
+m = 4 (p = 3), whose exact payoffs come from the sorted-multiset listing,
+and asymmetric m = 5, whose 194,481-row ordered listing spans three
+`macgame.evolution.EXACT_BLOCK_ROWS` blocks; both run `verify`'s
+`montecarlo-payoffs`, which the shipped files run only up to m = 3.
+
     python scripts/compare_outputs.py ../parent/src src
     python scripts/compare_outputs.py OLD_SRC NEW_SRC scenarios/sym3.cfg
 """
@@ -27,17 +34,27 @@ import sys
 import tempfile
 from pathlib import Path
 
-SHIPPED = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.cfg"))
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+SHIPPED = sorted(SCENARIOS.glob("*.cfg"))
+SHORT = ["--set", "grid_points=21", "--set", "steps=200"]
+# (scenario file, the --set options put before each call's own); asym5's SNRs are low
+# enough that the uniform start's mixed-region gate holds actions, so its run moves
+VARIANTS = [
+    (SCENARIOS / "sym3.cfg", ["--set", "m=4", "--set", "p=3", "--set", "sigma2=1", *SHORT]),
+    (SCENARIOS / "asym2.cfg", ["--set", "m=5", "--set", "snr=1,0.9,0.8,0.7,0.6", *SHORT]),
+]
 MONTE_CARLO = ["--set", "payoff_method=montecarlo", "--set", "steps=10",
                "--set", "samples=40000"]
 
 
-def run(tree: Path, scenario: Path, argv: list) -> dict:
-    """One CLI call; its outputs by name (the CSVs only when the call wrote them)."""
+def run(tree: Path, scenario: tuple, argv: list) -> dict:
+    """One CLI call on a (file, --set options) scenario; its outputs by name (the CSVs only
+    when the call wrote them)."""
+    path, options = scenario
     with tempfile.TemporaryDirectory() as tmp:
         paths = ["--set", "trace_csv=trace.csv", "--set", "state_csv=state.csv"]
         proc = subprocess.run(
-            [sys.executable, "-m", "macgame", "-s", str(scenario), *paths, *argv],
+            [sys.executable, "-m", "macgame", "-s", str(path), *options, *paths, *argv],
             cwd=tmp, capture_output=True, env={**os.environ, "PYTHONPATH": str(tree)})
         outputs = {"stdout": proc.stdout, "stderr": proc.stderr,
                    "exit code": str(proc.returncode).encode()}
@@ -77,13 +94,14 @@ def first_difference(before, after) -> str:
     return "\n    (the lines agree; only the line endings differ)"
 
 
-def compare(old: Path, new: Path, scenario: Path) -> list:
-    """Each output that differs between the two trees on this scenario, named, with its
-    first differing line pair."""
+def compare(old: Path, new: Path, scenario: tuple) -> list:
+    """Each output that differs between the two trees on this (file, --set options)
+    scenario, named, with its first differing line pair."""
     calls = {"region": (run(old, scenario, ["region"]), run(new, scenario, ["region"]))}
     for argv in battery(safe_rates(calls["region"][1]["stdout"])):
         calls[" ".join(argv)] = (run(old, scenario, argv), run(new, scenario, argv))
-    return [f"{scenario.name}: {call}: {name}{first_difference(before[name], after[name])}"
+    label = " ".join([scenario[0].name, *scenario[1][1::2]])
+    return [f"{label}: {call}: {name}{first_difference(before[name], after[name])}"
             for call, (before, after) in calls.items()
             for name in before if before[name] != after[name]]
 
@@ -93,15 +111,17 @@ def main(argv=None) -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("old", type=Path, help="source tree of the old program")
     parser.add_argument("new", type=Path, help="source tree of the new program")
-    parser.add_argument("scenarios", type=Path, nargs="*", default=SHIPPED,
-                        help="scenario files (default: the shipped ones)")
+    parser.add_argument("scenarios", type=Path, nargs="*",
+                        help="scenario files (default: the shipped ones and VARIANTS)")
     args = parser.parse_args(argv)
+    scenarios = ([(path.resolve(), []) for path in args.scenarios]
+                 or [(path, []) for path in SHIPPED] + VARIANTS)
     differ = []
-    for scenario in args.scenarios:
-        differ += compare(args.old.resolve(), args.new.resolve(), scenario.resolve())
+    for scenario in scenarios:
+        differ += compare(args.old.resolve(), args.new.resolve(), scenario)
     for name in differ:
         print(f"differs: {name}")
-    print(f"{len(args.scenarios)} scenario(s) compared, {len(differ)} output(s) differ")
+    print(f"{len(scenarios)} scenario(s) compared, {len(differ)} output(s) differ")
     return 1 if differ else 0
 
 

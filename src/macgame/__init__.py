@@ -39,6 +39,7 @@ from .evolution import (
     ess_check,
     expected_payoff,
     expected_payoff_mc,
+    expected_payoffs,
     make_grid,
     mean_rate,
     mixed_feasible,

@@ -121,10 +121,7 @@ def subset_sums(values: np.ndarray) -> np.ndarray:
     """
     values = np.asarray(values, dtype=float)
     if values.ndim == 1:
-        out = np.zeros(1)
-        for v in values:
-            out = np.concatenate([out, out + v])
-        return out
+        return subset_sums(values[None])[0]
     out = np.zeros((values.shape[0], 1))
     for j in range(values.shape[1]):
         out = np.concatenate([out, out + values[:, j:j + 1]], axis=1)
@@ -145,23 +142,6 @@ class CapacityRegionView:
     safe_rates: np.ndarray   # r_{i,N} against the full user set
     single_caps: np.ndarray  # C({i}) per user
     total: float             # grand-coalition capacity C(N)
-
-    @classmethod
-    def build(cls, model: ChannelModel) -> "CapacityRegionView":
-        snr = model.snr
-        # The others' SNRs summed directly: total - s_i cancels when s_i dominates.
-        before = np.concatenate(([0.0], snr[:-1].cumsum()))
-        after = np.concatenate((snr[:0:-1].cumsum()[::-1], [0.0]))
-        safe = np.log1p(snr / (1.0 + before + after))
-        single = np.log1p(snr)
-        grand = float(np.log1p(snr.sum()))
-        if model.symmetric and model.m >= 2:
-            # Equal split of the grand capacity must sit strictly below any
-            # single-user cap; concavity of ln guarantees it, so a violation
-            # means the inputs are corrupt.
-            if not grand / model.m < single.min():
-                raise ValueError("capacity anomaly: C(N)/m >= C({i}) on a symmetric channel")
-        return cls(model=model, safe_rates=safe, single_caps=single, total=grand)
 
     @property
     def m(self) -> int:
@@ -186,7 +166,20 @@ class CapacityRegionView:
 
 
 def build_view(model: ChannelModel) -> CapacityRegionView:
-    return CapacityRegionView.build(model)
+    snr = model.snr
+    # The others' SNRs summed directly: total - s_i cancels when s_i dominates.
+    before = np.concatenate(([0.0], snr[:-1].cumsum()))
+    after = np.concatenate((snr[:0:-1].cumsum()[::-1], [0.0]))
+    safe = np.log1p(snr / (1.0 + before + after))
+    single = np.log1p(snr)
+    grand = float(np.log1p(snr.sum()))
+    if model.symmetric and model.m >= 2:
+        # Equal split of the grand capacity must sit strictly below any
+        # single-user cap; concavity of ln guarantees it, so a violation
+        # means the inputs are corrupt.
+        if not grand / model.m < single.min():
+            raise ValueError("capacity anomaly: C(N)/m >= C({i}) on a symmetric channel")
+    return CapacityRegionView(model=model, safe_rates=safe, single_caps=single, total=grand)
 
 
 def as_profile(m: int, rates) -> np.ndarray:

@@ -212,21 +212,6 @@ def rest_points(scenario, view, g, rng) -> Check:
                               "move (residual > 1e-6 K max|F| C({1}))"), tol)
 
 
-def _exact_payoffs(view, g, grid: np.ndarray, cases) -> list:
-    """`evo.expected_payoff` of each (state, a) case on one grid, bit for bit, off one exact
-    listing for the sorted actions: a draw admits the i-th exactly when its fit count is > i."""
-    actions = np.array([a for _, a in cases])
-    order = np.argsort(actions, kind="stable")
-    fits, weights = evo._exact_fits(view, actions[order], grid)
-    payoffs = [0.0] * len(cases)
-    for i, t in enumerate(order):
-        (state, a), one = cases[t], np.array([actions[t]])
-        if evo._mixed_gate(view, one, evo.mean_rate(state))[0]:
-            nu = np.bincount(fits > i, weights(state.masses), minlength=2)[1]
-            payoffs[t] = float(evo._own_values(g, one)[0] * nu)
-    return payoffs
-
-
 def montecarlo_payoffs(scenario, view, g, rng) -> Check:
     m, grid = view.m, np.linspace(0.0, float(view.single_caps.max()), 21)
     name, trials, samples, z = "montecarlo-payoffs", 20, 20_000, 3.0
@@ -239,7 +224,7 @@ def montecarlo_payoffs(scenario, view, g, rng) -> Check:
         state = _random_mixed_state(rng, grid, view.total / max(m - 1, 1))
         a = float(rng.uniform(0.0, min(grid[-1], view.total - (m - 1) * evo.mean_rate(state))))
         cases.append((state, a))
-    exacts = _exact_payoffs(view, g, grid, cases)
+    exacts = evo.expected_payoffs(view, g, cases)
 
     def judge(first_seed):
         hits, dev, var = 0, 0.0, 0.0

@@ -16,7 +16,7 @@ actions is one bincount of how many fit each draw, taken over every
 opponent grid combination (exact; on a symmetric channel every sorted
 opponent multiset, weighted by its multinomial count) or a seeded iid
 sample (Monte Carlo).
-The expected-payoff functions read it at one action; for `dynamics`,
+`expected_payoffs` reads it at the actions of many cases; for `dynamics`,
 `PayoffTable` (exact) and `_payoff_vector` read it over a whole grid, zero
 past its first `_gate_count` points (the mixed-region gate).
 """
@@ -206,7 +206,7 @@ def _exact_fits(view: CapacityRegionView, actions: np.ndarray, grid: np.ndarray)
     of opponent rates, so the draws are the sorted index tuples i_1 <= ... <=
     i_{m-1}, each standing for its (m-1)!/prod r_v! orderings (r_v repeats of
     index v); otherwise they are the n**(m-1) ordered tuples in C order.
-    Slacks are computed EXACT_BLOCK_ROWS draws at a time. A weight is the
+    Their fit counts come from `_listing_fits`. A weight is the
     multiplicity times the masses at the draw's indices: pair products
     gathered from one outer product, then one gather per further opponent.
     """
@@ -225,9 +225,7 @@ def _exact_fits(view: CapacityRegionView, actions: np.ndarray, grid: np.ndarray)
             run = np.where(col == prev, run + 1.0, 1.0)
             repeats *= run
         mult = math.factorial(k) / repeats
-    fits = np.concatenate([
-        _fit_counts(actions, reply_slack(view, 0, grid[idx[:, lo:lo + EXACT_BLOCK_ROWS]].T))
-        for lo in range(0, rows, EXACT_BLOCK_ROWS)])
+    fits = _listing_fits(view, actions, grid, idx)
     if k < 2:
         return fits, (lambda masses: masses) if k else (lambda masses: np.ones(1))
     pair, rest = idx[0] * n + idx[1], idx[2:].copy()   # a copy, so idx can be freed
@@ -238,6 +236,14 @@ def _exact_fits(view: CapacityRegionView, actions: np.ndarray, grid: np.ndarray)
             w *= masses.take(col)
         return w if mult is None else w * mult
     return fits, weights
+
+
+def _listing_fits(view, actions: np.ndarray, grid: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Fit counts of the listed opponent draws, one per column of the (m - 1, rows) grid
+    index array `idx`, their reply slacks solved EXACT_BLOCK_ROWS draws at a time."""
+    return np.concatenate([
+        _fit_counts(actions, reply_slack(view, 0, grid[idx[:, lo:lo + EXACT_BLOCK_ROWS]].T))
+        for lo in range(0, idx.shape[1], EXACT_BLOCK_ROWS)])
 
 
 def _ordered_listing(n: int, k: int) -> np.ndarray:
@@ -277,25 +283,26 @@ def _admitted_mass(view, actions, grid, masses, samples, seed) -> np.ndarray:
     lo * (m - 1) / 4 counters, exactly where they lie in one long draw. Each
     uniform is (raw >> 11) * 2**-53 of one raw 64-bit output, as
     `Generator.random` makes it, so the block reads the raw outputs and looks
-    their indices up off the integers (`_guide_lookup`). The masses are
-    checked, and the cdf and guide table built, once per call.
+    their indices up off the integers (`_guide_lookup`). The cdf and guide
+    table are built once per call, off masses their caller has checked.
 
     When the n**(m-1) ordered tuples are no more than the draws, each tuple's
-    fit count is computed once per call and each draw reads its own by its
-    C-order flat index (the same integer as its own slack would give);
-    otherwise each draw solves its own reply slack. Each block adds the
-    bincount of its fit counts to one integer tally, so the tally is that of
-    the whole sample, and working memory beyond the listing is
+    fit count is computed once per call (`_listing_fits`) and each draw reads
+    its own by its C-order flat index (the same integer as its own slack
+    would give); otherwise each draw solves its own reply slack. Each block
+    adds the bincount of its fit counts to one integer tally, so the tally is
+    that of the whole sample, and working memory beyond the listing is
     O(MC_BLOCK * (m - 1)).
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     n, k = grid.size, view.m - 1
-    cdf = _choice_cdf(n, masses)
+    cdf = np.cumsum(masses)
+    cdf /= cdf[-1]
     guide = _guide_table(cdf, samples * k)
     tuple_fits = None
     if n ** k <= samples:
-        tuple_fits = _fit_counts(actions, reply_slack(view, 0, grid[_ordered_listing(n, k)].T))
+        tuple_fits = _listing_fits(view, actions, grid, _ordered_listing(n, k))
     tallies = np.zeros(actions.size + 1, np.intp)
     bits = np.random.Philox(seed)
     start = bits.state
@@ -315,25 +322,6 @@ def _admitted_mass(view, actions, grid, masses, samples, seed) -> np.ndarray:
             fits = tuple_fits.take(flat)
         tallies += np.bincount(fits, minlength=tallies.size)
     return _admitting(tallies) / samples
-
-
-def _choice_cdf(n: int, masses) -> np.ndarray:
-    """The normalised cdf `Generator.choice(n, p=masses)` draws from, after its checks on p."""
-    p = np.asarray(masses, dtype=float)
-    if p.ndim != 1:
-        raise ValueError("p must be 1-dimensional")
-    if p.size != n:
-        raise ValueError("a and p must have same size")
-    total = p.sum()
-    if np.isnan(total):
-        raise ValueError("Probabilities contain NaN")
-    if np.any(p < 0.0):
-        raise ValueError("Probabilities are not non-negative")
-    if abs(total - 1.0) > math.sqrt(np.finfo(float).eps):
-        raise ValueError("Probabilities do not sum to 1")
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    return cdf
 
 
 def _guide_table(cdf: np.ndarray, draws: int) -> np.ndarray:
@@ -414,9 +402,7 @@ class PayoffTable:
         if count is None:
             count = _gate_count(self.grid, self.view.total, self.m - 1,
                                 float(np.dot(self.grid, masses)))
-        # at m = 2 each draw is one opponent rate, weighted by its mass
-        weights = masses if self.m == 2 else self.weights(masses)
-        F = self.gvals * _fit_mass(self.fits, self.grid.size, weights)
+        F = self.gvals * _fit_mass(self.fits, self.grid.size, self.weights(masses))
         F[count:] = 0.0   # as `* gate`: g(a) * nu >= +0
         return F
 
@@ -453,19 +439,35 @@ def _checked_action(view: CapacityRegionView, a) -> float:
     return a
 
 
+def expected_payoffs(view: CapacityRegionView, g: Utility, cases) -> list:
+    """Exact F(a, state) of each (state, a) case, every state on one grid, off one
+    `_exact_fits` listing of the sorted actions: a draw admits the i-th exactly when its
+    fit count is > i, so a case's nu sums those draws' weights in row order, as for its
+    action alone. Each action must lie in [0, C({1})]; a case outside its mixed region
+    scores 0, and no listing is built unless some case lies inside."""
+    actions = np.array([_checked_action(view, a) for _, a in cases])
+    if any(not np.array_equal(state.grid, cases[0][0].grid) for state, _ in cases):
+        raise ValueError("every state must lie on one grid")
+    inside = [_mixed_gate(view, a, mean_rate(state)) for state, a in cases]
+    payoffs = [0.0] * len(cases)
+    if not any(inside):
+        return payoffs
+    order = np.argsort(actions, kind="stable")
+    fits, weights = _exact_fits(view, actions[order], cases[0][0].grid)
+    gvals = _own_values(g, actions)
+    for i, t in enumerate(order):
+        if inside[t]:
+            nu = np.bincount(fits > i, weights(cases[t][0].masses), minlength=2)[1]
+            payoffs[t] = float(gvals[t] * nu)
+    return payoffs
+
+
 def expected_payoff(view: CapacityRegionView, g: Utility, a: float,
                     state: PopulationState) -> float:
-    """Exact F(a, state): indicator times g(a) times the feasible opponent mass.
-
-    The mass is `region_mass`, within its size cap; expected_payoff_mc is the
-    Monte Carlo F with its standard error. An action outside the mixed
-    region scores 0 before any enumeration.
-    """
-    a = _checked_action(view, a)
-    actions = np.array([a])
-    if not _mixed_gate(view, actions, mean_rate(state))[0]:
-        return 0.0
-    return float(_own_values(g, actions)[0] * region_mass(view, a, state))
+    """Exact F(a, state), the one-case `expected_payoffs`: indicator times g(a) times
+    `region_mass` (within its size cap). expected_payoff_mc is the Monte Carlo F with its
+    standard error."""
+    return expected_payoffs(view, g, [(state, a)])[0]
 
 
 def expected_payoff_mc(view: CapacityRegionView, g: Utility, a: float,

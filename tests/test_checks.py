@@ -1,10 +1,13 @@
-"""The verify battery's exact side: one shared opponent listing for all its trials."""
+"""The verify battery's exact side: `expected_payoffs`, one shared opponent listing for all
+of `montecarlo-payoffs`' trials."""
 
 import numpy as np
 import pytest
 
-from macgame import ChannelModel, PopulationState, Utility, build_view, expected_payoff
-from macgame.checks import _exact_payoffs, _random_mixed_state
+from macgame import (ChannelModel, PopulationState, Utility, build_view, expected_payoff,
+                     expected_payoffs, mean_rate)
+from macgame.checks import _random_mixed_state
+from macgame.evolution import INDICATOR_SLACK, region_mass
 
 CHANNELS = {"symmetric": [1.5] * 5, "asymmetric": [3.0, 1.0, 0.5, 2.0, 0.7]}
 UTILITIES = {"identity": Utility.identity(), "log1p": Utility.log1p(),
@@ -26,7 +29,11 @@ def test_shared_listing_matches_expected_payoff(m, channel, gname):
               (states[1], float(grid[3])),
               # a Dirac on the top of the grid gates its own point out (m >= 2)
               (PopulationState.dirac(grid, grid[-1]), float(grid[-1]))]
-    got = _exact_payoffs(view, g, grid, cases)
+    got = [x.hex() for x in expected_payoffs(view, g, cases)]
     want = [expected_payoff(view, g, a, state) for state, a in cases]
-    assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert got == [x.hex() for x in want]
+    # inside the gate a <= C(N) - (m-1)E each case is g(a) times its own region_mass
+    inside = [a <= view.total - (m - 1) * mean_rate(s) + INDICATOR_SLACK for s, a in cases]
+    assert got == [float(g(np.array([a]))[0] * region_mass(view, a, s)).hex() if ok
+                   else (0.0).hex() for (s, a), ok in zip(cases, inside)]
     assert (want[-1] == 0.0) == (m >= 2) and min(want[:-1]) >= 0.0

@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from macgame import checks, evolution as evo
+from macgame import build_view, checks, cli, evolution as evo
 from macgame.cli import main
+from macgame.scenario import build_model
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 COMPARISON = SCENARIOS.parent / "scripts" / "run_protocol_comparison.py"
@@ -205,6 +206,23 @@ class TestCompareOutputsScript:
         script = runpy.run_path(str(COMPARE_OUTPUTS), run_name="compare_outputs")
         assert script["main"]([src, src, str(SCENARIOS / "sym3.cfg")]) == 0
         assert capsys.readouterr().out == "1 scenario(s) compared, 0 output(s) differ\n"
+
+    def test_default_variants_reach_the_larger_listings(self):
+        # symmetric m = 4 reads the sorted-multiset listing and asymmetric m = 5 an ordered
+        # listing of several blocks; both run montecarlo-payoffs, and neither start is frozen
+        script = runpy.run_path(str(COMPARE_OUTPUTS), run_name="compare_outputs")
+        reached = []
+        for path, options in script["VARIANTS"]:
+            scenario = cli._load_scenario(cli.build_parser().parse_args(
+                ["-s", str(path), *options, "dynamics"]))
+            view = build_view(build_model(scenario))
+            state0 = cli.dynamics_run(scenario, view).state0
+            rows = evo.exact_rows(view, state0.n)
+            assert (state0.n, scenario.steps) == (21, 200) and rows <= checks.MC_EXACT_ROWS
+            assert evo._gate_count(state0.grid, view.total, view.m - 1,
+                                   evo.mean_rate(state0)) >= 2
+            reached.append((view.m, view.model.symmetric, rows > evo.EXACT_BLOCK_ROWS))
+        assert reached == [(4, True, False), (5, False, True)]
 
     def test_difference_shows_first_differing_lines(self):
         script = runpy.run_path(str(COMPARE_OUTPUTS), run_name="compare_outputs")

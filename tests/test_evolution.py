@@ -18,6 +18,7 @@ from macgame import (
     ess_check,
     expected_payoff,
     expected_payoff_mc,
+    expected_payoffs,
     is_feasible,
     make_grid,
     max_face_residual,
@@ -28,7 +29,8 @@ from macgame import (
     simulate,
 )
 from macgame.capacity import FEASIBILITY_TOL, reply_slack
-from macgame.evolution import ESS_SHARE, MC_BLOCK, _admitted_mass, region_mass
+from macgame.evolution import (ESS_SHARE, EXACT_ENUM_LIMIT, MC_BLOCK, _admitted_mass, exact_rows,
+                               region_mass)
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -114,6 +116,11 @@ class TestPopulationState:
     def test_nan_mass_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             PopulationState(np.array([0.0, 0.2, 0.4]), np.array([0.5, 0.5, math.nan]))
+
+    @pytest.mark.parametrize("masses", [[1.0], [0.25, 0.25, 0.5], [[0.5, 0.5], [0.5, 0.5]]])
+    def test_masses_must_match_grid(self, masses):
+        with pytest.raises(ValueError, match="match grid length"):
+            PopulationState(np.array([0.0, 0.5]), np.array(masses))
 
     def test_make_grid_snaps_included_value(self):
         grid = make_grid(LN2, 51, include=LN3 / 2)
@@ -295,6 +302,30 @@ class TestExpectedPayoff:
         with pytest.raises(ValueError, match="Monte Carlo"):
             expected_payoff(view, Utility.identity(), 0.1, state)
 
+    def test_gated_out_cases_build_no_listing(self):
+        # symmetric m = 4 on 500 points: the orbit table would exceed the row limit
+        view = build_view(ChannelModel(np.ones(4)))
+        grid = np.linspace(0.0, LN2, 500)
+        assert exact_rows(view, grid.size) > EXACT_ENUM_LIMIT
+        # all on ln 2: the gate bound ln 5 - 3 ln 2 < 0 shuts out every action
+        top = PopulationState.dirac(grid, LN2)
+        cases = [(top, 0.0), (top, 0.3), (top, LN2)]
+        assert expected_payoffs(view, Utility.identity(), cases) == [0.0, 0.0, 0.0]
+        # a uniform state's gate holds 0.1, so the listing is needed, and refused
+        cases.append((PopulationState.uniform(grid), 0.1))
+        with pytest.raises(ValueError, match="Monte Carlo"):
+            expected_payoffs(view, Utility.identity(), cases)
+
+    def test_states_on_two_grids_rejected(self, sym2):
+        coarse = PopulationState.uniform(np.linspace(0.0, LN2, 5))
+        for grid in (np.linspace(0.0, LN2, 6), np.linspace(0.0, 0.5, 5)):
+            with pytest.raises(ValueError, match="one grid"):
+                expected_payoffs(sym2, Utility.identity(),
+                                 [(coarse, 0.1), (PopulationState.uniform(grid), 0.1)])
+
+    def test_no_cases(self, sym2):
+        assert expected_payoffs(sym2, Utility.identity(), []) == []
+
     def test_unknown_payoff_method_rejected_by_run_and_scenario(self, sym2):
         # the dynamics run is the one place a payoff method is still named
         state0 = PopulationState.uniform(np.linspace(0.0, LN2, 11))
@@ -458,6 +489,23 @@ class TestMonteCarloBlocks:
         want = single_array_admitted_mass(view, grid, grid, masses, samples, 7)
         assert np.array_equal(got, want)
 
+    def test_listing_solved_in_blocks(self):
+        # asymmetric m = 4, n = 67: the 300,763 listed tuples are no more than the draws, so
+        # each draw reads its fit count off the listing. Solving every tuple's slack in one
+        # call peaked at 50.6 MB; EXACT_BLOCK_ROWS tuples at a time peak at about 20 MB
+        view = build_view(ChannelModel(np.array(BLOCK_CHANNELS["asymmetric"][:4])))
+        grid = np.linspace(0.0, float(view.single_caps.max()), 67)
+        samples = 310_000
+        assert grid.size ** 3 <= samples
+        masses = np.random.default_rng(67).dirichlet(np.ones(grid.size))
+        tracemalloc.start()
+        try:
+            _admitted_mass(view, grid, grid, masses, samples, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 30_000_000
+
     def test_working_memory_is_one_block(self):
         # m = 6, n = 31: 31**5 tuples outnumber the draws, so each draw solves its slack.
         # Holding the whole sample's uniforms, indices and rates at once peaked at 32 MB;
@@ -527,8 +575,10 @@ def draw_states(n):
 
 class TestAdmittedMassDraws:
     """`_admitted_mass` draws its opponents as `Generator.choice` does: on every mass vector
-    it gives the nu of `single_array_admitted_mass`, which draws through `choice`, and it
-    refuses the masses `choice` refuses, with `choice`'s messages."""
+    it gives the nu of `single_array_admitted_mass`, which draws through `choice`. It does
+    not repeat `choice`'s checks on the masses: its callers pass a `PopulationState`'s
+    masses, checked when the state was built (`TestPopulationState`), or the masses
+    `euler_update` keeps on the simplex."""
 
     CHANNEL = [3.0, 1.0, 0.5]   # asymmetric, so the order of a draw's opponents matters
 
@@ -555,21 +605,3 @@ class TestAdmittedMassDraws:
             got = self.nu(_admitted_mass, len(masses), masses, 3, 100_000, seed)
             want = self.nu(single_array_admitted_mass, len(masses), masses, 3, 100_000, seed)
             assert np.array_equal(got, want), seed
-
-    @pytest.mark.parametrize("masses, match", [
-        ([0.5, -0.1, 0.6], "non-negative"),
-        ([0.5, np.nan, 0.5], "NaN"),
-        ([0.5, 0.5 - 1e-6], "sum to 1"),
-        ([0.5, 0.5 + 1e-6], "sum to 1"),
-        ([[0.5, 0.5], [0.5, 0.5]], "1-dimensional"),
-    ])
-    def test_invalid_masses_rejected_as_choice_does(self, masses, match):
-        n = len(masses)
-        with pytest.raises(ValueError):
-            self.nu(single_array_admitted_mass, n, masses, 3, 10, 0)
-        with pytest.raises(ValueError, match=match):
-            self.nu(_admitted_mass, n, masses, 3, 10, 0)
-
-    def test_size_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="same size"):
-            self.nu(_admitted_mass, 3, [0.5, 0.5], 3, 10, 0)
