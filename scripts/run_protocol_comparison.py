@@ -14,9 +14,9 @@ import sys
 from pathlib import Path
 
 from macgame import build_view, simulate
-from macgame.cli import dynamics_run, write_trace
+from macgame.cli import write_trace
 from macgame.dynamics import PROTOCOL_KINDS
-from macgame.scenario import build_model, build_utility, parse_scenario
+from macgame.scenario import build_model, build_run, build_utility, parse_scenario
 
 
 def main(argv=None) -> int:
@@ -36,7 +36,7 @@ def main(argv=None) -> int:
     print(f"target mean rate (equal split): {target:.6f}")
     for kind in PROTOCOL_KINDS:
         try:
-            run = dynamics_run(dataclasses.replace(scenario, protocol=kind), view)
+            run = build_run(dataclasses.replace(scenario, protocol=kind), view)
         except ValueError as exc:  # a theta below 1 is valid for every protocol but smith
             print(f"{kind:<10} skipped: {exc}")
             continue

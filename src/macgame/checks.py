@@ -13,10 +13,8 @@ from . import dynamics as dyn
 from . import evolution as evo
 from . import game
 from . import selection as sel
+from .scenario import substream_seed
 
-# Named substreams of the scenario seed, so each analysis draws
-# independently but reproducibly.
-_SUBSTREAM = {"face": 0, "montecarlo": 1, "dynamics": 2, "weights": 3}
 MC_EXACT_ROWS = 1 << 18   # the largest exact listing `montecarlo-payoffs` builds
 
 
@@ -25,11 +23,6 @@ class Check(NamedTuple):
     verdict: Optional[bool]    # None: skipped
     detail: str
     tol: float
-
-
-def substream_seed(seed: int, name: str) -> int:
-    seq = np.random.SeedSequence(seed, spawn_key=(_SUBSTREAM[name],))
-    return int(seq.generate_state(1)[0])
 
 
 def _random_mixed_state(rng, grid: np.ndarray, mean_cap: float) -> "evo.PopulationState":

@@ -24,7 +24,7 @@ from .scenario import (
     Scenario,
     ScenarioError,
     build_model,
-    build_protocol,
+    build_run,
     build_utility,
     dump_scenario,
     parse_scenario,
@@ -129,23 +129,6 @@ def cmd_ess(args, scenario: Scenario, view: CapacityRegionView, g: Utility) -> i
     return 0 if result.is_ess else 1
 
 
-def dynamics_run(scenario: Scenario, view: CapacityRegionView) -> dyn.DynamicsRun:
-    """The scenario's `dynamics` run on this channel: uniform start on its action grid."""
-    include = view.total / view.m if view.model.symmetric else None
-    grid = evo.make_grid(float(view.single_caps.max()), scenario.grid_points,
-                         include=include)
-    return dyn.DynamicsRun(
-        protocol=build_protocol(scenario),
-        state0=evo.PopulationState.uniform(grid),
-        dt=scenario.dt,
-        steps=scenario.steps,
-        record_every=scenario.record_every,
-        seed=checks.substream_seed(scenario.seed, "dynamics"),
-        payoff_method=scenario.payoff_method,
-        samples=scenario.samples,
-    )
-
-
 def _write_csv(path: str, header: str, *columns) -> None:
     row = ",".join(["{:.17g}"] * len(columns)) + "\n"
     with open(path, "w") as fh:
@@ -169,7 +152,7 @@ def _write_state(path: str, state: evo.PopulationState) -> None:
 
 
 def cmd_dynamics(args, scenario: Scenario, view: CapacityRegionView, g: Utility) -> int:
-    run = dynamics_run(scenario, view)
+    run = build_run(scenario, view)
     for path in (scenario.trace_csv, scenario.state_csv):
         open(path, "a").close()   # an unwritable output fails here, not after the run
     if os.path.samefile(scenario.trace_csv, scenario.state_csv):
@@ -211,44 +194,38 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the parsed scenario and exit")
     sub = parser.add_subparsers(dest="command")
 
-    sub.add_parser("region", help="print all subset capacities and safe rates")
+    def command(name: str, func, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)   # main calls args.func
+        return p
 
-    p_br = sub.add_parser("br", help="best response for one user")
+    command("region", cmd_region, "print all subset capacities and safe rates")
+
+    p_br = command("br", cmd_br, "best response for one user")
     p_br.add_argument("--user", type=int, required=True, help="1-based user index")
     p_br.add_argument("--others", required=True,
                       help="comma-separated rates of the remaining users")
 
-    p_eq = sub.add_parser("check-eq", help="nash/strong/pareto verdicts for a profile")
+    p_eq = command("check-eq", cmd_check_eq, "nash/strong/pareto verdicts for a profile")
     p_eq.add_argument("--profile", required=True, help="comma-separated rates")
     p_eq.add_argument("--tol", type=float, default=1e-6,
                       help="tolerance of every verdict: best-reply gap in rates for nash, "
                            "payoff gain for strong and pareto (default 1e-6)")
 
-    sub.add_parser("metrics", help="strong price of anarchy, price of stability, social optimum")
+    command("metrics", cmd_metrics,
+            "strong price of anarchy, price of stability, social optimum")
 
-    p_no = sub.add_parser("normalized", help="normalized equilibrium via the KKT system")
+    p_no = command("normalized", cmd_normalized, "normalized equilibrium via the KKT system")
     p_no.add_argument("--tau", help="comma-separated positive weights (default all 1)")
 
-    p_es = sub.add_parser("ess", help="constrained ESS invasion test")
+    p_es = command("ess", cmd_ess, "constrained ESS invasion test")
     p_es.add_argument("--resident", type=float, help="resident rate (default C(N)/m)")
     p_es.add_argument("--mutants", type=int, default=evo.EssTestSpec.mutant_grid,
                       help="mutant grid points (default %(default)s)")
 
-    sub.add_parser("dynamics", help="simulate the configured protocol, write CSV traces")
-    sub.add_parser("verify", help="run the invariant suite for this scenario")
+    command("dynamics", cmd_dynamics, "simulate the configured protocol, write CSV traces")
+    command("verify", cmd_verify, "run the invariant suite for this scenario")
     return parser
-
-
-_COMMANDS = {
-    "region": cmd_region,
-    "br": cmd_br,
-    "check-eq": cmd_check_eq,
-    "metrics": cmd_metrics,
-    "normalized": cmd_normalized,
-    "ess": cmd_ess,
-    "dynamics": cmd_dynamics,
-    "verify": cmd_verify,
-}
 
 
 def main(argv=None) -> int:
@@ -264,7 +241,7 @@ def main(argv=None) -> int:
             parser.print_usage(sys.stderr)
             return 2
         view = cap.build_view(build_model(scenario))
-        return _COMMANDS[args.command](args, scenario, view, build_utility(scenario))
+        return args.func(args, scenario, view, build_utility(scenario))
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -43,8 +43,7 @@ INDICATOR_SLACK = 1e-12
 EXACT_ENUM_LIMIT = 10_000_000
 EXACT_BLOCK_ROWS = 1 << 16
 MC_SAMPLES = 100_000
-# Monte Carlo draws per block: a multiple of 4, so every block starts on a Philox counter
-MC_BLOCK = 1 << 13
+MC_BLOCK = 1 << 13   # Monte Carlo draws per block
 ESS_SHARE = 1e-3
 ESS_MARGIN = 1e-12   # the resident must out-earn each mutant by more than this
 
@@ -277,14 +276,14 @@ def _admitted_mass(view, actions, grid, masses, samples, seed) -> np.ndarray:
     the state admitting it, fixed per seed (an int or a SeedSequence).
 
     The sample is `Generator(Philox(seed)).choice(n, size=(samples, m - 1),
-    p=masses)`, draw for draw, walked in blocks of MC_BLOCK draws. Philox is
-    counter-based and yields 4 uniforms per counter, so the block starting at
-    draw lo reads its (m - 1) uniforms per draw from the stream advanced by
-    lo * (m - 1) / 4 counters, exactly where they lie in one long draw. Each
-    uniform is (raw >> 11) * 2**-53 of one raw 64-bit output, as
-    `Generator.random` makes it, so the block reads the raw outputs and looks
-    their indices up off the integers (`_guide_lookup`). The cdf and guide
-    table are built once per call, off masses their caller has checked.
+    p=masses)`, draw for draw, walked in blocks of MC_BLOCK draws. Each block
+    reads the next (m - 1) uniforms per draw from the one Philox stream, which
+    continues across `random_raw` calls whatever their sizes, so the blocks
+    read exactly the uniforms of one long draw. Each uniform is
+    (raw >> 11) * 2**-53 of one raw 64-bit output, as `Generator.random` makes
+    it, so the block reads the raw outputs and looks their indices up off the
+    integers (`_guide_lookup`). The cdf and guide table are built once per
+    call, off masses their caller has checked.
 
     When the n**(m-1) ordered tuples are no more than the draws, each tuple's
     fit count is computed once per call (`_listing_fits`) and each draw reads
@@ -305,10 +304,7 @@ def _admitted_mass(view, actions, grid, masses, samples, seed) -> np.ndarray:
         tuple_fits = _listing_fits(view, actions, grid, _ordered_listing(n, k))
     tallies = np.zeros(actions.size + 1, np.intp)
     bits = np.random.Philox(seed)
-    start = bits.state
     for lo in range(0, samples, MC_BLOCK):
-        bits.state = start                 # back to Philox(seed) without seeding again
-        bits.advance(lo * k // 4)
         units = bits.random_raw((min(MC_BLOCK, samples - lo), k))
         units >>= 11                       # `Generator.random` gives u = units * 2**-53
         idx = _guide_lookup(cdf, guide, units)

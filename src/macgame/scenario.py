@@ -3,17 +3,23 @@
 Lines hold one assignment each, `#` starts a comment, and list values are
 comma-separated. Parsing validates everything up front and reports every
 problem at once, with line numbers where they exist. A dumped scenario
-re-parses to an equal scenario.
+re-parses to an equal scenario. The `build_*` functions turn a scenario into
+the library's objects: its channel, utility, protocol and `dynamics` run;
+`substream_seed` gives each analysis its own stream of the `seed` key.
 """
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .capacity import ChannelModel
+from .capacity import CapacityRegionView, ChannelModel
 from .dynamics import PAYOFF_METHODS, PROTOCOL_KINDS, DynamicsRun, Protocol
+from .evolution import PopulationState, make_grid
 from .game import Utility
 
 UTILITY_KINDS = ("identity", "log1p", "power")
+# Named substreams of the scenario seed, so each analysis draws
+# independently but reproducibly.
+_SUBSTREAM = {"face": 0, "montecarlo": 1, "dynamics": 2, "weights": 3}
 
 
 @dataclass
@@ -200,3 +206,24 @@ def build_utility(s: Scenario) -> Utility:
 
 def build_protocol(s: Scenario) -> Protocol:
     return Protocol(s.protocol, theta=s.theta, K=s.k)
+
+
+def substream_seed(seed: int, name: str) -> int:
+    seq = np.random.SeedSequence(seed, spawn_key=(_SUBSTREAM[name],))
+    return int(seq.generate_state(1)[0])
+
+
+def build_run(s: Scenario, view: CapacityRegionView) -> DynamicsRun:
+    """The scenario's `dynamics` run on this channel: uniform start on its action grid."""
+    include = view.total / view.m if view.model.symmetric else None
+    grid = make_grid(float(view.single_caps.max()), s.grid_points, include=include)
+    return DynamicsRun(
+        protocol=build_protocol(s),
+        state0=PopulationState.uniform(grid),
+        dt=s.dt,
+        steps=s.steps,
+        record_every=s.record_every,
+        seed=substream_seed(s.seed, "dynamics"),
+        payoff_method=s.payoff_method,
+        samples=s.samples,
+    )

@@ -100,7 +100,9 @@ def goodman_certificate(view: CapacityRegionView, g: Utility, profile,
     finite differences of the smooth payoff (the feasibility indicator is
     constant on a neighbourhood of an interior point, so it drops out) and
     checks G + G^T for negative definiteness. h is separable, so G is
-    diagonal and one difference with every rate stepped at once gives it.
+    diagonal and one difference with every rate stepped at once gives it. A
+    rate at or below `fd_step` is stepped by half itself, so no difference
+    reads g' below 0.
     """
     m = view.m
     profile = as_profile(m, profile)
@@ -116,7 +118,8 @@ def goodman_certificate(view: CapacityRegionView, g: Utility, profile,
     def h(x: np.ndarray) -> np.ndarray:
         return zeta * np.asarray(g.deriv(x), dtype=float)
 
-    G = np.diag((h(profile + fd_step) - h(profile - fd_step)) / (2.0 * fd_step))
+    step = np.where(profile > fd_step, fd_step, 0.5 * profile)
+    G = np.diag((h(profile + step) - h(profile - step)) / (2.0 * step))
     S = G + G.T
     eig = np.linalg.eigvalsh(S)
     return GoodmanCertificate(jacobian=G, symmetrized=S, eigenvalues=eig,

@@ -10,7 +10,7 @@ import pytest
 
 from macgame import build_view, checks, cli, evolution as evo
 from macgame.cli import main
-from macgame.scenario import build_model
+from macgame.scenario import build_model, build_run
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 COMPARISON = SCENARIOS.parent / "scripts" / "run_protocol_comparison.py"
@@ -142,6 +142,14 @@ class TestNormalized:
         assert "profile = 0.549306144,0.549306144" in out
         assert "goodman_negative_definite = true" in out
 
+    def test_goodman_step_stays_above_zero(self, capsys):
+        # user 1's rate is about 1e-7, below the 1e-5 difference step; power's derivative
+        # is NaN below 0, which read as a RuntimeWarning (an error here) and `false`
+        assert main(["--set", "m=2", "--set", "snr=1e-7,1", "--set", "g=power",
+                     "normalized"]) == 0
+        out, err = capsys.readouterr()
+        assert "goodman_negative_definite = true\n" in out and err == ""
+
     def test_identity_rejected_with_exit_2(self, sym2_cfg, capsys):
         assert main(["-s", sym2_cfg, "normalized"]) == 2
         assert "concave" in capsys.readouterr().err
@@ -216,7 +224,7 @@ class TestCompareOutputsScript:
             scenario = cli._load_scenario(cli.build_parser().parse_args(
                 ["-s", str(path), *options, "dynamics"]))
             view = build_view(build_model(scenario))
-            state0 = cli.dynamics_run(scenario, view).state0
+            state0 = build_run(scenario, view).state0
             rows = evo.exact_rows(view, state0.n)
             assert (state0.n, scenario.steps) == (21, 200) and rows <= checks.MC_EXACT_ROWS
             assert evo._gate_count(state0.grid, view.total, view.m - 1,

@@ -28,6 +28,7 @@ from macgame import (
     payoff,
     simulate,
 )
+from macgame import evolution
 from macgame.capacity import FEASIBILITY_TOL, reply_slack
 from macgame.evolution import (ESS_SHARE, EXACT_ENUM_LIMIT, MC_BLOCK, _admitted_mass, exact_rows,
                                region_mass)
@@ -449,10 +450,20 @@ class TestMonteCarloBlocks:
 
     SAMPLES = (MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 3 * MC_BLOCK + 5)
 
-    def test_block_starts_on_a_philox_counter(self):
-        # Philox yields 4 uniforms per counter; a block starting inside one would shift
-        # every later draw
-        assert MC_BLOCK % 4 == 0
+    @pytest.mark.parametrize("m", [2, 3, 4, 6])
+    def test_any_block_size_reads_one_stream(self, m, monkeypatch):
+        # Philox yields 4 outputs per counter; blocks of 7 draws of m - 1 outputs each end
+        # inside a counter here, and the next block must still read on from there
+        monkeypatch.setattr(evolution, "MC_BLOCK", 7)
+        channel = BLOCK_CHANNELS["asymmetric"] + [1.2]
+        view = build_view(ChannelModel(np.array(channel[:m])))
+        grid = np.linspace(0.0, float(view.single_caps.max()), 9)
+        masses = np.random.default_rng(m).dirichlet(np.ones(grid.size))
+        actions = np.sort(np.random.default_rng(m).uniform(0.0, grid[-1], 25))
+        for samples in (1, 6, 7, 8, 29, 81, 300):
+            got = _admitted_mass(view, actions, grid, masses, samples, 11)
+            want = single_array_admitted_mass(view, actions, grid, masses, samples, 11)
+            assert np.array_equal(got, want), samples
 
     # with no opponents (m = 1) the one-tuple listing always serves
     @pytest.mark.parametrize("m, route", [(1, "listing")] + [

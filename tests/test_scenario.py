@@ -5,8 +5,9 @@ import re
 import numpy as np
 import pytest
 
-from macgame import Scenario, ScenarioError, dump_scenario, parse_scenario
-from macgame.scenario import build_model, build_protocol, build_utility
+from macgame import Scenario, ScenarioError, build_view, dump_scenario, parse_scenario
+from macgame.scenario import (build_model, build_protocol, build_run, build_utility,
+                              substream_seed)
 
 MINIMAL = "m = 2\nsnr = 1,1\ng = identity\n"
 
@@ -120,3 +121,31 @@ def test_builders():
     assert build_utility(s).kind == "log1p"
     proto = build_protocol(s)
     assert proto.kind == "smith" and proto.theta == 2.0 and proto.K == 3.0
+
+
+def test_seed_substreams_pinned():
+    # each named stream of the seed key keeps its number, so same-seed outputs keep
+    # their draws
+    assert {name: substream_seed(0, name) for name in ("face", "montecarlo", "dynamics",
+                                                       "weights")} == {
+        "face": 3757552657, "montecarlo": 673228719, "dynamics": 3241444873,
+        "weights": 3685993406}
+
+
+@pytest.mark.parametrize("snr", ["2,2,2", "2,1,0.5"])
+def test_run_built_from_scenario(snr):
+    s = parse_scenario(f"m = 3\nsnr = {snr}\ngrid_points = 11\nprotocol = smith\ntheta = 2\n"
+                       "dt = 0.02\nsteps = 7\nrecord_every = 3\nseed = 5\n"
+                       "payoff_method = montecarlo\nsamples = 99\n")
+    view = build_view(build_model(s))
+    run = build_run(s, view)
+    assert run.protocol == build_protocol(s)
+    assert (run.dt, run.steps, run.record_every, run.payoff_method, run.samples) == (
+        0.02, 7, 3, "montecarlo", 99)
+    assert run.seed == substream_seed(5, "dynamics")
+    # uniform start on 11 points up to C({1}), the equal split snapped in when symmetric
+    grid = np.linspace(0.0, float(view.single_caps.max()), 11)
+    if view.model.symmetric:
+        grid[np.argmin(np.abs(grid - view.total / 3))] = view.total / 3
+    assert np.array_equal(run.state0.grid, grid)
+    assert np.array_equal(run.state0.masses, np.full(11, 1.0 / 11))

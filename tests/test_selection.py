@@ -128,9 +128,10 @@ class TestNormalizedEquilibrium:
 
 
 def test_import_leaves_scipy_out():
+    # the CLI imports every module of the package; scipy would cost each call its import
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, macgame; print(any(k.split('.')[0] == 'scipy' for k in sys.modules))"
+    code = "import sys, macgame.cli; print(any(k.split('.')[0] == 'scipy' for k in sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"
