@@ -14,7 +14,9 @@ own temporary directory; its stdout, stderr, exit code and both CSVs are
 compared. `br` and `check-eq` are asked at 0.9 times the safe rates that
 the new tree's `region` prints. Exits 1 naming every output that differs,
 with the first old/new line pair that differs in it (so a by-design change
-shows which lines moved), else 0.
+shows which lines moved) and, for a CSV, its largest absolute cell
+difference and where it is (so a change in the last bits reads as one
+number), else 0.
 
 The default scenarios are the three shipped files and two `--set` variants
 of them (VARIANTS), each on 21 grid points with 200 `steps`: symmetric
@@ -27,6 +29,8 @@ and asymmetric m = 5, whose 194,481-row ordered listing spans three
     python scripts/compare_outputs.py OLD_SRC NEW_SRC scenarios/sym3.cfg
 """
 import argparse
+import csv
+import io
 import itertools
 import os
 import subprocess
@@ -94,14 +98,39 @@ def first_difference(before, after) -> str:
     return "\n    (the lines agree; only the line endings differ)"
 
 
+def largest_difference(before, after) -> str:
+    """The largest absolute difference between two CSVs' numeric cells, with its line and
+    column (empty unless both were written with the same shape and a numeric cell moved)."""
+    if before is None or after is None:
+        return ""
+    old, new = (list(csv.reader(io.StringIO(out.decode(errors="replace"))))
+                for out in (before, after))
+    if [len(row) for row in old] != [len(row) for row in new]:
+        return ""
+    largest = None
+    for number, (old_row, new_row) in enumerate(zip(old, new), 1):
+        for column, (x, y) in enumerate(zip(old_row, new_row)):
+            try:
+                diff = abs(float(x) - float(y))
+            except ValueError:
+                continue
+            if x != y and (largest is None or diff > largest[0]):
+                largest = (diff, number, old[0][column])
+    if largest is None:
+        return ""
+    return f"\n    largest cell difference {largest[0]:.3g}, line {largest[1]}, column {largest[2]}"
+
+
 def compare(old: Path, new: Path, scenario: tuple) -> list:
     """Each output that differs between the two trees on this (file, --set options)
-    scenario, named, with its first differing line pair."""
+    scenario, named, with its first differing line pair (and a CSV's largest cell
+    difference)."""
     calls = {"region": (run(old, scenario, ["region"]), run(new, scenario, ["region"]))}
     for argv in battery(safe_rates(calls["region"][1]["stdout"])):
         calls[" ".join(argv)] = (run(old, scenario, argv), run(new, scenario, argv))
     label = " ".join([scenario[0].name, *scenario[1][1::2]])
     return [f"{label}: {call}: {name}{first_difference(before[name], after[name])}"
+            + (largest_difference(before[name], after[name]) if name.endswith(".csv") else "")
             for call, (before, after) in calls.items()
             for name in before if before[name] != after[name]]
 

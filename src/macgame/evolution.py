@@ -11,11 +11,12 @@ the state factorizes as
 where E is the state's mean rate and nu(D_a) the product-measure mass of
 opponent draws that keep the joint profile feasible. This module is the
 one payoff engine: a draw admits a exactly when a <= slack + tol, with
-slack the focal user's reply slack against it, so nu at any sorted set of
-actions is one bincount of how many fit each draw, taken over every
-opponent grid combination (exact; on a symmetric channel every sorted
-opponent multiset, weighted by its multinomial count) or a seeded iid
-sample (Monte Carlo).
+slack the focal user's reply slack against it. The exact draws are every
+opponent grid combination (on a symmetric channel every sorted opponent
+multiset, weighted by its multinomial count), sorted once by how many
+actions fit each, so nu at any sorted set of actions is one pairwise sum
+per run of equal fit count and multiplicity, accumulated; a seeded iid
+sample (Monte Carlo) tallies its draws' integer fit counts instead.
 `expected_payoffs` reads it at the actions of many cases; for `dynamics`,
 `PayoffTable` (exact) and `_payoff_vector` read it over a whole grid, zero
 past its first `_gate_count` points (the mixed-region gate).
@@ -199,22 +200,32 @@ def exact_rows(view: CapacityRegionView, n: int) -> int:
 
 
 def _exact_fits(view: CapacityRegionView, actions: np.ndarray, grid: np.ndarray) -> tuple:
-    """Fit counts of every exact opponent draw, and the function giving the draws' weights.
+    """Every exact opponent draw of the sorted actions, sorted once by fit count: the
+    function giving the listed draws' weights, and the runs `_fit_mass` sums them by.
 
     On a symmetric channel user 0's reply slack depends only on the multiset
     of opponent rates, so the draws are the sorted index tuples i_1 <= ... <=
     i_{m-1}, each standing for its (m-1)!/prod r_v! orderings (r_v repeats of
     index v); otherwise they are the n**(m-1) ordered tuples in C order.
-    Their fit counts come from `_listing_fits`. A weight is the
-    multiplicity times the masses at the draw's indices: pair products
-    gathered from one outer product, then one gather per further opponent.
+    Their fit counts come from `_listing_fits`. The listing is then sorted,
+    stably (a radix sort on small-integer keys), by fit count, largest first,
+    and by multiplicity, and the draws admitting nothing leave it; so the
+    draws admitting the i-th action are a prefix made of whole runs, each of
+    one fit count and one multiplicity. A weight is the product of the masses
+    at the draw's indices, its multiplicity left to its run: pair products
+    gathered from one outer product, then one gather per further opponent. At
+    m = 2 the slack falls as the opponent's rate rises, so on a grid from 0
+    the sort keeps the grid's order, the draws admitting nothing stay as its
+    last run, and the weights are the masses themselves. The runs are (where
+    each starts, its multiplicity or None on an ordered listing, each sorted
+    action's last admitting run, the largest fit count).
     """
     n, k, rows = grid.size, view.m - 1, exact_rows(view, grid.size)
     if rows > EXACT_ENUM_LIMIT:
         raise ValueError(f"exact table needs {rows} rows (> {EXACT_ENUM_LIMIT}); "
                          "use the Monte Carlo method")
     if rows == n ** k:   # ordered tuples: the sorted listing is no shorter
-        idx, mult = _ordered_listing(n, k), None
+        idx, repeats = _ordered_listing(n, k), None
     else:
         idx = np.ascontiguousarray(np.fromiter(itertools.chain.from_iterable(
             itertools.combinations_with_replacement(range(n), k)), np.intp, rows * k
@@ -223,18 +234,39 @@ def _exact_fits(view: CapacityRegionView, actions: np.ndarray, grid: np.ndarray)
         for prev, col in zip(idx, idx[1:]):
             run = np.where(col == prev, run + 1.0, 1.0)
             repeats *= run
-        mult = math.factorial(k) / repeats
+        del run   # before the slacks are solved, which is when the build peaks
     fits = _listing_fits(view, actions, grid, idx)
-    if k < 2:
-        return fits, (lambda masses: masses) if k else (lambda masses: np.ones(1))
-    pair, rest = idx[0] * n + idx[1], idx[2:].copy()   # a copy, so idx can be freed
+    keys = [(actions.size - fits).astype(np.min_scalar_type(actions.size))]
+    if repeats is not None:   # 8! < 2**16, so up to m = 9 both keys sort by radix
+        keys.insert(0, repeats.astype(np.uint16) if k <= 8 else repeats)
+    order = np.lexsort(keys)
+    if k != 1:   # the draws admitting nothing leave (at m = 2, a last run no action reads)
+        order = order[:max(np.count_nonzero(fits), 1)]   # one stays, so there is a run
+    fits = fits.take(order)
+    new = fits[1:] != fits[:-1]
+    if repeats is not None:
+        repeats = repeats.take(order)
+        new |= repeats[1:] != repeats[:-1]
+    starts = np.flatnonzero(np.concatenate(([True], new)))
+    run_fits = fits.take(starts)
+    mult = None if repeats is None else math.factorial(k) / repeats.take(starts)
+    last = np.searchsorted(-run_fits, -np.arange(actions.size)) - 1
+    runs = (starts, mult, np.maximum(last, 0), int(run_fits[0]))
+    if not k:
+        return (lambda masses: np.ones(1)), runs
+    if k == 1:   # the listing is the grid, in C order
+        if np.array_equal(order, np.arange(n)):
+            return (lambda masses: masses), runs
+        return (lambda masses: masses.take(order)), runs
+    pair = idx[0].take(order) * n + idx[1].take(order)
+    rest = [col.take(order) for col in idx[2:]]   # one column at a time
 
     def weights(masses: np.ndarray) -> np.ndarray:
         w = np.multiply.outer(masses, masses).ravel().take(pair)
         for col in rest:
             w *= masses.take(col)
-        return w if mult is None else w * mult
-    return fits, weights
+        return w
+    return weights, runs
 
 
 def _listing_fits(view, actions: np.ndarray, grid: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -255,18 +287,28 @@ def _fit_counts(actions: np.ndarray, slack: np.ndarray) -> np.ndarray:
     return np.searchsorted(actions, slack + FEASIBILITY_TOL, side="right")
 
 
-def _fit_mass(fits: np.ndarray, size: int, weights=None) -> np.ndarray:
-    """Weight (1 per draw unweighted) of the draws admitting each of `size` sorted actions.
+def _fit_mass(w: np.ndarray, runs: tuple) -> np.ndarray:
+    """Weight of the draws admitting each sorted action, from the weights w of a run-sorted
+    listing (`_exact_fits`).
 
-    Draw c admits action i exactly when i < fits[c], so one bincount and a
-    reverse cumulative sum give every action's mass at once (the sum's last
-    entry, the draws admitting nothing, is dropped).
+    Each run is summed pairwise (`np.add.reduceat`; Higham 1993: error
+    O(eps log rows), not O(eps rows) as one weight at a time in row order)
+    and scaled by its multiplicity; the runs are accumulated largest fit
+    first, and action i reads the sum up to its last admitting run, 0 past
+    the largest fit count.
     """
-    return _admitting(np.bincount(fits, weights, minlength=size + 1))
+    starts, mult, last, top = runs
+    sums = np.add.reduceat(w, starts)
+    if mult is not None:
+        sums *= mult
+    nu = np.add.accumulate(sums).take(last)
+    if top < nu.size:
+        nu[top:] = 0.0
+    return nu
 
 
 def _admitting(counts: np.ndarray) -> np.ndarray:
-    """From the weight of the draws with each fit count 0..size, the weight admitting
+    """From the number of Monte Carlo draws with each fit count 0..size, the number admitting
     each of the size sorted actions: a reverse cumulative sum, its last entry dropped."""
     return np.add.accumulate(counts[::-1])[-2::-1]
 
@@ -379,10 +421,10 @@ class PayoffTable:
     """Exact F over one grid, from the reply slack of every exact opponent draw.
 
     Draw c admits own rate a exactly when a <= slack_c + tol. The slacks
-    never change, so the table keeps how many grid points fit each draw
-    (`_exact_fits`: sorted opponent multisets on a symmetric channel); each
-    evaluation weights the draws and reads F for the whole grid off one
-    bincount and a reverse cumulative sum.
+    never change, so the table keeps the draws sorted by how many grid points
+    fit each (`_exact_fits`: sorted opponent multisets on a symmetric
+    channel); each evaluation weights the draws and reads F for the whole
+    grid off one pairwise sum per run (`_fit_mass`).
     """
 
     def __init__(self, view: CapacityRegionView, g: Utility, grid: np.ndarray):
@@ -390,7 +432,7 @@ class PayoffTable:
         self.grid = np.asarray(grid, dtype=float)
         self.m = view.m
         self.gvals = _own_values(g, self.grid)
-        self.fits, self.weights = _exact_fits(view, self.grid, self.grid)
+        self.weights, self.runs = _exact_fits(view, self.grid, self.grid)
 
     def payoffs(self, masses: np.ndarray, count: int = None) -> np.ndarray:
         """F over the whole grid for the state with these masses, zero beyond the first
@@ -398,7 +440,7 @@ class PayoffTable:
         if count is None:
             count = _gate_count(self.grid, self.view.total, self.m - 1,
                                 float(np.dot(self.grid, masses)))
-        F = self.gvals * _fit_mass(self.fits, self.grid.size, self.weights(masses))
+        F = self.gvals * _fit_mass(self.weights(masses), self.runs)
         F[count:] = 0.0   # as `* gate`: g(a) * nu >= +0
         return F
 
@@ -421,8 +463,8 @@ def region_mass(view: CapacityRegionView, a: float, state: PopulationState) -> f
     over the exact draws of `_exact_fits` (up to EXACT_ENUM_LIMIT rows).
     """
     actions = np.array([float(a)])
-    fits, weights = _exact_fits(view, actions, state.grid)
-    nu = _fit_mass(fits, actions.size, weights(state.masses))
+    weights, runs = _exact_fits(view, actions, state.grid)
+    nu = _fit_mass(weights(state.masses), runs)
     return float(_own_values(np.ones_like, actions)[0] * nu[0])
 
 
@@ -437,10 +479,10 @@ def _checked_action(view: CapacityRegionView, a) -> float:
 
 def expected_payoffs(view: CapacityRegionView, g: Utility, cases) -> list:
     """Exact F(a, state) of each (state, a) case, every state on one grid, off one
-    `_exact_fits` listing of the sorted actions: a draw admits the i-th exactly when its
-    fit count is > i, so a case's nu sums those draws' weights in row order, as for its
-    action alone. Each action must lie in [0, C({1})]; a case outside its mixed region
-    scores 0, and no listing is built unless some case lies inside."""
+    `_exact_fits` listing of the sorted actions: a case's nu is `_fit_mass` read at its
+    action. Its runs split by every case's action, so nu agrees with its action's alone
+    to rounding, not bit for bit. Each action must lie in [0, C({1})]; a case outside its
+    mixed region scores 0, and no listing is built unless some case lies inside."""
     actions = np.array([_checked_action(view, a) for _, a in cases])
     if any(not np.array_equal(state.grid, cases[0][0].grid) for state, _ in cases):
         raise ValueError("every state must lie on one grid")
@@ -449,12 +491,11 @@ def expected_payoffs(view: CapacityRegionView, g: Utility, cases) -> list:
     if not any(inside):
         return payoffs
     order = np.argsort(actions, kind="stable")
-    fits, weights = _exact_fits(view, actions[order], cases[0][0].grid)
+    weights, runs = _exact_fits(view, actions[order], cases[0][0].grid)
     gvals = _own_values(g, actions)
     for i, t in enumerate(order):
         if inside[t]:
-            nu = np.bincount(fits > i, weights(cases[t][0].masses), minlength=2)[1]
-            payoffs[t] = float(gvals[t] * nu)
+            payoffs[t] = float(gvals[t] * _fit_mass(weights(cases[t][0].masses), runs)[i])
     return payoffs
 
 

@@ -1,12 +1,15 @@
 """The verify battery's exact side: `expected_payoffs`, one shared opponent listing for all
 of `montecarlo-payoffs`' trials."""
 
+import math
+
 import numpy as np
 import pytest
 
 from macgame import (ChannelModel, PopulationState, Utility, build_view, expected_payoff,
                      expected_payoffs, mean_rate)
 from macgame.checks import _random_mixed_state
+from macgame.capacity import FEASIBILITY_TOL, reply_slack
 from macgame.evolution import INDICATOR_SLACK, region_mass
 
 CHANNELS = {"symmetric": [1.5] * 5, "asymmetric": [3.0, 1.0, 0.5, 2.0, 0.7]}
@@ -29,11 +32,22 @@ def test_shared_listing_matches_expected_payoff(m, channel, gname):
               (states[1], float(grid[3])),
               # a Dirac on the top of the grid gates its own point out (m >= 2)
               (PopulationState.dirac(grid, grid[-1]), float(grid[-1]))]
-    got = [x.hex() for x in expected_payoffs(view, g, cases)]
+    got = expected_payoffs(view, g, cases)
     want = [expected_payoff(view, g, a, state) for state, a in cases]
-    assert got == [x.hex() for x in want]
-    # inside the gate a <= C(N) - (m-1)E each case is g(a) times its own region_mass
+    # inside the gate a <= C(N) - (m-1)E a one-case read is g(a) times its own region_mass,
+    # off the same one-action listing, bit for bit
     inside = [a <= view.total - (m - 1) * mean_rate(s) + INDICATOR_SLACK for s, a in cases]
-    assert got == [float(g(np.array([a]))[0] * region_mass(view, a, s)).hex() if ok
-                   else (0.0).hex() for (s, a), ok in zip(cases, inside)]
+    gvals = [float(g(np.array([a]))[0]) for _, a in cases]
+    assert [x.hex() for x in want] == [(ga * region_mass(view, a, s)).hex() if ok
+                                       else (0.0).hex()
+                                       for (s, a), ga, ok in zip(cases, gvals, inside)]
+    # the shared listing splits its runs by every case's action, so its sums differ from the
+    # one-case ones in the last bits: each is within 1e-15 * g(a) of math.fsum of the
+    # ordered opponent tuples' product masses
+    k = m - 1
+    idx = np.indices((grid.size,) * k).reshape(k, grid.size ** k)
+    slack = reply_slack(view, 0, grid[idx].T)
+    for x, (s, a), ga, ok in zip(got, cases, gvals, inside):
+        exact = ga * math.fsum(np.prod(s.masses[idx], axis=0)[a <= slack + FEASIBILITY_TOL])
+        assert abs(x - (exact if ok else 0.0)) <= 1e-15 * max(ga, 1.0)
     assert (want[-1] == 0.0) == (m >= 2) and min(want[:-1]) >= 0.0

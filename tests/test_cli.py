@@ -239,6 +239,14 @@ class TestCompareOutputsScript:
         assert first(b"a\n", b"a\nb\n") == "\n    old line 2: None\n    new line 2: b"
         assert first(None, b"x\n") == "\n    old line 1: None\n    new line 1: x"
 
+    def test_csv_difference_shows_largest_cell(self):
+        script = runpy.run_path(str(COMPARE_OUTPUTS), run_name="compare_outputs")
+        largest = script["largest_difference"]
+        old = b"t,mean_rate\n0,0.5\n0.1,0.25\n0.2,0.125\n"
+        new = b"t,mean_rate\n0,0.5\n0.1,0.2500000000000001\n0.2,0.1\n"
+        assert largest(old, new) == "\n    largest cell difference 0.025, line 4, column mean_rate"
+        assert largest(old, old) == largest(None, new) == largest(old, new[:-6]) == ""
+
 
 # the shipped scenarios (m <= 3), and Monte Carlo payoffs checked past them: symmetric m = 4
 # and 5, asymmetric m = 5

@@ -28,8 +28,8 @@ from macgame import (
 from macgame.capacity import FEASIBILITY_TOL, reply_slack, subset_sums
 from macgame.checks import _random_mixed_state
 from macgame.dynamics import _flow, _gate_count, _payoff_vector, euler_update
-from macgame.evolution import (EXACT_ENUM_LIMIT, INDICATOR_SLACK, _admitted_mass, _fit_mass,
-                               _mixed_gate, _own_values, exact_rows, region_mass)
+from macgame.evolution import (EXACT_ENUM_LIMIT, INDICATOR_SLACK, _admitted_mass, _exact_fits,
+                               _fit_mass, _mixed_gate, _own_values, exact_rows, region_mass)
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -194,9 +194,10 @@ class TestPayoffEngine:
         assert np.count_nonzero((exact > 0) & (exact < gvals)) >= 5
         assert np.all(np.abs(mc - exact) <= 3.0 * se + 1e-12)
 
-    def test_retains_at_most_48_bytes_per_row(self):
-        # per sorted row: the pair index, three further index columns, the multiplicity
-        # and the fit count, 8 bytes each; the full (m - 1, rows) index array is freed
+    def test_retains_at_most_32_bytes_per_row(self):
+        # per sorted row that admits some action: the pair index and three further index
+        # columns, 8 bytes each; no multiplicity or fit count is kept per row, and the full
+        # (m - 1, rows) index array is freed. The build peaks below 119 bytes per row.
         view = build_view(ChannelModel(np.ones(6)))
         grid = np.linspace(0.0, float(view.single_caps.max()), 31)
         rows = exact_rows(view, grid.size)
@@ -204,11 +205,13 @@ class TestPayoffEngine:
         try:
             before = tracemalloc.get_traced_memory()[0]
             table = PayoffTable(view, Utility.identity(), grid)
-            retained = tracemalloc.get_traced_memory()[0] - before
+            retained, peak = (x - before for x in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
-        assert (rows, table.fits.size) == (324_632, rows)
-        assert retained <= 48 * rows + 64 * 1024   # a fixed 64 KiB for the per-grid part
+        kept = table.weights(np.ones(grid.size)).size
+        assert rows == 324_632 and 0 < kept <= rows
+        assert retained <= 32 * kept + 64 * 1024   # a fixed 64 KiB for the per-grid part
+        assert peak <= 119 * rows + 64 * 1024
 
 
 def ordered_listing(view, grid):
@@ -219,22 +222,35 @@ def ordered_listing(view, grid):
     return idx, reply_slack(view, 0, grid[idx].T)
 
 
-def ordered_nu(listing, actions, masses, pairwise=True):
+def ordered_nu(listing, actions, masses, by_fit=False):
     """nu at each sorted action over the ordered listing, product-mass weights.
 
-    Pairwise sums (np.sum; error O(eps log rows)), or one bincount as the
-    ordered route summed (error up to rows * eps / 2)."""
+    Pairwise sums over the draws admitting each action (np.sum; error
+    O(eps log rows)), or, by fit, as the engine sums an ordered listing: the
+    admitting draws stably sorted by fit count, largest first, one
+    `np.add.reduceat` sum per fit count, accumulated in that order."""
     idx, slack = listing
     fits = np.searchsorted(actions, slack + FEASIBILITY_TOL, side="right")
     weights = np.prod(masses[idx], axis=0)
-    if not pairwise:
-        return np.bincount(fits, weights, minlength=actions.size + 1)[::-1].cumsum()[::-1][1:]
-    return np.array([weights[fits > i].sum() for i in range(actions.size)])
+    if not by_fit:
+        return np.array([weights[fits > i].sum() for i in range(actions.size)])
+    order = np.argsort(-fits, kind="stable")
+    order = order[fits[order] > 0]
+    fits, weights = fits[order], weights[order]
+    counts = sorted(set(fits.tolist()), reverse=True)
+    if not counts:
+        return np.zeros(actions.size)
+    partial, acc = [], 0.0
+    for part in np.add.reduceat(weights, [int(np.argmax(fits == f)) for f in counts]):
+        acc += float(part)
+        partial.append(acc)
+    return np.array([partial[sum(f > i for f in counts) - 1] if counts[0] > i else 0.0
+                     for i in range(actions.size)])
 
 
-def ordered_payoffs(view, g, grid, masses, listing, pairwise=True):
+def ordered_payoffs(view, g, grid, masses, listing, by_fit=False):
     gate = grid <= view.total - (view.m - 1) * float(np.dot(grid, masses)) + 1e-12
-    return np.asarray(g(grid)) * ordered_nu(listing, grid, masses, pairwise) * gate
+    return np.asarray(g(grid)) * ordered_nu(listing, grid, masses, by_fit) * gate
 
 
 def brute_orbits(view, g, grid, masses):
@@ -250,7 +266,7 @@ def brute_orbits(view, g, grid, masses):
     profiles = np.column_stack([np.tile(grid, len(combos))]
                                + [np.repeat(others[:, j], n) for j in range(k)])
     fits = np.all(subset_sums(profiles) <= view.cap + FEASIBILITY_TOL, axis=1)
-    nu = (weights[:, None] * fits.reshape(len(combos), n)).sum(axis=0)
+    nu = np.array([math.fsum(col) for col in (weights[:, None] * fits.reshape(len(combos), n)).T])
     bound = view.total - k * float(np.dot(grid, masses))
     return mult, np.asarray(g(grid)) * nu * (grid <= bound + 1e-12)
 
@@ -277,26 +293,33 @@ class TestOrbitTable:
         table = PayoffTable(view, g, grid)
         listing = ordered_listing(view, grid)
         k = m - 1
-        mult = table.weights(np.ones(n))
-        assert exact_rows(view, n) == mult.size == math.comb(n + k - 1, k)
-        assert mult.sum() == n ** k
-        # nu sums one weight per row in row order, so it is off the exact sum
-        # by at most rows * eps / 2 (the ordered route's n**(m-1) rows put it
-        # up to 1.5e-11 off at m = 5, n = 31; the orbit rows 4.7e-13)
-        tol = 1e-14 + mult.size * np.finfo(float).eps
+        rows = exact_rows(view, n)
+        assert rows == math.comb(n + k - 1, k)
+        # below every slack each draw admits the one action: all rows stay, one run each
+        # multiplicity, and with unit masses nu counts the ordered tuples
+        weights, runs = _exact_fits(view, np.array([-np.inf]), grid)
+        ones = weights(np.ones(n))
+        assert ones.size == rows and _fit_mass(ones, runs)[0] == n ** k
+        starts, run_mult = runs[:2]
+        mult = np.ones(rows) if run_mult is None else np.repeat(
+            run_mult, np.diff(np.append(starts, rows)))
+        # each fit count's draws are summed pairwise, so nu stays within 1e-15 of the
+        # exact sum however many rows there are (one weight at a time in row order it
+        # would be up to 1.5e-11 off on the ordered listing at m = 5, n = 31)
+        tol = 1e-15
         gmax = float(g(grid[-1]))
         rng = np.random.default_rng(100 * m + n)
         for masses in self._states(rng, grid, rstar):
             F = table.payoffs(masses)
             if m <= 2:
-                assert np.array_equal(F, ordered_payoffs(view, g, grid, masses, listing, False))
+                assert np.array_equal(F, ordered_payoffs(view, g, grid, masses, listing, True))
             ref = ordered_payoffs(view, g, grid, masses, listing)
             assert np.max(np.abs(F - ref)) <= tol * gmax
-            nu = _fit_mass(table.fits, n, table.weights(masses))
+            nu = _fit_mass(table.weights(masses), table.runs)
             assert np.max(np.abs(nu - ordered_nu(listing, grid, masses))) <= tol
-            if mult.size * n <= 20_000:
+            if rows * n <= 20_000:
                 brute_mult, brute_F = brute_orbits(view, g, grid, masses)
-                assert np.array_equal(mult, brute_mult)
+                assert np.array_equal(np.sort(mult), np.sort(brute_mult))
                 assert np.max(np.abs(F - brute_F)) <= tol * gmax
             state = PopulationState(grid, masses)
             bound = view.total - k * float(np.dot(grid, masses)) + 1e-12
@@ -328,13 +351,26 @@ class TestOrbitTable:
         n = 9
         grid = make_grid(float(view.single_caps.max()), n)
         table = PayoffTable(view, g, grid)
-        assert exact_rows(view, n) == table.fits.size == n ** (view.m - 1)
-        assert np.array_equal(table.weights(np.ones(n)), np.ones(n ** (view.m - 1)))
+        assert exact_rows(view, n) == n ** (view.m - 1) and table.runs[1] is None
+        assert np.all(table.weights(np.ones(n)) == 1.0)
         rng = np.random.default_rng(len(snr))
         for _ in range(3):
             masses = rng.dirichlet(np.ones(n))
             assert np.array_equal(table.payoffs(masses), ordered_payoffs(
-                view, g, grid, masses, ordered_listing(view, grid), pairwise=False))
+                view, g, grid, masses, ordered_listing(view, grid), by_fit=True))
+
+    @pytest.mark.parametrize("snr", [[1.0, 1.0], [3.0, 1.0]])
+    def test_two_users_below_zero_leave_the_grid_order(self, snr):
+        # an opponent below -tol breaks the region alone (slack -inf), so at m = 2 the sort
+        # moves those draws last, and the weights follow the sorted listing, not the grid
+        view = build_view(ChannelModel(np.array(snr)))
+        grid = np.linspace(-0.1, float(view.single_caps.max()), 9)
+        table = PayoffTable(view, Utility.log1p(), grid)
+        assert not np.array_equal(table.weights(np.arange(9.0)), np.arange(9.0))
+        listing = ordered_listing(view, grid)
+        for masses in np.random.default_rng(4).dirichlet(np.ones(9), size=3):
+            assert np.array_equal(_fit_mass(table.weights(masses), table.runs),
+                                  ordered_nu(listing, grid, masses, by_fit=True))
 
     def test_size_limit_counts_rows_built(self):
         sym6 = build_view(ChannelModel(np.ones(6)))
@@ -342,6 +378,38 @@ class TestOrbitTable:
         sym8 = build_view(ChannelModel(np.ones(8)))
         with pytest.raises(ValueError, match=r"exact table needs 264385836 rows"):
             PayoffTable(sym8, Utility.identity(), np.linspace(0.0, LN2, 51))
+
+
+class TestFitMassAccuracy:
+    """nu read off a built table (g = 1) against math.fsum of the same draws' weights.
+
+    Each run of equal fit count is summed pairwise, so the error stays within
+    1e-15 whatever the row count; summed one weight at a time in row order it
+    grew with the rows (uniform masses: 5.4e-15 at symmetric m = 5, n = 31, and
+    1.7e-14 on asymmetric m = 5, n = 21)."""
+
+    @pytest.mark.parametrize("snr,n,rows", [([1.5] * 5, 31, 46_376),
+                                            ([1.0, 0.9, 0.8, 0.7, 0.6], 21, 194_481)],
+                             ids=["sym5-n31", "asym5-n21"])
+    def test_nu_within_1e15_of_fsum(self, snr, n, rows):
+        view = build_view(ChannelModel(np.array(snr)))
+        grid = np.linspace(0.0, float(view.single_caps.max()), n)
+        k = view.m - 1
+        if view.model.symmetric:
+            combos = np.array(list(itertools.combinations_with_replacement(range(n), k))).T
+            mult = np.array([math.factorial(k) / math.prod(map(math.factorial,
+                                                              Counter(c).values()))
+                             for c in combos.T.tolist()])
+        else:   # the ordered listing, in EXACT_BLOCK_ROWS = 65,536-row blocks: three here
+            combos, mult = np.indices((n,) * k).reshape(k, n ** k), 1.0
+        assert combos.shape[1] == exact_rows(view, n) == rows
+        slack = reply_slack(view, 0, grid[combos].T)
+        fits = np.searchsorted(grid, slack + FEASIBILITY_TOL, side="right")
+        table = PayoffTable(view, np.ones_like, grid)
+        for masses in (np.full(n, 1.0 / n), np.random.default_rng(5).dirichlet(np.ones(n))):
+            weights = mult * np.prod(masses[combos], axis=0)
+            exact = np.array([math.fsum(weights[fits > i]) for i in range(n)])
+            assert np.max(np.abs(table.payoffs(masses, n) - exact)) <= 1e-15
 
 
 class TestStep:
@@ -530,12 +598,20 @@ class TestNegativeGridPoints:
 
 # -- the step loop with a boolean gate: the reference the count-gated loop must match ---------
 
-def ref_fit_mass(fits, size, weights=None):
-    return np.bincount(fits, weights, minlength=size + 1)[::-1].cumsum()[::-1][1:]
+def ref_fit_mass(w, runs):
+    """`_fit_mass` one run at a time: each run's pairwise sum times its multiplicity, added
+    up in a Python loop in run order, and read at each action's last admitting run."""
+    starts, mult, last, top = runs
+    partial, acc = [], 0.0
+    for r, (lo, hi) in enumerate(zip(starts, [*starts[1:], w.size])):
+        part = np.add.reduceat(w[lo:hi], [0])
+        acc += float(part[0] if mult is None else (part * mult[r])[0])
+        partial.append(acc)
+    return np.array([partial[last[i]] if i < top else 0.0 for i in range(last.size)])
 
 
 def ref_payoffs(table, masses, gate):
-    return table.gvals * ref_fit_mass(table.fits, table.grid.size, table.weights(masses)) * gate
+    return table.gvals * ref_fit_mass(table.weights(masses), table.runs) * gate
 
 
 def ref_payoff_vector(view, g, grid, masses, gate, table=None, samples=None, seed=0):
@@ -685,13 +761,17 @@ class TestStepLoopBitIdentity:
             want = ref_flow(proto, w, lam, F, np.arange(n) < count, Fbar)
             assert_same_bytes(_flow(None, proto, w, lam, F, count, Fbar), want)
 
-    def test_fit_mass_matches_reverse_cumsum(self):
+    @pytest.mark.parametrize("snr,n", [([1.0], 7), ([1.5, 1.5], 51), ([3.0, 1.0, 0.5], 11),
+                                       ([1.5] * 4, 13), ([1.5] * 5, 9), ([1e4] * 3, 7)])
+    def test_fit_mass_matches_run_loop(self, snr, n):
+        view = build_view(ChannelModel(np.array(snr)))
+        grid = make_grid(float(view.single_caps.max()), n)
+        weights, runs = _exact_fits(view, grid, grid)
         rng = np.random.default_rng(12)
-        for size in (1, 2, 7, 51):
-            fits = rng.integers(0, size + 1, 400)
-            assert_same_bytes(_fit_mass(fits, size), ref_fit_mass(fits, size))
-            weights = rng.random(400)
-            assert_same_bytes(_fit_mass(fits, size, weights), ref_fit_mass(fits, size, weights))
+        for masses in (np.full(n, 1.0 / n), rng.dirichlet(np.ones(n)),
+                       rng.dirichlet(np.full(n, 0.2))):
+            w = weights(masses)
+            assert_same_bytes(_fit_mass(w, runs), ref_fit_mass(w, runs))
 
     def test_step_errors_unchanged(self):
         for masses, v, dt in ((np.array([0.5, 0.5]), np.array([np.nan, 0.0]), 0.01),
