@@ -12,8 +12,8 @@ to leave):
               support never grows
   smith       pairwise comparisons, switch rate max(F_j - F_i, 0)^theta
 
-F comes from the payoff engine in `evolution` (`PayoffTable`,
-`_payoff_vector`), read over the whole grid. The grid is strictly
+F comes from the run's one `evolution.PayoffTable`, exact or Monte Carlo,
+read over the whole grid. The grid is strictly
 increasing, so the mixed-region gate is a prefix of it and is carried as a
 count (`evolution._gate_count`): the gated tail of F, of the BNN excess
 and of the Smith rate rows is zeroed by one slice.
@@ -34,8 +34,6 @@ from .evolution import (
     PayoffTable,
     PopulationState,
     _gate_count,
-    _own_values,
-    _payoff_vector,
     mean_rate,
 )
 
@@ -114,6 +112,11 @@ def velocity(view: CapacityRegionView, g: Utility, protocol: Protocol,
                  float(np.dot(state.masses, F)))
 
 
+# A function of its own so that perfbench/tracing.py times each step's payoffs in one span.
+def _payoff_vector(table: PayoffTable, masses: np.ndarray, count: int) -> np.ndarray:
+    return table.payoffs(masses, count)
+
+
 def euler_update(masses: np.ndarray, v: np.ndarray, dt: float) -> tuple:
     """One explicit Euler step on the simplex; returns (new masses, drift).
 
@@ -183,25 +186,22 @@ class Trace:
 def simulate(view: CapacityRegionView, g: Utility, run: DynamicsRun) -> Trace:
     """Iterate the Euler steps on the raw masses, recording every `record_every` ticks.
 
-    Exact payoffs reuse one precomputed slack table; Monte Carlo payoffs
-    draw one opponent sample per step from a deterministic substream, so
-    traces are reproducible for a given seed either way.
+    Payoffs come off one `PayoffTable` for the run: exact, or Monte Carlo with
+    step k drawing its sample from the seed's child stream k, so traces are
+    reproducible for a given seed either way.
     """
     grid, w, masses = run.state0.grid, run.state0.base_weights, run.state0.masses
-    table = PayoffTable(view, g, grid) if run.payoff_method == "exact" else None
-    gvals = None if table is not None else _own_values(g, grid)
-    protocol, dt, steps, every, samples = (run.protocol, run.dt, run.steps,
-                                           run.record_every, run.samples)
+    table = (PayoffTable(view, g, grid) if run.payoff_method == "exact"
+             else PayoffTable(view, g, grid, run.samples, run.seed))
+    protocol, dt, steps, every = run.protocol, run.dt, run.steps, run.record_every
     points, total, others = grid.tolist(), view.total, view.m - 1
-    rows, drift, seed = [], 0.0, 0
+    rows, drift = [], 0.0
     for k in range(steps + 1):
         if k:
             masses, drift = euler_update(masses, v, dt)
         mean = float(np.dot(grid, masses))
         count = _gate_count(points, total, others, mean)
-        if table is None:
-            seed = np.random.SeedSequence(run.seed, spawn_key=(k,))
-        F = _payoff_vector(view, gvals, grid, masses, count, table, samples, seed)
+        F = _payoff_vector(table, masses, count)
         Fbar = float(np.dot(masses, F))
         v = _flow(view, protocol, w, masses, F, count, Fbar)
         if k % every == 0 or k == steps:

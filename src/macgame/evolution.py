@@ -18,7 +18,7 @@ actions fit each, so nu at any sorted set of actions is one pairwise sum
 per run of equal fit count and multiplicity, accumulated; a seeded iid
 sample (Monte Carlo) tallies its draws' integer fit counts instead.
 `expected_payoffs` reads it at the actions of many cases; for `dynamics`,
-`PayoffTable` (exact) and `_payoff_vector` read it over a whole grid, zero
+`PayoffTable` reads it over a whole grid, exactly or by Monte Carlo, zero
 past its first `_gate_count` points (the mixed-region gate).
 """
 from __future__ import annotations
@@ -307,13 +307,18 @@ def _fit_mass(w: np.ndarray, runs: tuple) -> np.ndarray:
     return nu
 
 
-def _admitting(counts: np.ndarray) -> np.ndarray:
-    """From the number of Monte Carlo draws with each fit count 0..size, the number admitting
-    each of the size sorted actions: a reverse cumulative sum, its last entry dropped."""
-    return np.add.accumulate(counts[::-1])[-2::-1]
+def _tuple_fits(view, actions: np.ndarray, grid: np.ndarray, samples: int):
+    """Fit counts of the n**(m-1) ordered opponent tuples (`_listing_fits`) when they are no
+    more than the `samples` draws, else None: the listing `_admitted_mass` reads."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    n, k = grid.size, view.m - 1
+    if n ** k <= samples:
+        return _listing_fits(view, actions, grid, _ordered_listing(n, k))
+    return None
 
 
-def _admitted_mass(view, actions, grid, masses, samples, seed) -> np.ndarray:
+def _admitted_mass(view, actions, grid, masses, samples, seed, tuple_fits) -> np.ndarray:
     """Monte Carlo nu at each sorted action: the share of `samples` iid opponent draws from
     the state admitting it, fixed per seed (an int or a SeedSequence).
 
@@ -327,23 +332,17 @@ def _admitted_mass(view, actions, grid, masses, samples, seed) -> np.ndarray:
     integers (`_guide_lookup`). The cdf and guide table are built once per
     call, off masses their caller has checked.
 
-    When the n**(m-1) ordered tuples are no more than the draws, each tuple's
-    fit count is computed once per call (`_listing_fits`) and each draw reads
-    its own by its C-order flat index (the same integer as its own slack
-    would give); otherwise each draw solves its own reply slack. Each block
-    adds the bincount of its fit counts to one integer tally, so the tally is
-    that of the whole sample, and working memory beyond the listing is
-    O(MC_BLOCK * (m - 1)).
+    `tuple_fits` holds the fit count of each ordered tuple, solved by the
+    caller (`_tuple_fits`): each draw reads its own by its C-order flat index
+    (the same integer as its own slack would give). When it is None each draw
+    solves its own reply slack. Each block adds the bincount of its fit
+    counts to one integer tally, so the tally is that of the whole sample, and
+    working memory beyond the listing is O(MC_BLOCK * (m - 1)).
     """
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
     n, k = grid.size, view.m - 1
     cdf = np.cumsum(masses)
     cdf /= cdf[-1]
     guide = _guide_table(cdf, samples * k)
-    tuple_fits = None
-    if n ** k <= samples:
-        tuple_fits = _listing_fits(view, actions, grid, _ordered_listing(n, k))
     tallies = np.zeros(actions.size + 1, np.intp)
     bits = np.random.Philox(seed)
     for lo in range(0, samples, MC_BLOCK):
@@ -359,7 +358,8 @@ def _admitted_mass(view, actions, grid, masses, samples, seed) -> np.ndarray:
                 flat += col
             fits = tuple_fits.take(flat)
         tallies += np.bincount(fits, minlength=tallies.size)
-    return _admitting(tallies) / samples
+    # action i is admitted by the draws fitting more than i actions: a reverse cumulative sum
+    return np.add.accumulate(tallies[::-1])[-2::-1] / samples
 
 
 def _guide_table(cdf: np.ndarray, draws: int) -> np.ndarray:
@@ -418,21 +418,27 @@ def _gate_count(grid, total: float, others: int, mean: float) -> int:
 
 
 class PayoffTable:
-    """Exact F over one grid, from the reply slack of every exact opponent draw.
+    """F over one grid for one run, exact or Monte Carlo, zero past the mixed-region gate.
 
-    Draw c admits own rate a exactly when a <= slack_c + tol. The slacks
-    never change, so the table keeps the draws sorted by how many grid points
-    fit each (`_exact_fits`: sorted opponent multisets on a symmetric
-    channel); each evaluation weights the draws and reads F for the whole
-    grid off one pairwise sum per run (`_fit_mass`).
+    Exact (no `samples`): the table keeps every exact opponent draw sorted by
+    how many grid points fit it (`_exact_fits`), and each evaluation reads nu
+    off one pairwise sum per run (`_fit_mass`). Monte Carlo: it keeps the
+    ordered listing's fit counts (`_tuple_fits`) and SeedSequence(seed), and
+    evaluation k draws its `samples` opponents from child stream k, spawn key (k,).
     """
 
-    def __init__(self, view: CapacityRegionView, g: Utility, grid: np.ndarray):
+    def __init__(self, view: CapacityRegionView, g: Utility, grid: np.ndarray,
+                 samples: int = None, seed=0):
         self.view = view
         self.grid = np.asarray(grid, dtype=float)
         self.m = view.m
         self.gvals = _own_values(g, self.grid)
-        self.weights, self.runs = _exact_fits(view, self.grid, self.grid)
+        self.samples = samples
+        if samples is None:
+            self.weights, self.runs = _exact_fits(view, self.grid, self.grid)
+        else:
+            self.fits = _tuple_fits(view, self.grid, self.grid, samples)
+            self.streams = np.random.SeedSequence(seed)
 
     def payoffs(self, masses: np.ndarray, count: int = None) -> np.ndarray:
         """F over the whole grid for the state with these masses, zero beyond the first
@@ -440,20 +446,14 @@ class PayoffTable:
         if count is None:
             count = _gate_count(self.grid, self.view.total, self.m - 1,
                                 float(np.dot(self.grid, masses)))
-        F = self.gvals * _fit_mass(self.weights(masses), self.runs)
+        if self.samples is None:
+            nu = _fit_mass(self.weights(masses), self.runs)
+        else:
+            nu = _admitted_mass(self.view, self.grid, self.grid, masses, self.samples,
+                                self.streams.spawn(1)[0], self.fits)
+        F = self.gvals * nu
         F[count:] = 0.0   # as `* gate`: g(a) * nu >= +0
         return F
-
-
-def _payoff_vector(view, gvals, grid, masses, count, table, samples, seed) -> np.ndarray:
-    """F over the grid, zero beyond its first `count` points: read off the exact table
-    when there is one, else g at each point (`gvals`, from `_own_values`) times the
-    admitted mass of one seeded sample of `samples` opponent draws."""
-    if table is not None:
-        return table.payoffs(masses, count)
-    F = gvals * _admitted_mass(view, grid, grid, masses, samples, seed)
-    F[count:] = 0.0
-    return F
 
 
 def region_mass(view: CapacityRegionView, a: float, state: PopulationState) -> float:
@@ -519,5 +519,6 @@ def expected_payoff_mc(view: CapacityRegionView, g: Utility, a: float,
     if not _mixed_gate(view, actions, mean_rate(state))[0]:
         return 0.0, 0.0
     ga = float(_own_values(g, actions)[0])
-    p_hat = float(_admitted_mass(view, actions, state.grid, state.masses, samples, seed)[0])
+    fits = _tuple_fits(view, actions, state.grid, samples)
+    p_hat = float(_admitted_mass(view, actions, state.grid, state.masses, samples, seed, fits)[0])
     return ga * p_hat, ga * math.sqrt(p_hat * (1.0 - p_hat) / samples)

@@ -124,53 +124,52 @@ def parse_scenario(text: str, overrides: dict = None) -> Scenario:
     return scenario
 
 
-def _where(key_where: dict, key: str) -> str:
-    return f"{key_where[key]}: " if key in key_where else ""
-
-
 def _validate(s: Scenario, key_where: dict) -> list:
     problems = []
+
+    def bad(key: str, text: str) -> None:   # located where the key was set, if it was
+        problems.append(f"{key_where[key]}: {text}" if key in key_where else text)
+
     if s.m < 1:
-        problems.append(f"{_where(key_where, 'm')}m must be >= 1")
+        bad("m", "m must be >= 1")
     if s.snr is not None:
         if len(s.snr) != s.m:
-            problems.append(f"{_where(key_where, 'snr')}snr needs {s.m} entries, got {len(s.snr)}")
+            bad("snr", f"snr needs {s.m} entries, got {len(s.snr)}")
         if any(v <= 0 for v in s.snr):
-            problems.append(f"{_where(key_where, 'snr')}every snr must be positive")
+            bad("snr", "every snr must be positive")
     else:
         if s.p is not None and s.p <= 0:
-            problems.append(f"{_where(key_where, 'p')}p must be positive")
+            bad("p", "p must be positive")
         if s.sigma2 <= 0:
-            problems.append(f"{_where(key_where, 'sigma2')}sigma2 must be positive")
+            bad("sigma2", "sigma2 must be positive")
         if s.h is not None:
             if len(s.h) != s.m:
-                problems.append(f"{_where(key_where, 'h')}h needs {s.m} entries, got {len(s.h)}")
+                bad("h", f"h needs {s.m} entries, got {len(s.h)}")
             if any(v <= 0 for v in s.h):
-                problems.append(f"{_where(key_where, 'h')}every gain must be positive")
+                bad("h", "every gain must be positive")
     if s.g not in UTILITY_KINDS:
-        problems.append(f"{_where(key_where, 'g')}g must be one of {', '.join(UTILITY_KINDS)}")
+        bad("g", f"g must be one of {', '.join(UTILITY_KINDS)}")
     if not 0.0 < s.g_power < 1.0:
-        problems.append(f"{_where(key_where, 'g_power')}g_power must lie in (0, 1)")
+        bad("g_power", "g_power must lie in (0, 1)")
     if s.grid_points < 2:
-        problems.append(f"{_where(key_where, 'grid_points')}grid_points must be >= 2")
+        bad("grid_points", "grid_points must be >= 2")
     if s.protocol not in PROTOCOL_KINDS:
-        problems.append(
-            f"{_where(key_where, 'protocol')}protocol must be one of {', '.join(PROTOCOL_KINDS)}")
+        bad("protocol", f"protocol must be one of {', '.join(PROTOCOL_KINDS)}")
     if s.protocol == "smith" and s.theta < 1.0:
-        problems.append(f"{_where(key_where, 'theta')}theta must be >= 1")
+        bad("theta", "theta must be >= 1")
     if s.k <= 0:
-        problems.append(f"{_where(key_where, 'k')}k must be positive")
+        bad("k", "k must be positive")
     if s.dt <= 0:
-        problems.append(f"{_where(key_where, 'dt')}dt must be positive")
+        bad("dt", "dt must be positive")
     if s.steps < 0:
-        problems.append(f"{_where(key_where, 'steps')}steps must be >= 0")
+        bad("steps", "steps must be >= 0")
     if s.record_every < 1:
-        problems.append(f"{_where(key_where, 'record_every')}record_every must be >= 1")
+        bad("record_every", "record_every must be >= 1")
     if s.payoff_method not in PAYOFF_METHODS:
         methods = " or ".join(PAYOFF_METHODS)
-        problems.append(f"{_where(key_where, 'payoff_method')}payoff_method must be {methods}")
+        bad("payoff_method", f"payoff_method must be {methods}")
     if s.samples < 1:
-        problems.append(f"{_where(key_where, 'samples')}samples must be >= 1")
+        bad("samples", "samples must be >= 1")
     return problems
 
 

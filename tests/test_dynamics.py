@@ -25,11 +25,13 @@ from macgame import (
     simulate,
     velocity,
 )
+from macgame import evolution
 from macgame.capacity import FEASIBILITY_TOL, reply_slack, subset_sums
 from macgame.checks import _random_mixed_state
 from macgame.dynamics import _flow, _gate_count, _payoff_vector, euler_update
 from macgame.evolution import (EXACT_ENUM_LIMIT, INDICATOR_SLACK, _admitted_mass, _exact_fits,
-                               _fit_mass, _mixed_gate, _own_values, exact_rows, region_mass)
+                               _fit_mass, _mixed_gate, _own_values, _tuple_fits, exact_rows,
+                               region_mass)
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -186,8 +188,7 @@ class TestPayoffEngine:
         samples = 50_000
         exact = PayoffTable(view, g, grid).payoffs(state.masses)
         count = _gate_count(grid, view.total, view.m - 1, mean_rate(state))
-        mc = _payoff_vector(view, _own_values(g, grid), grid, state.masses, count, None,
-                            samples, np.random.SeedSequence(11))
+        mc = _payoff_vector(PayoffTable(view, g, grid, samples, 11), state.masses, count)
         gvals = g(grid)
         p = np.divide(exact, gvals, out=np.zeros_like(exact), where=gvals > 0)
         se = gvals * np.sqrt(p * (1.0 - p) / samples)
@@ -489,13 +490,13 @@ class TestSimulate:
 
         # exact payoffs step through the public velocity; Monte Carlo ones draw one
         # sample per step from the seed's substream k, through _payoff_vector and _flow
-        table = PayoffTable(view, g, grid) if method == "exact" else None
+        table = (PayoffTable(view, g, grid) if method == "exact"
+                 else PayoffTable(view, g, grid, run.samples, run.seed))
         state, rows, drift = run.state0, [], 0.0
         for k in range(run.steps + 1):
             count = _gate_count(grid, view.total, view.m - 1, mean_rate(state))
-            F = _payoff_vector(view, _own_values(g, grid), grid, state.masses, count, table,
-                               run.samples, np.random.SeedSequence(run.seed, spawn_key=(k,)))
-            if table is not None:
+            F = _payoff_vector(table, state.masses, count)
+            if method == "exact":
                 v = velocity(view, g, proto, state, table=table)
             else:
                 v = _flow(view, proto, state.base_weights, state.masses, F, count,
@@ -516,6 +517,8 @@ class TestSimulate:
         with pytest.raises(ValueError, match="samples"):
             DynamicsRun(protocol=Protocol.bnn(), state0=state0, payoff_method="montecarlo",
                         samples=0)
+        with pytest.raises(ValueError, match="samples"):   # when built, not when first read
+            PayoffTable(sym2, Utility.identity(), state0.grid, 0)
 
     def test_zero_steps_single_record(self, sym2, gid):
         grid = grid_with_rstar(sym2)
@@ -581,9 +584,9 @@ class TestNegativeGridPoints:
         g = Utility.power(0.5)
         state = PopulationState.uniform(grid)
         count = _gate_count(grid, sym2.total, sym2.m - 1, mean_rate(state))
-        table = PayoffTable(sym2, g, grid) if method == "exact" else None
-        F = _payoff_vector(sym2, _own_values(g, grid), grid, state.masses, count, table,
-                           500, np.random.SeedSequence(1))
+        table = (PayoffTable(sym2, g, grid) if method == "exact"
+                 else PayoffTable(sym2, g, grid, 500, 1))
+        F = _payoff_vector(table, state.masses, count)
         assert np.all(np.isfinite(F)) and F[0] == 0.0
         v = _flow(sym2, Protocol.bnn(), state.base_weights, state.masses, F, count,
                   float(np.dot(state.masses, F)))
@@ -617,7 +620,9 @@ def ref_payoffs(table, masses, gate):
 def ref_payoff_vector(view, g, grid, masses, gate, table=None, samples=None, seed=0):
     if table is not None:
         return ref_payoffs(table, masses, gate)
-    return _own_values(g, grid) * _admitted_mass(view, grid, grid, masses, samples, seed) * gate
+    fits = _tuple_fits(view, grid, grid, samples)   # solved afresh at every step
+    return _own_values(g, grid) * _admitted_mass(view, grid, grid, masses, samples, seed,
+                                                 fits) * gate
 
 
 def ref_flow(protocol, w, lam, F, gate, Fbar):
@@ -701,6 +706,26 @@ class TestStepLoopBitIdentity:
         run = DynamicsRun(protocol=proto, state0=PopulationState(grid, masses), steps=40,
                           record_every=3, seed=9, payoff_method=method, samples=200)
         self.check(view, Utility.log1p(), run)
+
+    def test_montecarlo_listing_solved_once(self, monkeypatch):
+        # the 11**2 ordered tuples are no more than the draws, so every step reads their
+        # fit counts off the listing; the run's table solves it once, not once per step
+        view = build_view(ChannelModel(np.array([3.0, 1.0, 0.5])))
+        grid = make_grid(float(view.single_caps.max()), 11)
+        run = DynamicsRun(protocol=Protocol.bnn(K=7.3), state0=PopulationState.uniform(grid),
+                          steps=5, record_every=1, seed=9, payoff_method="montecarlo",
+                          samples=200)
+        solve, calls = evolution._listing_fits, []
+        monkeypatch.setattr(evolution, "_listing_fits",
+                            lambda *args: calls.append(args) or solve(*args))
+        trace = simulate(view, Utility.log1p(), run)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        cols, masses = ref_simulate(view, Utility.log1p(), run)
+        for got, want in zip((trace.t, trace.mean_rate, trace.avg_payoff, trace.velocity_l1,
+                              trace.mass_drift), cols):
+            assert_same_bytes(got, want)
+        assert_same_bytes(trace.final_state.masses, masses)
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     @pytest.mark.parametrize("proto", BIT_PROTOCOLS, ids=lambda p: f"{p.kind}-{p.theta}")

@@ -30,8 +30,8 @@ from macgame import (
 )
 from macgame import evolution
 from macgame.capacity import FEASIBILITY_TOL, reply_slack
-from macgame.evolution import (ESS_SHARE, EXACT_ENUM_LIMIT, MC_BLOCK, _admitted_mass, exact_rows,
-                               region_mass)
+from macgame.evolution import (ESS_SHARE, EXACT_ENUM_LIMIT, MC_BLOCK, _admitted_mass, _tuple_fits,
+                               exact_rows, region_mass)
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -382,6 +382,12 @@ class TestExpectedPayoff:
         assert expected_payoff(view, Utility.identity(), 0.4, state) == pytest.approx(0.4)
 
 
+def admitted_mass(view, actions, grid, masses, samples, seed):
+    """`_admitted_mass` reading the listing `_tuple_fits` solves for this sample size."""
+    return _admitted_mass(view, actions, grid, masses, samples, seed,
+                          _tuple_fits(view, actions, grid, samples))
+
+
 def per_draw_admitted_mass(view, actions, grid, masses, samples, seed):
     """Second route to Monte Carlo nu: one reply slack for every sampled opponent draw."""
     rng = np.random.Generator(np.random.Philox(seed))
@@ -394,8 +400,9 @@ MC_CHANNELS = {"symmetric": [1.5, 1.5, 1.5, 1.5], "asymmetric": [3.0, 1.0, 0.5, 
 
 
 class TestMonteCarloLookup:
-    """Draws read their fit count off the ordered listing when it is no longer than the
-    sample (n**(m-1) <= samples); against a longer listing each draw solves its own slack."""
+    """`_tuple_fits` solves the ordered listing when it is no longer than the sample
+    (n**(m-1) <= samples), and draws read their fit count off it; given None in its place,
+    each draw solves its own slack. Both routes give the per-draw nu at any sample size."""
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("channel", sorted(MC_CHANNELS))
@@ -411,13 +418,16 @@ class TestMonteCarloLookup:
         actions = {"one": grid[2:3], "grid": grid,
                    "off-grid": np.sort(rng.uniform(0.0, 1.1 * grid[-1], 6))}[which]
         rows = n ** (m - 1)
+        listing = _tuple_fits(view, actions, grid, rows)
         for samples in (rows - 1, rows, rows + 1):
             if samples < 1:
                 continue
+            assert (_tuple_fits(view, actions, grid, samples) is None) == (samples < rows)
             for seed in (0, 7, np.random.SeedSequence(3, spawn_key=(5,))):
-                got = _admitted_mass(view, actions, grid, masses, samples, seed)
                 want = per_draw_admitted_mass(view, actions, grid, masses, samples, seed)
-                assert np.array_equal(got, want), (samples, seed)
+                for tuple_fits in (None, listing):
+                    got = _admitted_mass(view, actions, grid, masses, samples, seed, tuple_fits)
+                    assert np.array_equal(got, want), (samples, seed, tuple_fits is None)
 
 
 def single_array_admitted_mass(view, actions, grid, masses, samples, seed):
@@ -461,7 +471,7 @@ class TestMonteCarloBlocks:
         masses = np.random.default_rng(m).dirichlet(np.ones(grid.size))
         actions = np.sort(np.random.default_rng(m).uniform(0.0, grid[-1], 25))
         for samples in (1, 6, 7, 8, 29, 81, 300):
-            got = _admitted_mass(view, actions, grid, masses, samples, 11)
+            got = admitted_mass(view, actions, grid, masses, samples, 11)
             want = single_array_admitted_mass(view, actions, grid, masses, samples, 11)
             assert np.array_equal(got, want), samples
 
@@ -484,7 +494,7 @@ class TestMonteCarloBlocks:
         actions = np.sort(rng.uniform(0.0, 1.1 * grid[-1], 9))
         for samples in self.SAMPLES:
             for seed in (5, np.random.SeedSequence(3, spawn_key=(5,))):
-                got = _admitted_mass(view, actions, grid, masses, samples, seed)
+                got = admitted_mass(view, actions, grid, masses, samples, seed)
                 want = single_array_admitted_mass(view, actions, grid, masses, samples, seed)
                 assert np.array_equal(got, want), (samples, seed)
 
@@ -496,7 +506,7 @@ class TestMonteCarloBlocks:
         samples = 3 * MC_BLOCK + 5
         assert MC_BLOCK < grid.size ** 2 <= samples
         masses = np.random.default_rng(150).dirichlet(np.ones(grid.size))
-        got = _admitted_mass(view, grid, grid, masses, samples, 7)
+        got = admitted_mass(view, grid, grid, masses, samples, 7)
         want = single_array_admitted_mass(view, grid, grid, masses, samples, 7)
         assert np.array_equal(got, want)
 
@@ -511,7 +521,7 @@ class TestMonteCarloBlocks:
         masses = np.random.default_rng(67).dirichlet(np.ones(grid.size))
         tracemalloc.start()
         try:
-            _admitted_mass(view, grid, grid, masses, samples, 1)
+            admitted_mass(view, grid, grid, masses, samples, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -526,7 +536,7 @@ class TestMonteCarloBlocks:
         masses = np.random.default_rng(6).dirichlet(np.ones(31))
         tracemalloc.start()
         try:
-            _admitted_mass(view, grid, grid, masses, 100_000, 1)
+            admitted_mass(view, grid, grid, masses, 100_000, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -545,7 +555,7 @@ class TestSingleUserMonteCarlo:
     @pytest.mark.parametrize("samples", [1, 2, 1000])
     def test_admitted_mass_is_one(self, solo, samples):
         view, state = solo
-        nu = _admitted_mass(view, state.grid, state.grid, state.masses, samples, 4)
+        nu = admitted_mass(view, state.grid, state.grid, state.masses, samples, 4)
         assert np.array_equal(nu, np.ones(state.n))
         assert np.array_equal(nu, [region_mass(view, float(a), state) for a in state.grid])
 
@@ -605,7 +615,7 @@ class TestAdmittedMassDraws:
             # samples x (m - 1) draws: 20,000 x 2, 1 x 1, 3,000 x 3 and 50 x 0
             for m, samples in ((3, 20_000), (2, 1), (4, 3000), (1, 50)):
                 for seed in seeds:
-                    got = self.nu(_admitted_mass, n, masses, m, samples, seed)
+                    got = self.nu(admitted_mass, n, masses, m, samples, seed)
                     want = self.nu(single_array_admitted_mass, n, masses, m, samples, seed)
                     assert np.array_equal(got, want), (name, m, samples, seed)
 
@@ -613,6 +623,6 @@ class TestAdmittedMassDraws:
                                         [0.0, 0.0, 1.0], [0.75, 0.25, 0.0]])
     def test_cdf_on_bucket_edges(self, masses):
         for seed in range(5):
-            got = self.nu(_admitted_mass, len(masses), masses, 3, 100_000, seed)
+            got = self.nu(admitted_mass, len(masses), masses, 3, 100_000, seed)
             want = self.nu(single_array_admitted_mass, len(masses), masses, 3, 100_000, seed)
             assert np.array_equal(got, want), seed
