@@ -16,7 +16,7 @@ from pathlib import Path
 from macgame import build_view, simulate
 from macgame.cli import write_trace
 from macgame.dynamics import PROTOCOL_KINDS
-from macgame.scenario import build_model, build_run, build_utility, parse_scenario
+from macgame.scenario import ScenarioError, build_model, build_run, build_utility, parse_scenario
 
 
 def main(argv=None) -> int:
@@ -26,10 +26,14 @@ def main(argv=None) -> int:
     parser.add_argument("--k", type=float, default=None, help="override growth parameter")
     args = parser.parse_args(argv)
 
-    scenario = parse_scenario(Path(args.scenario).read_text())
-    overrides = {"steps": args.steps, "k": args.k}
-    scenario = dataclasses.replace(
-        scenario, **{key: val for key, val in overrides.items() if val is not None})
+    # validated as `macgame --set` values are; a bad one exits 2 as the CLI does
+    overrides = {key: repr(val) for key, val in (("steps", args.steps), ("k", args.k))
+                 if val is not None}
+    try:
+        scenario = parse_scenario(Path(args.scenario).read_text(), overrides)
+    except ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     view, g = build_view(build_model(scenario)), build_utility(scenario)
     target = view.total / view.m

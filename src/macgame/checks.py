@@ -181,9 +181,9 @@ def rest_points(scenario, view, g, rng) -> Check:
     name, tol = "rest-points", 1e-8
     if not view.model.symmetric:
         return Check(name, None, "asymmetric channel, not applicable", tol)
-    rstar = view.total / view.m
-    grid = evo.make_grid(float(view.single_caps.max()), min(scenario.grid_points, 51),
-                         include=rstar)
+    top = float(view.single_caps.max())
+    rstar = min(view.total / view.m, top)   # C(N)/m can round one ulp above C({1})
+    grid = evo.make_grid(top, min(scenario.grid_points, 51), include=rstar)
     rows = evo.exact_rows(view, grid.size)
     if rows > evo.EXACT_ENUM_LIMIT:
         return Check(name, None, f"exact table needs {rows} rows (> {evo.EXACT_ENUM_LIMIT})", tol)

@@ -194,9 +194,9 @@ def ess_check(view: CapacityRegionView, g: Utility, spec: EssTestSpec) -> EssRes
 
 def exact_rows(view: CapacityRegionView, n: int) -> int:
     """Exact opponent draws on an n-point grid: C(n + m - 2, m - 1) sorted tuples when
-    m >= 3 and every SNR is the same float, else n**(m-1) ordered ones (`_exact_fits`)."""
-    k, snr = view.m - 1, view.model.snr
-    return math.comb(n + k - 1, k) if k > 1 and np.all(snr == snr[0]) else n ** k
+    m >= 3 and the channel is symmetric, else n**(m-1) ordered ones (`_exact_fits`)."""
+    k = view.m - 1
+    return math.comb(n + k - 1, k) if k > 1 and view.model.symmetric else n ** k
 
 
 def _exact_fits(view: CapacityRegionView, actions: np.ndarray, grid: np.ndarray) -> tuple:

@@ -214,8 +214,9 @@ def substream_seed(seed: int, name: str) -> int:
 
 def build_run(s: Scenario, view: CapacityRegionView) -> DynamicsRun:
     """The scenario's `dynamics` run on this channel: uniform start on its action grid."""
-    include = view.total / view.m if view.model.symmetric else None
-    grid = make_grid(float(view.single_caps.max()), s.grid_points, include=include)
+    top = float(view.single_caps.max())   # C(N)/m can round one ulp above C({1})
+    include = min(view.total / view.m, top) if view.model.symmetric else None
+    grid = make_grid(top, s.grid_points, include=include)
     return DynamicsRun(
         protocol=build_protocol(s),
         state0=PopulationState.uniform(grid),

@@ -99,6 +99,23 @@ def oracle_cases(seed, count=40):
         yield view, np.concatenate(rows)
 
 
+class TestSymmetricRule:
+    """Users are exchangeable exactly when every SNR is the same float, at any scale."""
+
+    @pytest.mark.parametrize("snr, symmetric", [
+        ([2.5] * 4, True), ([1e-20] * 2, True), ([7.0], True),
+        ([1e-13, 9e-13], False), ([1.0, 1.0 + 2**-52], False), ([1.0, 1.0, 1.0 + 1e-13], False),
+    ])
+    def test_every_snr_the_same_float(self, snr, symmetric):
+        assert ChannelModel(np.array(snr)).symmetric is symmetric
+
+    @pytest.mark.parametrize("m, snr", [(2, 1e-20), (3, 1.78e-26), (5, 1e-19), (3, 250.0)])
+    def test_view_builds_with_split_at_most_one_ulp_above_single_cap(self, m, snr):
+        # ln is concave, so only rounding can put C(N)/m above C({1}), by one ulp at most
+        view = build_view(ChannelModel(np.full(m, snr)))
+        assert view.total / m <= np.nextafter(view.single_caps[0], np.inf)
+
+
 class TestCapacityOf:
     def test_symmetric_three_user_singleton(self):
         assert capacity_of(sym3_example(), {0}) == pytest.approx(math.log(251.0), abs=1e-12)

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from macgame import (ChannelModel, PopulationState, Utility, build_view, expected_payoff,
-                     expected_payoffs, mean_rate)
-from macgame.checks import _random_mixed_state
+                     expected_payoffs, mean_rate, parse_scenario)
+from macgame.checks import _random_mixed_state, rest_points
 from macgame.capacity import FEASIBILITY_TOL, reply_slack
 from macgame.evolution import INDICATOR_SLACK, region_mass
 
@@ -51,3 +51,12 @@ def test_shared_listing_matches_expected_payoff(m, channel, gname):
         exact = ga * math.fsum(np.prod(s.masses[idx], axis=0)[a <= slack + FEASIBILITY_TOL])
         assert abs(x - (exact if ok else 0.0)) <= 1e-15 * max(ga, 1.0)
     assert (want[-1] == 0.0) == (m >= 2) and min(want[:-1]) >= 0.0
+
+
+@pytest.mark.parametrize("m, snr", [(2, 1e-20), (3, 1.78e-26), (5, 1e-19)])
+def test_rest_points_place_split_rounded_to_single_cap(m, snr):
+    # C(N)/m rounds to C({1}) or one ulp above it; the probe's grid clamps it to C({1})
+    scenario = parse_scenario(f"m = {m}\nsnr = {','.join([repr(snr)] * m)}\ngrid_points = 21\n")
+    view = build_view(ChannelModel(np.full(m, snr)))
+    check = rest_points(scenario, view, Utility.log1p(), np.random.default_rng(0))
+    assert check.verdict is True, check.detail

@@ -207,6 +207,18 @@ class TestProtocolComparisonScript:
         ours = (tmp_path / "asym2_trace.bnn.csv").read_bytes()
         assert ours == (tmp_path / "cli_trace.csv").read_bytes()
 
+    @pytest.mark.parametrize("option, problem", [
+        (["--steps", "-1"], "--set steps: steps must be >= 0"),
+        (["--k", "0"], "--set k: k must be positive"),
+    ])
+    def test_invalid_override_exit_2(self, option, problem, tmp_path, monkeypatch, capsys):
+        # validated as a --set value, before any protocol runs or writes a trace
+        monkeypatch.chdir(tmp_path)
+        script = runpy.run_path(str(COMPARISON), run_name="protocol_comparison")
+        assert script["main"]([str(SCENARIOS / "sym2.cfg"), *option]) == 2
+        assert capsys.readouterr() == ("", f"error: {problem}\n")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCompareOutputsScript:
     def test_same_tree_shows_no_difference(self, capsys):
@@ -246,6 +258,32 @@ class TestCompareOutputsScript:
         new = b"t,mean_rate\n0,0.5\n0.1,0.2500000000000001\n0.2,0.1\n"
         assert largest(old, new) == "\n    largest cell difference 0.025, line 4, column mean_rate"
         assert largest(old, old) == largest(None, new) == largest(old, new[:-6]) == ""
+
+
+# channels the old C(N)/m < C({1}) guard refused: equal SNRs whose equal split rounds to C({1})
+# or one ulp above it, and unequal tiny SNRs its tolerance called symmetric
+TINY_SNR = {"sym2": [1e-20] * 2, "sym3": [1.78e-26] * 3, "sym5": [1e-19] * 5,
+            "asym2": [1e-13, 9e-13]}
+
+
+class TestTinySnr:
+    @pytest.mark.parametrize("command", ["region", "check-eq", "metrics", "dynamics"])
+    @pytest.mark.parametrize("name", sorted(TINY_SNR))
+    def test_answers(self, name, command, tmp_path, capsys):
+        snr = TINY_SNR[name]
+        argv = ["--set", f"m={len(snr)}", "--set", "snr=" + ",".join(map(repr, snr)),
+                "--set", "steps=5", "--set", f"trace_csv={tmp_path}/t.csv",
+                "--set", f"state_csv={tmp_path}/s.csv", command]
+        if command == "check-eq":   # at the equal split
+            argv += ["--profile", ",".join([repr(math.log1p(sum(snr)) / len(snr))] * len(snr))]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        if command == "region":
+            assert ("symmetric equilibrium rate" in out) == name.startswith("sym")
+
+    def test_unequal_snrs_refused_by_ess(self, capsys):
+        assert main(["--set", "m=2", "--set", "snr=1e-13,9e-13", "ess"]) == 2
+        assert capsys.readouterr().err == "error: ESS test requires a symmetric channel\n"
 
 
 # the shipped scenarios (m <= 3), and Monte Carlo payoffs checked past them: symmetric m = 4

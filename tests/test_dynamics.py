@@ -345,7 +345,7 @@ class TestOrbitTable:
         assert np.all(F[i + 1:] == 0.0)
 
     @pytest.mark.parametrize("snr", [[3.0, 1.0, 0.5], [1e4, 1e-4, 1.0], [4.0, 0.3, 1.0, 2.0],
-                                     [1.0, 1.0, 1.0 + 1e-13]])
+                                     [1.0, 1.0, 1.0 + 1e-13], [1e-13, 9e-13, 1e-13]])
     def test_asymmetric_channels_stay_ordered(self, snr):
         view = build_view(ChannelModel(np.array(snr)))
         g = Utility.log1p()
@@ -372,6 +372,15 @@ class TestOrbitTable:
         for masses in np.random.default_rng(4).dirichlet(np.ones(9), size=3):
             assert np.array_equal(_fit_mass(table.weights(masses), table.runs),
                                   ordered_nu(listing, grid, masses, by_fit=True))
+
+    @pytest.mark.parametrize("snr", [[2.5] * 4, [1e-19] * 5, [1.78e-26] * 3, [1.5] * 2, [1.5],
+                                     [1e-13, 9e-13, 1e-13], [1.0, 1.0, 1.0 + 2**-52],
+                                     [3.0, 1.0]])
+    def test_sorted_count_exactly_when_symmetric(self, snr):
+        view = build_view(ChannelModel(np.array(snr)))
+        k, n = view.m - 1, 7
+        assert (exact_rows(view, n) == math.comb(n + k - 1, k) < n ** k) == (
+            view.model.symmetric and view.m >= 3)
 
     def test_size_limit_counts_rows_built(self):
         sym6 = build_view(ChannelModel(np.ones(6)))

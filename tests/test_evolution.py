@@ -128,6 +128,11 @@ class TestPopulationState:
         assert LN3 / 2 in grid
         assert np.all(np.diff(grid) > 0)
 
+    def test_make_grid_refuses_value_above_top(self):
+        # callers clamp the equal split to C({1}); the grid's own range check stays exact
+        with pytest.raises(ValueError, match="outside"):
+            make_grid(LN2, 11, include=np.nextafter(LN2, np.inf))
+
 
 def equal_split(view):
     """C(N)/m, asserted to be the symmetric pure equilibrium: on the maximal face and

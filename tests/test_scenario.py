@@ -149,3 +149,13 @@ def test_run_built_from_scenario(snr):
         grid[np.argmin(np.abs(grid - view.total / 3))] = view.total / 3
     assert np.array_equal(run.state0.grid, grid)
     assert np.array_equal(run.state0.masses, np.full(11, 1.0 / 11))
+
+
+@pytest.mark.parametrize("m, snr", [(3, 1.78e-26), (5, 1e-19)])
+def test_run_clamps_equal_split_to_grid_top(m, snr):
+    # C(N)/m rounds one ulp above C({1}) here; the snapped point is the grid's top
+    s = parse_scenario(f"m = {m}\nsnr = {','.join([repr(snr)] * m)}\ngrid_points = 11\n")
+    view = build_view(build_model(s))
+    assert view.total / m > view.single_caps[0]
+    grid = build_run(s, view).state0.grid
+    assert grid[-1] == view.single_caps[0] and np.all(np.diff(grid) > 0)
