@@ -249,10 +249,12 @@ def montecarlo_payoffs(scenario, view, g, rng) -> Check:
     # redrawn once with fresh samples on the same trials and stands only if both fail
     first = substream_seed(scenario.seed, "montecarlo")
     ok, detail = judge(first)
-    if ok:
-        return Check(name, ok, detail, z)
-    ok, again = judge(first + trials)
-    return Check(name, ok, f"{detail}; redrawn once with fresh samples: {again}", z)
+    if not ok:
+        ok, again = judge(first + trials)
+        detail += f"; redrawn once with fresh samples: {again}"
+    route = evo.mc_route(view, grid.size, samples)
+    return Check(name, ok, f"{detail}; {route} route, {grid.size ** (m - 1)} ordered opponent "
+                           f"tuples {'<=' if route == 'listing' else '>'} {samples} samples", z)
 
 
 CHECKS = (capacity_identities, nash_face_equivalence, potential_identity, best_response_argmax,

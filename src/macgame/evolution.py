@@ -9,20 +9,21 @@ the state factorizes as
     F(a, state) = [a <= C(N) - (m-1)*E] * g(a) * nu(D_a),
 
 where E is the state's mean rate and nu(D_a) the product-measure mass of
-opponent draws that keep the joint profile feasible. This module is the
-one payoff engine: a draw admits a exactly when a <= slack + tol, with
-slack the focal user's reply slack against it. The exact draws are every
-opponent grid combination (on a symmetric channel every sorted opponent
-multiset, weighted by its multinomial count), sorted once by how many
-actions fit each, so nu at any sorted set of actions is one pairwise sum
-per run of equal fit count and multiplicity, accumulated; a seeded iid
-sample (Monte Carlo) tallies its draws' integer fit counts instead.
-`expected_payoffs` reads it at the actions of many cases; for `dynamics`,
-`PayoffTable` reads it over a whole grid, exactly or by Monte Carlo, zero
-past its first `_gate_count` points (the mixed-region gate).
+opponent draws that keep the joint profile feasible. This module is the one
+payoff engine: a draw admits a exactly when a <= slack + tol, with slack the
+focal user's reply slack against it. The exact draws are every opponent grid
+combination (on a symmetric channel every sorted opponent multiset, weighted by
+its multinomial count), sorted once by how many actions fit each, so nu at any
+sorted set of actions is one pairwise sum per run of equal fit count and
+multiplicity, accumulated; a seeded iid sample (Monte Carlo) tallies its draws'
+integer fit counts, drawn as one multinomial count per ordered tuple when these
+are no more than the draws. `expected_payoffs` reads it at the actions of many
+cases; for `dynamics`, `PayoffTable` reads it over a whole grid, exactly or by
+Monte Carlo, zero past its first `_gate_count` points (the mixed-region gate).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from bisect import bisect_right
@@ -307,57 +308,54 @@ def _fit_mass(w: np.ndarray, runs: tuple) -> np.ndarray:
     return nu
 
 
-def _tuple_fits(view, actions: np.ndarray, grid: np.ndarray, samples: int):
-    """Fit counts of the n**(m-1) ordered opponent tuples (`_listing_fits`) when they are no
-    more than the `samples` draws, else None: the listing `_admitted_mass` reads."""
+def mc_route(view, n: int, samples: int) -> str:
+    """How Monte Carlo draws `samples` opponents on an n-point grid (`_admitted_mass`): "listing"
+    when the n**(m-1) ordered opponent tuples are no more than the draws, else "per-draw"."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    n, k = grid.size, view.m - 1
-    if n ** k <= samples:
-        return _listing_fits(view, actions, grid, _ordered_listing(n, k))
-    return None
+    return "listing" if n ** (view.m - 1) <= samples else "per-draw"
+
+
+def _tuple_fits(view, actions: np.ndarray, grid: np.ndarray, samples: int):
+    """Fit counts of the ordered opponent tuples (`_listing_fits`) on the listing route
+    (`mc_route`), else None: the `tuple_fits` that `_admitted_mass` reads."""
+    if mc_route(view, grid.size, samples) == "per-draw":
+        return None
+    return _listing_fits(view, actions, grid, _ordered_listing(grid.size, view.m - 1))
 
 
 def _admitted_mass(view, actions, grid, masses, samples, seed, tuple_fits) -> np.ndarray:
     """Monte Carlo nu at each sorted action: the share of `samples` iid opponent draws from
-    the state admitting it, fixed per seed (an int or a SeedSequence).
+    the state admitting it, fixed per seed (an int or a SeedSequence). The two routes
+    (`mc_route`) give nu one law, not the same bits.
 
-    The sample is `Generator(Philox(seed)).choice(n, size=(samples, m - 1),
-    p=masses)`, draw for draw, walked in blocks of MC_BLOCK draws. Each block
-    reads the next (m - 1) uniforms per draw from the one Philox stream, which
-    continues across `random_raw` calls whatever their sizes, so the blocks
-    read exactly the uniforms of one long draw. Each uniform is
-    (raw >> 11) * 2**-53 of one raw 64-bit output, as `Generator.random` makes
-    it, so the block reads the raw outputs and looks their indices up off the
-    integers (`_guide_lookup`). The cdf and guide table are built once per
-    call, off masses their caller has checked.
+    Listing (`tuple_fits` from `_tuple_fits`): each ordered tuple's count in the sample is
+    one `Generator(Philox(seed)).multinomial(samples, p)`, p the normalised outer product of
+    the masses over the m - 1 opponents in C order, and adds to the tally of its fit count:
+    O(n**(m-1)) binomials, not O(samples (m-1)) uniforms.
 
-    `tuple_fits` holds the fit count of each ordered tuple, solved by the
-    caller (`_tuple_fits`): each draw reads its own by its C-order flat index
-    (the same integer as its own slack would give). When it is None each draw
-    solves its own reply slack. Each block adds the bincount of its fit
-    counts to one integer tally, so the tally is that of the whole sample, and
-    working memory beyond the listing is O(MC_BLOCK * (m - 1)).
+    Per draw (`tuple_fits` None): exactly `Generator(Philox(seed)).choice(n, size=(samples,
+    m - 1), p=masses)`, in blocks of MC_BLOCK draws read on along one Philox stream, each
+    uniform (raw >> 11) * 2**-53 of a raw 64-bit output, looked up off the integers
+    (`_guide_lookup`); a block adds its draws' own fit counts to the tally, so working
+    memory is O(MC_BLOCK * (m - 1)).
     """
-    n, k = grid.size, view.m - 1
-    cdf = np.cumsum(masses)
-    cdf /= cdf[-1]
-    guide = _guide_table(cdf, samples * k)
-    tallies = np.zeros(actions.size + 1, np.intp)
-    bits = np.random.Philox(seed)
-    for lo in range(0, samples, MC_BLOCK):
-        units = bits.random_raw((min(MC_BLOCK, samples - lo), k))
-        units >>= 11                       # `Generator.random` gives u = units * 2**-53
-        idx = _guide_lookup(cdf, guide, units)
-        if tuple_fits is None:
+    k, bits = view.m - 1, np.random.Philox(seed)
+    if tuple_fits is not None:
+        p = functools.reduce(np.multiply.outer, [masses] * k, np.ones(1)).ravel()
+        counts = np.random.Generator(bits).multinomial(samples, p / p.sum())
+        tallies = np.bincount(tuple_fits, weights=counts, minlength=actions.size + 1)
+    else:
+        cdf = np.cumsum(masses)
+        cdf /= cdf[-1]
+        guide = _guide_table(cdf, samples * k)
+        tallies = np.zeros(actions.size + 1, np.intp)
+        for lo in range(0, samples, MC_BLOCK):
+            units = bits.random_raw((min(MC_BLOCK, samples - lo), k))
+            units >>= 11                   # `Generator.random` gives u = units * 2**-53
+            idx = _guide_lookup(cdf, guide, units)
             fits = _fit_counts(actions, reply_slack(view, 0, grid[idx]))
-        else:
-            flat = np.zeros(len(idx), np.intp)
-            for col in idx.T:              # Horner: the draw's C-order index in the listing
-                flat *= n
-                flat += col
-            fits = tuple_fits.take(flat)
-        tallies += np.bincount(fits, minlength=tallies.size)
+            tallies += np.bincount(fits, minlength=tallies.size)
     # action i is admitted by the draws fitting more than i actions: a reverse cumulative sum
     return np.add.accumulate(tallies[::-1])[-2::-1] / samples
 
@@ -423,8 +421,8 @@ class PayoffTable:
     Exact (no `samples`): the table keeps every exact opponent draw sorted by
     how many grid points fit it (`_exact_fits`), and each evaluation reads nu
     off one pairwise sum per run (`_fit_mass`). Monte Carlo: it keeps the
-    ordered listing's fit counts (`_tuple_fits`) and SeedSequence(seed), and
-    evaluation k draws its `samples` opponents from child stream k, spawn key (k,).
+    ordered listing's fit counts on the listing route (`_tuple_fits`) and
+    SeedSequence(seed), and evaluation k draws from child stream k, spawn key (k,).
     """
 
     def __init__(self, view: CapacityRegionView, g: Utility, grid: np.ndarray,

@@ -330,16 +330,28 @@ class TestVerify:
         line = next(ln for ln in capsys.readouterr().out.splitlines() if "montecarlo" in ln)
         assert line == f"skip montecarlo-payoffs: exact listing needs {rows} rows (> 262144)"
 
+    @pytest.mark.parametrize("name, route", [
+        ("sym2.cfg", "listing route, 21 ordered opponent tuples <= 20000"),
+        ("sym5", "per-draw route, 194481 ordered opponent tuples > 20000"),
+        ("asym5", "per-draw route, 194481 ordered opponent tuples > 20000"),
+    ])
+    def test_montecarlo_line_names_its_route(self, name, route, capsys):
+        # 21 grid points: the 21**(m-1) ordered tuples are listed while no more than the draws
+        assert main(VERIFY_ARGV[name] + ["verify"]) == 0
+        line = next(ln for ln in capsys.readouterr().out.splitlines() if "montecarlo" in ln)
+        assert line.endswith(f"; {route} samples")
+
     def test_montecarlo_chance_failure_redrawn(self, tmp_path, capsys):
-        # a valid scenario whose first Monte Carlo draw lands 2 of 20 trials outside
-        # their intervals; the one redraw passes, and the line reports both
+        # a valid scenario whose first Monte Carlo draw (on the listing route) lands 2 of
+        # 20 trials outside their intervals; the one redraw passes, and the line reports both
         cfg = write_scenario(tmp_path, "m = 3\np = 25.912400888327554\nsigma2 = 0.1\n"
                                        "g = identity\ngrid_points = 31\nprotocol = bnn\n"
-                                       "k = 32\nseed = 796769087\n")
+                                       "k = 32\nseed = 577133663\n")
         assert main(["-s", cfg, "verify"]) == 0
         line = next(ln for ln in capsys.readouterr().out.splitlines() if "montecarlo" in ln)
         assert line.startswith("ok   montecarlo-payoffs: 18/20 exact nu")
-        assert "; redrawn once with fresh samples: 20/20 exact nu" in line
+        assert "; redrawn once with fresh samples: 19/20 exact nu" in line
+        assert line.endswith("; listing route, 441 ordered opponent tuples <= 20000 samples")
 
     def test_rest_points_skip_beyond_exact_limit(self, capsys):
         assert main(["--set", "m=7", "--set", "p=1", "verify"]) == 0

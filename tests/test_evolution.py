@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macgame import (
     ChannelModel,
@@ -31,7 +33,7 @@ from macgame import (
 from macgame import evolution
 from macgame.capacity import FEASIBILITY_TOL, reply_slack
 from macgame.evolution import (ESS_SHARE, EXACT_ENUM_LIMIT, MC_BLOCK, _admitted_mass, _tuple_fits,
-                               exact_rows, region_mass)
+                               exact_rows, mc_route, region_mass)
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -388,31 +390,56 @@ class TestExpectedPayoff:
 
 
 def admitted_mass(view, actions, grid, masses, samples, seed):
-    """`_admitted_mass` reading the listing `_tuple_fits` solves for this sample size."""
+    """`_admitted_mass` on the route `mc_route` picks for this sample size."""
     return _admitted_mass(view, actions, grid, masses, samples, seed,
                           _tuple_fits(view, actions, grid, samples))
 
 
+def per_draw_route(view, actions, grid, masses, samples, seed):
+    """`_admitted_mass` on the per-draw route, whatever the sample size."""
+    return _admitted_mass(view, actions, grid, masses, samples, seed, None)
+
+
+def listing_route(view, actions, grid, masses, samples, seed):
+    """`_admitted_mass` on the listing route, whatever the sample size."""
+    fits = _tuple_fits(view, actions, grid, grid.size ** (view.m - 1))
+    return _admitted_mass(view, actions, grid, masses, samples, seed, fits)
+
+
 def per_draw_admitted_mass(view, actions, grid, masses, samples, seed):
-    """Second route to Monte Carlo nu: one reply slack for every sampled opponent draw."""
+    """Second route to per-draw Monte Carlo nu: the whole sample drawn by `Generator.choice`
+    in one array, one reply slack per draw."""
     rng = np.random.Generator(np.random.Philox(seed))
     idx = rng.choice(grid.size, size=(samples, view.m - 1), p=masses)
     slack = reply_slack(view, 0, grid[idx])
     return (actions <= slack[:, None] + FEASIBILITY_TOL).sum(axis=0) / samples
 
 
+def multinomial_admitted_mass(view, actions, grid, masses, samples, seed):
+    """Second route to listing Monte Carlo nu: every ordered opponent tuple's count in the
+    sample from one `Generator.multinomial` call over the tuples' product masses, in C
+    order, and one reply slack per tuple."""
+    k = view.m - 1
+    listing = np.indices((grid.size,) * k).reshape(k, grid.size ** k)
+    p = masses[listing].prod(axis=0)
+    counts = np.random.Generator(np.random.Philox(seed)).multinomial(samples, p / p.sum())
+    slack = reply_slack(view, 0, grid[listing].T)
+    return counts @ (actions <= slack[:, None] + FEASIBILITY_TOL) / samples
+
+
 MC_CHANNELS = {"symmetric": [1.5, 1.5, 1.5, 1.5], "asymmetric": [3.0, 1.0, 0.5, 2.0]}
 
 
 class TestMonteCarloLookup:
-    """`_tuple_fits` solves the ordered listing when it is no longer than the sample
-    (n**(m-1) <= samples), and draws read their fit count off it; given None in its place,
-    each draw solves its own slack. Both routes give the per-draw nu at any sample size."""
+    """`mc_route` picks the listing when the n**(m-1) ordered tuples are no more than the
+    sample, and `_tuple_fits` then solves their fit counts. At any sample size the listing
+    route gives the nu of one `multinomial` call over the tuples, and the per-draw route
+    (given None) that of `Generator.choice` with one slack per draw, bit for bit."""
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("channel", sorted(MC_CHANNELS))
     @pytest.mark.parametrize("which", ["one", "grid", "off-grid"])
-    def test_matches_per_draw_route(self, m, channel, which):
+    def test_each_route_matches_its_reference(self, m, channel, which):
         view = build_view(ChannelModel(np.array(MC_CHANNELS[channel][:m])))
         n = 5
         grid = np.linspace(0.0, float(view.single_caps.max()), n)
@@ -427,41 +454,114 @@ class TestMonteCarloLookup:
         for samples in (rows - 1, rows, rows + 1):
             if samples < 1:
                 continue
-            assert (_tuple_fits(view, actions, grid, samples) is None) == (samples < rows)
+            route = mc_route(view, n, samples)
+            assert route == ("per-draw" if samples < rows else "listing")
+            assert (_tuple_fits(view, actions, grid, samples) is None) == (route == "per-draw")
             for seed in (0, 7, np.random.SeedSequence(3, spawn_key=(5,))):
+                got = _admitted_mass(view, actions, grid, masses, samples, seed, None)
                 want = per_draw_admitted_mass(view, actions, grid, masses, samples, seed)
-                for tuple_fits in (None, listing):
-                    got = _admitted_mass(view, actions, grid, masses, samples, seed, tuple_fits)
-                    assert np.array_equal(got, want), (samples, seed, tuple_fits is None)
+                assert np.array_equal(got, want), ("per-draw", samples, seed)
+                got = _admitted_mass(view, actions, grid, masses, samples, seed, listing)
+                want = multinomial_admitted_mass(view, actions, grid, masses, samples, seed)
+                assert np.array_equal(got, want), ("listing", samples, seed)
+
+    def test_needs_a_sample(self, sym2):
+        with pytest.raises(ValueError, match="samples must be at least 1, got 0"):
+            mc_route(sym2, 5, 0)
+
+    @pytest.mark.parametrize("channel", sorted(MC_CHANNELS))
+    def test_listing_longer_than_a_block(self, channel):
+        # 150**2 = 22,500 listed tuples, more than a per-draw block holds: one multinomial
+        view = build_view(ChannelModel(np.array(MC_CHANNELS[channel][:3])))
+        grid = np.linspace(0.0, float(view.single_caps.max()), 150)
+        samples = 3 * MC_BLOCK + 5
+        assert MC_BLOCK < grid.size ** 2 <= samples
+        masses = np.random.default_rng(150).dirichlet(np.ones(grid.size))
+        got = admitted_mass(view, grid, grid, masses, samples, 7)
+        want = multinomial_admitted_mass(view, grid, grid, masses, samples, 7)
+        assert np.array_equal(got, want)
+
+    def test_listing_solved_in_blocks(self):
+        # asymmetric m = 4, n = 67: the 300,763 listed tuples are no more than the draws, so
+        # the sample is drawn as their counts. Solving every tuple's slack in one call
+        # peaked at 50.6 MB; EXACT_BLOCK_ROWS tuples at a time peak at about 20 MB
+        view = build_view(ChannelModel(np.array(BLOCK_CHANNELS["asymmetric"][:4])))
+        grid = np.linspace(0.0, float(view.single_caps.max()), 67)
+        samples = 310_000
+        assert grid.size ** 3 <= samples
+        masses = np.random.default_rng(67).dirichlet(np.ones(grid.size))
+        tracemalloc.start()
+        try:
+            admitted_mass(view, grid, grid, masses, samples, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 30_000_000
 
 
-def single_array_admitted_mass(view, actions, grid, masses, samples, seed):
-    """The Monte Carlo route before blocks: the whole sample's indices in one array, then
-    every draw's fit count, off the ordered listing when n**(m-1) <= samples."""
-    rng = np.random.Generator(np.random.Philox(seed))
-    n, k = grid.size, view.m - 1
-    idx = rng.choice(n, size=(samples, k), p=masses)
-    if n ** k <= samples:
-        listing = np.indices((n,) * k).reshape(k, n ** k)
-        tuple_slack = reply_slack(view, 0, grid[listing].T)
-        tuple_fits = np.searchsorted(actions, tuple_slack + FEASIBILITY_TOL, side="right")
-        flat = np.zeros(samples, np.intp)
-        for col in idx.T:
-            flat = flat * n + col
-        fits = tuple_fits[flat]
-    else:
-        fits = np.searchsorted(actions, reply_slack(view, 0, grid[idx]) + FEASIBILITY_TOL,
-                               side="right")
-    counts = np.bincount(fits, minlength=actions.size + 1)
-    return np.add.accumulate(counts[::-1])[actions.size - 1::-1] / samples
+class TestRoutesShareOneLaw:
+    """Both routes count an iid sample of `samples` opponent draws from the state, so over
+    many seeds each action's nu has one law on both: the binomial share, mean nu and
+    standard deviation sqrt(nu (1 - nu) / samples)."""
+
+    SEEDS, SAMPLES = 2000, 400
+
+    def test_mean_and_spread_agree(self):
+        view = build_view(ChannelModel(np.array([2.0, 1.5, 1.0])))
+        grid = np.linspace(0.0, float(view.single_caps.max()), 7)   # 49 tuples <= 400 draws
+        masses = np.array([0.3, 0.25, 0.15, 0.1, 0.1, 0.05, 0.05])
+        state = PopulationState(grid, masses)
+        # nu 0.737 on the first four points, then 0.685, 0.545 and 0.385
+        nu = np.array([region_mass(view, float(a), state) for a in grid])
+        inner = (nu > 0.05) & (nu < 0.95)
+        assert inner.all()
+        sd = np.sqrt(nu * (1.0 - nu) / self.SAMPLES)[inner]
+        shares = {}
+        for route in (listing_route, per_draw_route):
+            assert mc_route(view, grid.size, self.SAMPLES) == "listing"
+            shares[route] = np.array([route(view, grid, grid, masses, self.SAMPLES, seed)
+                                      for seed in range(self.SEEDS)])[:, inner]
+            # each route against the exact law: mean within 4 standard errors, spread 10 %
+            mean, spread = shares[route].mean(axis=0), shares[route].std(axis=0, ddof=1)
+            assert np.all(np.abs(mean - nu[inner]) <= 4.0 * sd / math.sqrt(self.SEEDS))
+            assert np.all((0.9 <= spread / sd) & (spread / sd <= 1.1))
+        a, b = shares[listing_route], shares[per_draw_route]
+        se = np.sqrt((a.var(axis=0, ddof=1) + b.var(axis=0, ddof=1)) / self.SEEDS)
+        assert np.all(np.abs(a.mean(axis=0) - b.mean(axis=0)) <= 4.0 * se)
+        ratio = a.std(axis=0, ddof=1) / b.std(axis=0, ddof=1)
+        assert np.all((0.9 <= ratio) & (ratio <= 1.1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(1, 4), symmetric=st.booleans(), n=st.integers(2, 6),
+       samples=st.integers(1, 300), case=st.integers(0, 2 ** 32 - 1),
+       seed=st.integers(0, 2 ** 63))
+def test_admitted_mass_properties(m, symmetric, n, samples, case, seed):
+    """On either route nu lies in [0, 1], never rises along the sorted actions, is exactly 1
+    where every ordered tuple admits the action and exactly 0 where none does, and one seed
+    gives one set of bytes."""
+    rng = np.random.default_rng(case)
+    view = build_view(ChannelModel(np.full(m, 1.5) if symmetric else rng.uniform(0.2, 4.0, m)))
+    grid = np.linspace(0.0, float(view.single_caps.max()), n)
+    masses = rng.dirichlet(np.full(n, 0.5))
+    actions = np.sort(rng.uniform(-0.1, 1.1, 8)) * grid[-1]
+    slack = reply_slack(view, 0, grid[np.indices((n,) * (m - 1)).reshape(m - 1, n ** (m - 1))].T)
+    every = actions <= slack.min() + FEASIBILITY_TOL
+    none = actions > slack.max() + FEASIBILITY_TOL
+    for route in (listing_route, per_draw_route):
+        nu = route(view, actions, grid, masses, samples, seed)
+        assert np.all((0.0 <= nu) & (nu <= 1.0)) and np.all(np.diff(nu) <= 0.0)
+        assert np.all(nu[every] == 1.0) and np.all(nu[none] == 0.0)
+        assert route(view, actions, grid, masses, samples, seed).tobytes() == nu.tobytes()
 
 
 BLOCK_CHANNELS = {"symmetric": [1.5] * 5, "asymmetric": [3.0, 1.0, 0.5, 2.0, 0.7]}
 
 
 class TestMonteCarloBlocks:
-    """The sample walked in blocks of MC_BLOCK draws gives the single-array route's nu,
-    bit for bit, on either side of each block boundary."""
+    """The per-draw route walks its sample in blocks of MC_BLOCK draws and gives the nu of
+    the whole sample drawn in one `Generator.choice` array, bit for bit, on either side of
+    each block boundary."""
 
     SAMPLES = (MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 3 * MC_BLOCK + 5)
 
@@ -476,21 +576,16 @@ class TestMonteCarloBlocks:
         masses = np.random.default_rng(m).dirichlet(np.ones(grid.size))
         actions = np.sort(np.random.default_rng(m).uniform(0.0, grid[-1], 25))
         for samples in (1, 6, 7, 8, 29, 81, 300):
-            got = admitted_mass(view, actions, grid, masses, samples, 11)
-            want = single_array_admitted_mass(view, actions, grid, masses, samples, 11)
+            got = per_draw_route(view, actions, grid, masses, samples, 11)
+            want = per_draw_admitted_mass(view, actions, grid, masses, samples, 11)
             assert np.array_equal(got, want), samples
 
-    # with no opponents (m = 1) the one-tuple listing always serves
-    @pytest.mark.parametrize("m, route", [(1, "listing")] + [
-        (m, route) for m in (2, 3, 4, 5) for route in ("listing", "per-draw")])
+    # a 5-point grid, whose listing serves every sample size here, and a 40-point one
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [5, 40])
     @pytest.mark.parametrize("channel", sorted(BLOCK_CHANNELS))
-    def test_matches_single_array_route(self, m, route, channel):
-        k = m - 1
+    def test_matches_single_array_route(self, m, n, channel):
         view = build_view(ChannelModel(np.array(BLOCK_CHANNELS[channel][:m])))
-        # the listing serves when n**(m-1) <= samples, so a listing of 5**(m-1) <= 625
-        # rows always does and one longer than the largest sample never does
-        n = 5 if route == "listing" else 1 + math.floor(max(self.SAMPLES) ** (1.0 / k))
-        assert all((n ** k <= samples) == (route == "listing") for samples in self.SAMPLES)
         grid = np.linspace(0.0, float(view.single_caps.max()), n)
         rng = np.random.default_rng(10 * m + len(channel))
         masses = rng.dirichlet(np.ones(n))
@@ -499,38 +594,9 @@ class TestMonteCarloBlocks:
         actions = np.sort(rng.uniform(0.0, 1.1 * grid[-1], 9))
         for samples in self.SAMPLES:
             for seed in (5, np.random.SeedSequence(3, spawn_key=(5,))):
-                got = admitted_mass(view, actions, grid, masses, samples, seed)
-                want = single_array_admitted_mass(view, actions, grid, masses, samples, seed)
+                got = per_draw_route(view, actions, grid, masses, samples, seed)
+                want = per_draw_admitted_mass(view, actions, grid, masses, samples, seed)
                 assert np.array_equal(got, want), (samples, seed)
-
-    @pytest.mark.parametrize("channel", sorted(BLOCK_CHANNELS))
-    def test_listing_longer_than_a_block(self, channel):
-        # 150**2 = 22,500 listed tuples: more than one block holds, fewer than the draws
-        view = build_view(ChannelModel(np.array(BLOCK_CHANNELS[channel][:3])))
-        grid = np.linspace(0.0, float(view.single_caps.max()), 150)
-        samples = 3 * MC_BLOCK + 5
-        assert MC_BLOCK < grid.size ** 2 <= samples
-        masses = np.random.default_rng(150).dirichlet(np.ones(grid.size))
-        got = admitted_mass(view, grid, grid, masses, samples, 7)
-        want = single_array_admitted_mass(view, grid, grid, masses, samples, 7)
-        assert np.array_equal(got, want)
-
-    def test_listing_solved_in_blocks(self):
-        # asymmetric m = 4, n = 67: the 300,763 listed tuples are no more than the draws, so
-        # each draw reads its fit count off the listing. Solving every tuple's slack in one
-        # call peaked at 50.6 MB; EXACT_BLOCK_ROWS tuples at a time peak at about 20 MB
-        view = build_view(ChannelModel(np.array(BLOCK_CHANNELS["asymmetric"][:4])))
-        grid = np.linspace(0.0, float(view.single_caps.max()), 67)
-        samples = 310_000
-        assert grid.size ** 3 <= samples
-        masses = np.random.default_rng(67).dirichlet(np.ones(grid.size))
-        tracemalloc.start()
-        try:
-            admitted_mass(view, grid, grid, masses, samples, 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 30_000_000
 
     def test_working_memory_is_one_block(self):
         # m = 6, n = 31: 31**5 tuples outnumber the draws, so each draw solves its slack.
@@ -600,13 +666,15 @@ def draw_states(n):
 
 
 class TestAdmittedMassDraws:
-    """`_admitted_mass` draws its opponents as `Generator.choice` does: on every mass vector
-    it gives the nu of `single_array_admitted_mass`, which draws through `choice`. It does
-    not repeat `choice`'s checks on the masses: its callers pass a `PopulationState`'s
-    masses, checked when the state was built (`TestPopulationState`), or the masses
-    `euler_update` keeps on the simplex."""
+    """The per-draw route draws its opponents as `Generator.choice` does, and the listing
+    route counts them as one `Generator.multinomial` call does: on every mass vector each
+    gives its reference's nu. Neither repeats numpy's checks on the masses: the callers
+    pass a `PopulationState`'s masses, checked when the state was built
+    (`TestPopulationState`), or the masses `euler_update` keeps on the simplex."""
 
     CHANNEL = [3.0, 1.0, 0.5]   # asymmetric, so the order of a draw's opponents matters
+    # samples x (m - 1) draws: 20,000 x 2, 1 x 1, 3,000 x 3 and 50 x 0
+    SIZES = ((3, 20_000), (2, 1), (4, 3000), (1, 50))
 
     def nu(self, route, n, masses, m, samples, seed):
         view = build_view(ChannelModel(np.array(self.CHANNEL[:m])))
@@ -617,17 +685,26 @@ class TestAdmittedMassDraws:
     def test_matches_choice(self, n):
         seeds = (0, 12345, np.random.SeedSequence(7, spawn_key=(3,)))
         for name, masses in draw_states(n).items():
-            # samples x (m - 1) draws: 20,000 x 2, 1 x 1, 3,000 x 3 and 50 x 0
-            for m, samples in ((3, 20_000), (2, 1), (4, 3000), (1, 50)):
+            for m, samples in self.SIZES:
                 for seed in seeds:
-                    got = self.nu(admitted_mass, n, masses, m, samples, seed)
-                    want = self.nu(single_array_admitted_mass, n, masses, m, samples, seed)
+                    got = self.nu(per_draw_route, n, masses, m, samples, seed)
+                    want = self.nu(per_draw_admitted_mass, n, masses, m, samples, seed)
+                    assert np.array_equal(got, want), (name, m, samples, seed)
+
+    @pytest.mark.parametrize("n", [2, 21, 51])
+    def test_matches_multinomial(self, n):
+        seeds = (0, 12345, np.random.SeedSequence(7, spawn_key=(3,)))
+        for name, masses in draw_states(n).items():
+            for m, samples in self.SIZES:
+                for seed in seeds:
+                    got = self.nu(listing_route, n, masses, m, samples, seed)
+                    want = self.nu(multinomial_admitted_mass, n, masses, m, samples, seed)
                     assert np.array_equal(got, want), (name, m, samples, seed)
 
     @pytest.mark.parametrize("masses", [[0.25, 0.25, 0.5], [0.5, 0.0, 0.25, 0.25],
                                         [0.0, 0.0, 1.0], [0.75, 0.25, 0.0]])
     def test_cdf_on_bucket_edges(self, masses):
         for seed in range(5):
-            got = self.nu(admitted_mass, len(masses), masses, 3, 100_000, seed)
-            want = self.nu(single_array_admitted_mass, len(masses), masses, 3, 100_000, seed)
+            got = self.nu(per_draw_route, len(masses), masses, 3, 100_000, seed)
+            want = self.nu(per_draw_admitted_mass, len(masses), masses, 3, 100_000, seed)
             assert np.array_equal(got, want), seed
