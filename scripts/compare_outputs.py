@@ -20,11 +20,13 @@ shows which lines moved) and, for a CSV, its largest absolute cell
 difference and where it is (so a change in the last bits reads as one
 number), else 0.
 
-The default scenarios are the three shipped files and two `--set` variants
-of them (VARIANTS), each on 21 grid points with 200 `steps`: symmetric
-m = 4 (p = 3), whose exact payoffs come from the sorted-multiset listing,
-and asymmetric m = 5, whose 194,481-row ordered listing spans three
-`macgame.evolution.EXACT_BLOCK_ROWS` blocks; both run `verify`'s
+The default scenarios are the three shipped files and three `--set` variants
+of them (VARIANTS), each on 21 grid points with 200 `steps`. Exact payoffs
+list sorted opponent multisets within each SNR class: symmetric m = 4
+(p = 3) is one class; asymmetric m = 5 with SNRs that all differ lists its
+194,481 ordered tuples, which span three `macgame.evolution.EXACT_BLOCK_ROWS`
+blocks; and m = 5 with two SNR classes (0.8 twice, 0.6 three times) lists
+37,191 rows in place of those 194,481. All three run `verify`'s
 `montecarlo-payoffs`, which the shipped files run only up to m = 3.
 
     python scripts/compare_outputs.py ../parent/src src
@@ -43,11 +45,12 @@ from pathlib import Path
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SHIPPED = sorted(SCENARIOS.glob("*.cfg"))
 SHORT = ["--set", "grid_points=21", "--set", "steps=200"]
-# (scenario file, the --set options put before each call's own); asym5's SNRs are low
-# enough that the uniform start's mixed-region gate holds actions, so its run moves
+# (scenario file, the --set options put before each call's own); the m = 5 SNRs are low
+# enough that the uniform start's mixed-region gate holds actions, so those runs move
 VARIANTS = [
     (SCENARIOS / "sym3.cfg", ["--set", "m=4", "--set", "p=3", "--set", "sigma2=1", *SHORT]),
     (SCENARIOS / "asym2.cfg", ["--set", "m=5", "--set", "snr=1,0.9,0.8,0.7,0.6", *SHORT]),
+    (SCENARIOS / "asym2.cfg", ["--set", "m=5", "--set", "snr=0.8,0.8,0.6,0.6,0.6", *SHORT]),
 ]
 MONTE_CARLO = ["--set", "payoff_method=montecarlo", "--set", "steps=10",
                "--set", "samples=40000"]

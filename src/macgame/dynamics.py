@@ -19,7 +19,7 @@ count (`evolution._gate_count`): the gated tail of F, of the BNN excess
 and of the Smith rate rows is zeroed by one slice.
 Velocities sum to zero by construction; explicit Euler with clip-and-
 renormalize keeps the raw mass vector that `simulate` steps on the
-simplex, and reports the per-step drift.
+simplex; the trace keeps each recorded step's drift and the largest of all.
 """
 from __future__ import annotations
 
@@ -169,7 +169,7 @@ class DynamicsRun:
 
 @dataclass
 class Trace:
-    """Recorded trajectory: one row per sampled tick, plus the final state."""
+    """Recorded trajectory: rows at the sampled ticks, final state, largest drift of any step."""
 
     t: np.ndarray
     mean_rate: np.ndarray
@@ -177,10 +177,7 @@ class Trace:
     velocity_l1: np.ndarray
     mass_drift: np.ndarray
     final_state: PopulationState
-
-    @property
-    def max_drift(self) -> float:
-        return float(self.mass_drift.max())
+    max_drift: float
 
 
 def simulate(view: CapacityRegionView, g: Utility, run: DynamicsRun) -> Trace:
@@ -195,10 +192,11 @@ def simulate(view: CapacityRegionView, g: Utility, run: DynamicsRun) -> Trace:
              else PayoffTable(view, g, grid, run.samples, run.seed))
     protocol, dt, steps, every = run.protocol, run.dt, run.steps, run.record_every
     points, total, others = grid.tolist(), view.total, view.m - 1
-    rows, drift = [], 0.0
+    rows, drift, top = [], 0.0, 0.0
     for k in range(steps + 1):
         if k:
             masses, drift = euler_update(masses, v, dt)
+            top = drift if drift > top else top   # every step's, not only the recorded ones
         mean = float(np.dot(grid, masses))
         count = _gate_count(points, total, others, mean)
         F = _payoff_vector(table, masses, count)
@@ -207,4 +205,4 @@ def simulate(view: CapacityRegionView, g: Utility, run: DynamicsRun) -> Trace:
         if k % every == 0 or k == steps:
             rows.append((k * dt, mean, Fbar, float(np.add.reduce(np.abs(v))), drift))
     return Trace(*(np.array(col) for col in zip(*rows)),
-                 final_state=PopulationState(grid, masses))
+                 final_state=PopulationState(grid, masses), max_drift=top)

@@ -11,15 +11,15 @@ the state factorizes as
 where E is the state's mean rate and nu(D_a) the product-measure mass of
 opponent draws that keep the joint profile feasible. This module is the one
 payoff engine: a draw admits a exactly when a <= slack + tol, with slack the
-focal user's reply slack against it. The exact draws are every opponent grid
-combination (on a symmetric channel every sorted opponent multiset, weighted by
-its multinomial count), sorted once by how many actions fit each, so nu at any
-sorted set of actions is one pairwise sum per run of equal fit count and
-multiplicity, accumulated; a seeded iid sample (Monte Carlo) tallies its draws'
-integer fit counts, drawn as one multinomial count per ordered tuple when these
-are no more than the draws. `expected_payoffs` reads it at the actions of many
-cases; for `dynamics`, `PayoffTable` reads it over a whole grid, exactly or by
-Monte Carlo, zero past its first `_gate_count` points (the mixed-region gate).
+focal user's reply slack against it. The exact draws are the sorted opponent
+multisets within each SNR class, weighted by their multinomial counts, sorted
+once by how many actions fit each, so nu at any sorted set of actions is one
+pairwise sum per run of equal fit count and multiplicity, accumulated; a seeded
+iid sample (Monte Carlo) tallies its draws' integer fit counts, drawn as one
+multinomial count per ordered tuple when these are no more than the draws.
+`expected_payoffs` reads it at the actions of many cases; for `dynamics`,
+`PayoffTable` reads it over a whole grid, exactly or by Monte Carlo, zero past
+its first `_gate_count` points (the mixed-region gate).
 """
 from __future__ import annotations
 
@@ -193,48 +193,52 @@ def ess_check(view: CapacityRegionView, g: Utility, spec: EssTestSpec) -> EssRes
     return EssResult(is_ess=True, witness=None)
 
 
+def _opponent_classes(view: CapacityRegionView) -> list:
+    """Users 1..m-1 (listing columns 0..m-2) grouped by equal SNR float, in user order."""
+    snr = view.model.snr[1:].tolist()
+    return [[col for col, s in enumerate(snr) if s == c] for c in dict.fromkeys(snr)]
+
+
 def exact_rows(view: CapacityRegionView, n: int) -> int:
-    """Exact opponent draws on an n-point grid: C(n + m - 2, m - 1) sorted tuples when
-    m >= 3 and the channel is symmetric, else n**(m-1) ordered ones (`_exact_fits`)."""
-    k = view.m - 1
-    return math.comb(n + k - 1, k) if k > 1 and view.model.symmetric else n ** k
+    """Exact opponent draws on an n-point grid (`_exact_fits`): prod_c C(n + k_c - 1, k_c)."""
+    return math.prod(math.comb(n + len(c) - 1, len(c)) for c in _opponent_classes(view))
 
 
 def _exact_fits(view: CapacityRegionView, actions: np.ndarray, grid: np.ndarray) -> tuple:
     """Every exact opponent draw of the sorted actions, sorted once by fit count: the
     function giving the listed draws' weights, and the runs `_fit_mass` sums them by.
 
-    On a symmetric channel user 0's reply slack depends only on the multiset
-    of opponent rates, so the draws are the sorted index tuples i_1 <= ... <=
-    i_{m-1}, each standing for its (m-1)!/prod r_v! orderings (r_v repeats of
-    index v); otherwise they are the n**(m-1) ordered tuples in C order.
-    Their fit counts come from `_listing_fits`. The listing is then sorted,
-    stably (a radix sort on small-integer keys), by fit count, largest first,
-    and by multiplicity, and the draws admitting nothing leave it; so the
-    draws admitting the i-th action are a prefix made of whole runs, each of
-    one fit count and one multiplicity. A weight is the product of the masses
-    at the draw's indices, its multiplicity left to its run: pair products
-    gathered from one outer product, then one gather per further opponent. At
-    m = 2 the slack falls as the opponent's rate rises, so on a grid from 0
-    the sort keeps the grid's order, the draws admitting nothing stay as its
-    last run, and the weights are the masses themselves. The runs are (where
-    each starts, its multiplicity or None on an ordered listing, each sorted
-    action's last admitting run, the largest fit count).
+    User 0's reply slack is the same when opponents of one SNR swap rates, and
+    they are iid, so the draws are the product over the SNR classes
+    (`_opponent_classes`, the first varying slowest) of each class's sorted
+    index multisets in `combinations_with_replacement` order, each standing
+    for its prod_c k_c! / prod r_v! orderings (r_v repeats of index v in a
+    class of k_c); singleton classes give the ordered tuples in C order. The
+    listing is sorted stably by fit count (`_listing_fits`), largest first,
+    and by multiplicity, and the draws admitting nothing leave it, so the
+    draws admitting the i-th action are a prefix of whole runs of one fit
+    count and one multiplicity. A weight is the mass product at the draw's
+    indices, its multiplicity left to its run. The runs are (where each
+    starts, its multiplicity or None when every class is one opponent, each
+    sorted action's last admitting run, the largest fit count).
     """
     n, k, rows = grid.size, view.m - 1, exact_rows(view, grid.size)
     if rows > EXACT_ENUM_LIMIT:
         raise ValueError(f"exact table needs {rows} rows (> {EXACT_ENUM_LIMIT}); "
                          "use the Monte Carlo method")
-    if rows == n ** k:   # ordered tuples: the sorted listing is no shorter
-        idx, repeats = _ordered_listing(n, k), None
-    else:
-        idx = np.ascontiguousarray(np.fromiter(itertools.chain.from_iterable(
-            itertools.combinations_with_replacement(range(n), k)), np.intp, rows * k
-        ).reshape(rows, k).T)
-        run, repeats = np.ones(rows), np.ones(rows)
-        for prev, col in zip(idx, idx[1:]):
-            run = np.where(col == prev, run + 1.0, 1.0)
-            repeats *= run
+    classes, idx, repeats, outer = _opponent_classes(view), np.empty((k, rows), np.intp), None, 1
+    for c in classes:   # a class's multisets in combinations_with_replacement order
+        size = math.comb(n + len(c) - 1, len(c))
+        cells = np.fromiter(itertools.chain.from_iterable(itertools.combinations_with_replacement(
+            range(n), len(c))), np.intp, size * len(c)).reshape(size, len(c))
+        for j, col in enumerate(c):   # broadcast into place, the first class varying slowest
+            idx[col].reshape(outer, size, -1)[...] = cells[:, j, None]
+        outer *= size
+        del cells   # before the repeats are counted on whole rows
+        run = 1.0
+        for prev, col in zip(c, c[1:]):
+            run = np.where(idx[col] == idx[prev], run + 1.0, 1.0)
+            repeats = run if repeats is None else repeats * run
         del run   # before the slacks are solved, which is when the build peaks
     fits = _listing_fits(view, actions, grid, idx)
     keys = [(actions.size - fits).astype(np.min_scalar_type(actions.size))]
@@ -250,7 +254,8 @@ def _exact_fits(view: CapacityRegionView, actions: np.ndarray, grid: np.ndarray)
         new |= repeats[1:] != repeats[:-1]
     starts = np.flatnonzero(np.concatenate(([True], new)))
     run_fits = fits.take(starts)
-    mult = None if repeats is None else math.factorial(k) / repeats.take(starts)
+    mult = None if repeats is None else (
+        math.prod(math.factorial(len(c)) for c in classes) / repeats.take(starts))
     last = np.searchsorted(-run_fits, -np.arange(actions.size)) - 1
     runs = (starts, mult, np.maximum(last, 0), int(run_fits[0]))
     if not k:
@@ -276,11 +281,6 @@ def _listing_fits(view, actions: np.ndarray, grid: np.ndarray, idx: np.ndarray) 
     return np.concatenate([
         _fit_counts(actions, reply_slack(view, 0, grid[idx[:, lo:lo + EXACT_BLOCK_ROWS]].T))
         for lo in range(0, idx.shape[1], EXACT_BLOCK_ROWS)])
-
-
-def _ordered_listing(n: int, k: int) -> np.ndarray:
-    """The n**k ordered opponent index tuples in C order, one per column: a (k, n**k) array."""
-    return np.indices((n,) * k).reshape(k, n ** k)
 
 
 def _fit_counts(actions: np.ndarray, slack: np.ndarray) -> np.ndarray:
@@ -321,7 +321,8 @@ def _tuple_fits(view, actions: np.ndarray, grid: np.ndarray, samples: int):
     (`mc_route`), else None: the `tuple_fits` that `_admitted_mass` reads."""
     if mc_route(view, grid.size, samples) == "per-draw":
         return None
-    return _listing_fits(view, actions, grid, _ordered_listing(grid.size, view.m - 1))
+    n, k = grid.size, view.m - 1
+    return _listing_fits(view, actions, grid, np.indices((n,) * k).reshape(k, n ** k))
 
 
 def _admitted_mass(view, actions, grid, masses, samples, seed, tuple_fits) -> np.ndarray:

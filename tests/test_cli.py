@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from macgame import build_view, checks, cli, evolution as evo
+from macgame import ChannelModel, build_view, checks, cli, evolution as evo
 from macgame.cli import main
 from macgame.scenario import build_model, build_run
 
@@ -194,6 +194,20 @@ class TestDynamics:
                      "--set", "steps=2", "dynamics"]) == 2
         assert "exact table needs 264385836 rows" in capsys.readouterr().err
 
+    def test_two_snr_classes_run_exactly(self, tmp_path, monkeypatch, capsys):
+        # 3 + 3 users at n = 31: 2,706,176 rows listed by SNR class, 31**5 = 28,629,151 ordered
+        monkeypatch.chdir(tmp_path)
+        assert main(["--set", "m=6", "--set", "snr=0.6,0.6,0.6,0.3,0.3,0.3",
+                     "--set", "grid_points=31", "--set", "steps=2", "dynamics"]) == 0
+        assert "steps = 2" in capsys.readouterr().out
+
+    def test_drift_line_covers_every_step(self, tmp_path, monkeypatch, capsys):
+        # sym3 at dt = 0.08 clips its masses at step 4, which record_every = 100 skips
+        monkeypatch.chdir(tmp_path)
+        assert main(["-s", str(SCENARIOS / "sym3.cfg"), "--set", "dt=0.08",
+                     "--set", "steps=625", "dynamics"]) == 0
+        assert "max mass drift = 16.7421355\n" in capsys.readouterr().out
+
 
 class TestProtocolComparisonScript:
     def test_bnn_trace_matches_cli(self, tmp_path, monkeypatch):
@@ -228,8 +242,9 @@ class TestCompareOutputsScript:
         assert capsys.readouterr().out == "1 scenario(s) compared, 0 output(s) differ\n"
 
     def test_default_variants_reach_the_larger_listings(self):
-        # symmetric m = 4 reads the sorted-multiset listing and asymmetric m = 5 an ordered
-        # listing of several blocks; both run montecarlo-payoffs, and neither start is frozen
+        # symmetric m = 4 reads one SNR class's sorted multisets, asymmetric m = 5 an ordered
+        # listing of several blocks, and m = 5 with two SNR classes (2 + 3 users) 21 * C(23, 3)
+        # rows; all run montecarlo-payoffs, and no start is frozen
         script = runpy.run_path(str(COMPARE_OUTPUTS), run_name="compare_outputs")
         reached = []
         for path, options in script["VARIANTS"]:
@@ -241,8 +256,9 @@ class TestCompareOutputsScript:
             assert (state0.n, scenario.steps) == (21, 200) and rows <= checks.MC_EXACT_ROWS
             assert evo._gate_count(state0.grid, view.total, view.m - 1,
                                    evo.mean_rate(state0)) >= 2
-            reached.append((view.m, view.model.symmetric, rows > evo.EXACT_BLOCK_ROWS))
-        assert reached == [(4, True, False), (5, False, True)]
+            reached.append((view.m, view.model.symmetric, rows))
+        assert reached == [(4, True, 1771), (5, False, 194_481), (5, False, 37_191)]
+        assert 1771 < evo.EXACT_BLOCK_ROWS < 194_481
 
     def test_difference_shows_first_differing_lines(self):
         script = runpy.run_path(str(COMPARE_OUTPUTS), run_name="compare_outputs")
@@ -306,6 +322,7 @@ class TestVerify:
         ["--set", "m=21", "--set", "p=1"],                  # 2^m parts skipped above 20 users
         ["--set", "m=2", "--set", "snr=0.0029,0.0029"],     # rest-point probe at tiny payoffs
         ["--set", "m=3", "--set", "snr=0.0235,0.0235,0.0235", "--set", "seed=1"],  # p_hat = 1
+        ["--set", "m=4", "--set", "snr=1,1,0.5,0.5"],       # two SNR classes
     ])
     def test_holds_on_edge_scenarios(self, argv, verify_records, capsys):
         assert main(argv + ["verify"]) == 0
@@ -329,6 +346,14 @@ class TestVerify:
         assert main(argv + ["verify"]) == 0
         line = next(ln for ln in capsys.readouterr().out.splitlines() if "montecarlo" in ln)
         assert line == f"skip montecarlo-payoffs: exact listing needs {rows} rows (> 262144)"
+
+    def test_montecarlo_runs_on_snr_classes(self, capsys):
+        # 21 * C(24, 4) = 223,146 rows listed per SNR class, 21**5 = 4,084,101 ordered
+        view = build_view(ChannelModel(np.array([1.0] * 5 + [0.5])))
+        assert evo.exact_rows(view, 21) == 223_146 <= checks.MC_EXACT_ROWS
+        assert main(["--set", "m=6", "--set", "snr=1,1,1,1,1,0.5", "verify"]) == 0
+        line = next(ln for ln in capsys.readouterr().out.splitlines() if "montecarlo" in ln)
+        assert line.startswith("ok   montecarlo-payoffs: ")
 
     @pytest.mark.parametrize("name, route", [
         ("sym2.cfg", "listing route, 21 ordered opponent tuples <= 20000"),

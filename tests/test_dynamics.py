@@ -214,6 +214,24 @@ class TestPayoffEngine:
         assert retained <= 32 * kept + 64 * 1024   # a fixed 64 KiB for the per-grid part
         assert peak <= 119 * rows + 64 * 1024
 
+    def test_class_listing_built_in_place(self):
+        # two SNR classes of opponents (2 + 3) are written column by column into the one
+        # index array, with no tiled copy per class, so the same bounds hold
+        view = build_view(ChannelModel(np.array([1.0, 1.0, 1.0, 0.5, 0.5, 0.5])))
+        grid = np.linspace(0.0, float(view.single_caps.max()), 21)
+        rows = exact_rows(view, grid.size)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table = PayoffTable(view, Utility.identity(), grid)
+            retained, peak = (x - before for x in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        kept = table.weights(np.ones(grid.size)).size
+        assert rows == math.comb(22, 2) * math.comb(23, 3) and 0 < kept <= rows
+        assert retained <= 32 * kept + 64 * 1024
+        assert peak <= 119 * rows + 64 * 1024
+
 
 def ordered_listing(view, grid):
     """Every ordered opponent tuple as (m - 1, n**(m-1)) grid indices, and user
@@ -273,8 +291,8 @@ def brute_orbits(view, g, grid, masses):
 
 
 class TestOrbitTable:
-    """Sorted opponent multisets with multinomial weights (symmetric channels)
-    against the ordered listing and a brute-force combination listing."""
+    """Sorted opponent multisets within each SNR class, with multinomial weights, against
+    the ordered listing and a brute-force combination listing."""
 
     @staticmethod
     def _states(rng, grid, rstar):
@@ -330,6 +348,75 @@ class TestOrbitTable:
                 assert abs(expected_payoff(view, g, a, state)
                            - float(g(a)) * ref * (a <= bound)) <= tol * gmax
 
+    @pytest.mark.parametrize("n", [3, 7, 13])
+    @pytest.mark.parametrize("snr", [
+        [2.0, 1.0, 1.0, 1.0],            # user 0 alone in its class, opponents one class
+        [1.0, 1.0, 1.0, 2.0],            # user 0 in the class of three: opponents 2 + 1
+        [2.0, 2.0, 0.5, 0.5],            # 2 + 2 users: opponents 1 + 2
+        [1.0, 2.0, 1.0, 2.0],            # opponent classes {2, 4} and {3}, interleaved
+        [2.0, 1.0, 1.0, 0.5, 0.5],       # 1 + 2 + 2 users
+        [1e4, 1e-4, 1e4, 1e-4, 1e-4],    # 1e4 beside 1e-4
+    ], ids=lambda s: "-".join(map(str, s)))
+    def test_mixed_classes_match_ordered_listing(self, snr, n):
+        view = build_view(ChannelModel(np.array(snr)))
+        g = Utility.log1p()
+        k, opp = view.m - 1, snr[1:]
+        grid = make_grid(float(view.single_caps.max()), n)
+        # multiplicities: how many ordered tuples each orbit under equal-SNR swaps holds
+        orbits = Counter(tuple(sorted((opp[j], i) for j, i in enumerate(combo)))
+                         for combo in itertools.product(range(n), repeat=k))
+        weights, runs = _exact_fits(view, np.array([-np.inf]), grid)
+        starts, run_mult = runs[:2]
+        rows = exact_rows(view, n)
+        assert weights(np.ones(n)).size == rows == len(orbits) < n ** k
+        mult = np.repeat(run_mult, np.diff(np.append(starts, rows)))
+        assert np.array_equal(np.sort(mult), np.sort(list(orbits.values())).astype(float))
+        assert _fit_mass(weights(np.ones(n)), runs)[0] == n ** k
+        listing = ordered_listing(view, grid)
+        fits = np.searchsorted(grid, listing[1] + FEASIBILITY_TOL, side="right")
+        table = PayoffTable(view, g, grid)
+        rng = np.random.default_rng(n)
+        tiny = np.full(n, 1e-12)
+        tiny[n // 2] = 1.0 - (n - 1) * 1e-12
+        for masses in self._states(rng, grid, grid[n // 2]) + [tiny]:
+            nu = _fit_mass(table.weights(masses), table.runs)
+            w = np.prod(masses[listing[0]], axis=0)
+            exact = np.array([math.fsum(w[fits > i]) for i in range(n)])
+            assert np.max(np.abs(nu - exact)) <= 1e-15
+            ref = ordered_payoffs(view, g, grid, masses, listing)
+            assert np.max(np.abs(table.payoffs(masses) - ref)) <= 1e-15 * float(g(grid[-1]))
+            state = PopulationState(grid, masses)
+            for a in (grid[0], 0.5 * (grid[0] + grid[-1]), grid[-1]):
+                ref = float(ordered_nu(listing, np.array([a]), masses)[0])
+                assert abs(region_mass(view, a, state) - ref) <= 1e-15
+
+    @pytest.mark.parametrize("snr", [[1.0, 3.0, 0.5, 2.0], [1.5] * 4, [3.0, 1.0, 1.0, 1.0],
+                                     [1.0, 2.0, 1.0, 2.0], [2.0, 1.0, 1.0, 0.5, 0.5]])
+    def test_listing_order(self, snr, monkeypatch):
+        # one class lists combinations_with_replacement, singleton classes the C order, and
+        # mixed classes their product, the class of the lowest-numbered opponent slowest
+        view = build_view(ChannelModel(np.array(snr)))
+        n, opp, k = 5, snr[1:], view.m - 1
+        classes = [[j for j, s in enumerate(opp) if s == c] for c in dict.fromkeys(opp)]
+        want = []
+        for cells in itertools.product(*(itertools.combinations_with_replacement(
+                range(n), len(c)) for c in classes)):
+            row = [0] * k
+            for c, cell in zip(classes, cells):
+                for col, i in zip(c, cell):
+                    row[col] = i
+            want.append(row)
+        solve, listed = evolution._listing_fits, []
+        monkeypatch.setattr(evolution, "_listing_fits",
+                            lambda *args: listed.append(args[3].copy()) or solve(*args))
+        PayoffTable(view, Utility.identity(), np.linspace(0.0, float(view.total), n))
+        assert np.array_equal(listed[0], np.array(want).T)
+        if len(classes) == k:
+            assert np.array_equal(listed[0], np.indices((n,) * k).reshape(k, n ** k))
+        if len(classes) == 1:
+            assert np.array_equal(listed[0].T, list(
+                itertools.combinations_with_replacement(range(n), k)))
+
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_equal_split_on_face_admitted(self, m):
         # all opponents at C(N)/m: own rate C(N)/m puts the profile exactly on the face
@@ -375,12 +462,27 @@ class TestOrbitTable:
 
     @pytest.mark.parametrize("snr", [[2.5] * 4, [1e-19] * 5, [1.78e-26] * 3, [1.5] * 2, [1.5],
                                      [1e-13, 9e-13, 1e-13], [1.0, 1.0, 1.0 + 2**-52],
-                                     [3.0, 1.0]])
-    def test_sorted_count_exactly_when_symmetric(self, snr):
+                                     [3.0, 1.0], [3.0, 1.0, 1.0], [1.0, 2.0, 1.0, 2.0],
+                                     [0.6, 0.6, 0.6, 0.3, 0.3, 0.3]])
+    def test_rows_count_sorted_multisets_per_snr_class(self, snr):
+        # one row per orbit of the ordered tuples under swaps of equal-SNR opponents
         view = build_view(ChannelModel(np.array(snr)))
         k, n = view.m - 1, 7
-        assert (exact_rows(view, n) == math.comb(n + k - 1, k) < n ** k) == (
-            view.model.symmetric and view.m >= 3)
+        opp = snr[1:]
+        orbits = {tuple(sorted((opp[j], i) for j, i in enumerate(combo)))
+                  for combo in itertools.product(range(n), repeat=k)}
+        assert exact_rows(view, n) == len(orbits)
+
+    @pytest.mark.parametrize("snr,rows", [
+        ([2.5] * 4, math.comb(33, 3)),                        # one class: the orbit table
+        ([3.0, 1.0, 1.0], math.comb(32, 2)),                  # one class, not symmetric
+        ([1.0, 2.0, 1.0, 2.0], math.comb(32, 2) * 31),        # classes {2, 4} and {3}
+        ([0.6, 0.6, 0.6, 0.3, 0.3, 0.3], 2_706_176),          # 3+3 users: 31**5 = 28,629,151
+        ([4.0, 0.3, 1.0, 2.0], 31 ** 3),                      # singletons: ordered tuples
+    ])
+    def test_rows_at_31_points(self, snr, rows):
+        view = build_view(ChannelModel(np.array(snr)))
+        assert exact_rows(view, 31) == rows <= EXACT_ENUM_LIMIT
 
     def test_size_limit_counts_rows_built(self):
         sym6 = build_view(ChannelModel(np.ones(6)))
@@ -583,6 +685,21 @@ class TestSimulate:
         assert abs(trace.final_state.masses.sum() - 1.0) <= 1e-9
         assert trace.max_drift <= 1e-9
         assert trace.final_state.masses.min() >= 0.0
+
+    def test_max_drift_covers_unrecorded_steps(self, gid):
+        # sym3's channel at dt = 0.08: step 4 clips the masses to a sum of 17.7, between
+        # the recorded ticks 0 and 10, whose own drifts are 0
+        view = build_view(ChannelModel(np.full(3, 250.0)))
+        grid = make_grid(float(view.single_caps.max()), 31, include=view.total / 3)
+
+        def traced(every):
+            return simulate(view, gid, DynamicsRun(
+                protocol=Protocol.bnn(K=32.0), state0=PopulationState.uniform(grid), dt=0.08,
+                steps=10, record_every=every))
+        sparse, dense = traced(100), traced(1)
+        assert sparse.t.tolist() == [0.0, 0.8] and sparse.mass_drift.max() == 0.0
+        assert sparse.max_drift == dense.max_drift == dense.mass_drift.max() > 16.0
+        assert dense.mass_drift.argmax() == 4
 
 
 class TestNegativeGridPoints:
