@@ -5,8 +5,9 @@ Each tree is the directory put on PYTHONPATH, the `src` of a checkout. Per
 scenario the battery is every subcommand,
 `dynamics` with exact payoffs, `dynamics` with Monte Carlo payoffs for
 10 steps at 40,000 samples (on the listing route, one multinomial over the
-ordered opponent tuples, up to symmetric m = 4; on the per-draw route at
-asymmetric m = 5, whose 194,481 tuples outnumber the draws, in several
+runs of the exact listing, up to symmetric m = 4 and at m = 5 with two SNR
+classes, whose 37,191 rows are no more than the draws; on the per-draw route
+at asymmetric m = 5, whose 194,481 rows outnumber the draws, in several
 blocks of `macgame.evolution.MC_BLOCK` draws, the last one partial, so a
 fault at a block boundary shows), and `dynamics` for 2,000 steps under the
 replicator and under Smith with theta = 2, so that every flow is compared

@@ -253,8 +253,8 @@ def montecarlo_payoffs(scenario, view, g, rng) -> Check:
         ok, again = judge(first + trials)
         detail += f"; redrawn once with fresh samples: {again}"
     route = evo.mc_route(view, grid.size, samples)
-    return Check(name, ok, f"{detail}; {route} route, {grid.size ** (m - 1)} ordered opponent "
-                           f"tuples {'<=' if route == 'listing' else '>'} {samples} samples", z)
+    return Check(name, ok, f"{detail}; {route} route, {rows} exact listing rows "
+                           f"{'<=' if route == 'listing' else '>'} {samples} samples", z)
 
 
 CHECKS = (capacity_identities, nash_face_equivalence, potential_identity, best_response_argmax,

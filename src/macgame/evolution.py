@@ -14,16 +14,15 @@ payoff engine: a draw admits a exactly when a <= slack + tol, with slack the
 focal user's reply slack against it. The exact draws are the sorted opponent
 multisets within each SNR class, weighted by their multinomial counts, sorted
 once by how many actions fit each, so nu at any sorted set of actions is one
-pairwise sum per run of equal fit count and multiplicity, accumulated; a seeded
-iid sample (Monte Carlo) tallies its draws' integer fit counts, drawn as one
-multinomial count per ordered tuple when these are no more than the draws.
+pairwise sum per run of equal fit count and multiplicity, accumulated. A seeded
+iid sample (Monte Carlo) is counted over the same runs by one multinomial when
+the listing is no more than the draws, else each draw's fit count is tallied.
 `expected_payoffs` reads it at the actions of many cases; for `dynamics`,
 `PayoffTable` reads it over a whole grid, exactly or by Monte Carlo, zero past
 its first `_gate_count` points (the mixed-region gate).
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from bisect import bisect_right
@@ -288,75 +287,67 @@ def _fit_counts(actions: np.ndarray, slack: np.ndarray) -> np.ndarray:
     return np.searchsorted(actions, slack + FEASIBILITY_TOL, side="right")
 
 
-def _fit_mass(w: np.ndarray, runs: tuple) -> np.ndarray:
+def _fit_mass(w: np.ndarray, runs: tuple, draw: tuple = None) -> np.ndarray:
     """Weight of the draws admitting each sorted action, from the weights w of a run-sorted
-    listing (`_exact_fits`).
+    listing (`_exact_fits`); with a draw (samples, seed, mass), the share of `samples` iid
+    opponent draws admitting it, fixed per seed (an int or a SeedSequence).
 
     Each run is summed pairwise (`np.add.reduceat`; Higham 1993: error
     O(eps log rows), not O(eps rows) as one weight at a time in row order)
     and scaled by its multiplicity; the runs are accumulated largest fit
     first, and action i reads the sum up to its last admitting run, 0 past
-    the largest fit count.
+    the largest fit count. A draw's counts over the runs are one
+    `Generator(Philox(seed)).multinomial(samples, p)`, p the run sums over the listing's
+    whole mass `mass` (over their own sum where rounding puts that above), the unlisted
+    draws admitting nothing its last cell: nu counts only the draws admitting each
+    action, so this is the law of `samples` iid draws, in O(runs) binomials.
     """
     starts, mult, last, top = runs
     sums = np.add.reduceat(w, starts)
     if mult is not None:
         sums *= mult
-    nu = np.add.accumulate(sums).take(last)
+    if draw is None:
+        nu = np.add.accumulate(sums).take(last)
+    else:
+        samples, seed, mass = draw
+        p = np.append(sums / max(mass, sums.sum()), 0.0)   # numpy fills the last cell
+        counts = np.random.Generator(np.random.Philox(seed)).multinomial(samples, p)
+        nu = np.add.accumulate(counts).take(last) / samples
     if top < nu.size:
         nu[top:] = 0.0
     return nu
 
 
 def mc_route(view, n: int, samples: int) -> str:
-    """How Monte Carlo draws `samples` opponents on an n-point grid (`_admitted_mass`): "listing"
-    when the n**(m-1) ordered opponent tuples are no more than the draws, else "per-draw"."""
+    """How Monte Carlo draws `samples` opponents on an n-point grid: "listing" (`_fit_mass`
+    off `_exact_fits`) when the `exact_rows` are no more than the draws (nor than
+    EXACT_ENUM_LIMIT), else "per-draw" (`_admitted_mass`)."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    return "listing" if n ** (view.m - 1) <= samples else "per-draw"
+    return "listing" if exact_rows(view, n) <= min(samples, EXACT_ENUM_LIMIT) else "per-draw"
 
 
-def _tuple_fits(view, actions: np.ndarray, grid: np.ndarray, samples: int):
-    """Fit counts of the ordered opponent tuples (`_listing_fits`) on the listing route
-    (`mc_route`), else None: the `tuple_fits` that `_admitted_mass` reads."""
-    if mc_route(view, grid.size, samples) == "per-draw":
-        return None
-    n, k = grid.size, view.m - 1
-    return _listing_fits(view, actions, grid, np.indices((n,) * k).reshape(k, n ** k))
+def _admitted_mass(view, actions, grid, masses, samples, seed) -> np.ndarray:
+    """Monte Carlo nu at each sorted action on the per-draw route (`mc_route`), per seed: in
+    law, not in bits, the listing route's share of `samples` iid draws (`_fit_mass`).
 
-
-def _admitted_mass(view, actions, grid, masses, samples, seed, tuple_fits) -> np.ndarray:
-    """Monte Carlo nu at each sorted action: the share of `samples` iid opponent draws from
-    the state admitting it, fixed per seed (an int or a SeedSequence). The two routes
-    (`mc_route`) give nu one law, not the same bits.
-
-    Listing (`tuple_fits` from `_tuple_fits`): each ordered tuple's count in the sample is
-    one `Generator(Philox(seed)).multinomial(samples, p)`, p the normalised outer product of
-    the masses over the m - 1 opponents in C order, and adds to the tally of its fit count:
-    O(n**(m-1)) binomials, not O(samples (m-1)) uniforms.
-
-    Per draw (`tuple_fits` None): exactly `Generator(Philox(seed)).choice(n, size=(samples,
-    m - 1), p=masses)`, in blocks of MC_BLOCK draws read on along one Philox stream, each
+    The draws are exactly `Generator(Philox(seed)).choice(n, size=(samples, m - 1),
+    p=masses)`, in blocks of MC_BLOCK draws read on along one Philox stream, each
     uniform (raw >> 11) * 2**-53 of a raw 64-bit output, looked up off the integers
     (`_guide_lookup`); a block adds its draws' own fit counts to the tally, so working
     memory is O(MC_BLOCK * (m - 1)).
     """
     k, bits = view.m - 1, np.random.Philox(seed)
-    if tuple_fits is not None:
-        p = functools.reduce(np.multiply.outer, [masses] * k, np.ones(1)).ravel()
-        counts = np.random.Generator(bits).multinomial(samples, p / p.sum())
-        tallies = np.bincount(tuple_fits, weights=counts, minlength=actions.size + 1)
-    else:
-        cdf = np.cumsum(masses)
-        cdf /= cdf[-1]
-        guide = _guide_table(cdf, samples * k)
-        tallies = np.zeros(actions.size + 1, np.intp)
-        for lo in range(0, samples, MC_BLOCK):
-            units = bits.random_raw((min(MC_BLOCK, samples - lo), k))
-            units >>= 11                   # `Generator.random` gives u = units * 2**-53
-            idx = _guide_lookup(cdf, guide, units)
-            fits = _fit_counts(actions, reply_slack(view, 0, grid[idx]))
-            tallies += np.bincount(fits, minlength=tallies.size)
+    cdf = np.cumsum(masses)
+    cdf /= cdf[-1]
+    guide = _guide_table(cdf, samples * k)
+    tallies = np.zeros(actions.size + 1, np.intp)
+    for lo in range(0, samples, MC_BLOCK):
+        units = bits.random_raw((min(MC_BLOCK, samples - lo), k))
+        units >>= 11                   # `Generator.random` gives u = units * 2**-53
+        idx = _guide_lookup(cdf, guide, units)
+        fits = _fit_counts(actions, reply_slack(view, 0, grid[idx]))
+        tallies += np.bincount(fits, minlength=tallies.size)
     # action i is admitted by the draws fitting more than i actions: a reverse cumulative sum
     return np.add.accumulate(tallies[::-1])[-2::-1] / samples
 
@@ -419,11 +410,12 @@ def _gate_count(grid, total: float, others: int, mean: float) -> int:
 class PayoffTable:
     """F over one grid for one run, exact or Monte Carlo, zero past the mixed-region gate.
 
-    Exact (no `samples`): the table keeps every exact opponent draw sorted by
-    how many grid points fit it (`_exact_fits`), and each evaluation reads nu
-    off one pairwise sum per run (`_fit_mass`). Monte Carlo: it keeps the
-    ordered listing's fit counts on the listing route (`_tuple_fits`) and
-    SeedSequence(seed), and evaluation k draws from child stream k, spawn key (k,).
+    The table keeps every exact opponent draw sorted by how many grid points
+    fit it (`_exact_fits`), unless Monte Carlo takes the per-draw route
+    (`mc_route`), and each evaluation reads nu off one pairwise sum per run
+    (`_fit_mass`). Monte Carlo keeps SeedSequence(seed), and evaluation k draws
+    from child stream k, spawn key (k,): counts over the same runs, or a walk
+    of the draws (`_admitted_mass`).
     """
 
     def __init__(self, view: CapacityRegionView, g: Utility, grid: np.ndarray,
@@ -432,12 +424,11 @@ class PayoffTable:
         self.grid = np.asarray(grid, dtype=float)
         self.m = view.m
         self.gvals = _own_values(g, self.grid)
-        self.samples = samples
-        if samples is None:
-            self.weights, self.runs = _exact_fits(view, self.grid, self.grid)
-        else:
-            self.fits = _tuple_fits(view, self.grid, self.grid, samples)
+        self.samples, self.runs = samples, None
+        if samples is not None:
             self.streams = np.random.SeedSequence(seed)
+        if samples is None or mc_route(view, self.grid.size, samples) == "listing":
+            self.weights, self.runs = _exact_fits(view, self.grid, self.grid)
 
     def payoffs(self, masses: np.ndarray, count: int = None) -> np.ndarray:
         """F over the whole grid for the state with these masses, zero beyond the first
@@ -447,9 +438,12 @@ class PayoffTable:
                                 float(np.dot(self.grid, masses)))
         if self.samples is None:
             nu = _fit_mass(self.weights(masses), self.runs)
-        else:
+        elif self.runs is None:
             nu = _admitted_mass(self.view, self.grid, self.grid, masses, self.samples,
-                                self.streams.spawn(1)[0], self.fits)
+                                self.streams.spawn(1)[0])
+        else:
+            nu = _fit_mass(self.weights(masses), self.runs, (
+                self.samples, self.streams.spawn(1)[0], masses.sum() ** (self.m - 1)))
         F = self.gvals * nu
         F[count:] = 0.0   # as `* gate`: g(a) * nu >= +0
         return F
@@ -509,7 +503,8 @@ def expected_payoff(view: CapacityRegionView, g: Utility, a: float,
 def expected_payoff_mc(view: CapacityRegionView, g: Utility, a: float,
                        state: PopulationState, samples: int = MC_SAMPLES,
                        seed: int = 0) -> tuple:
-    """Monte Carlo F(a, state) with its standard error, deterministic per seed.
+    """Monte Carlo F(a, state) with its standard error, deterministic per seed, drawn on the
+    route `mc_route` picks.
 
     An action outside [0, C({1})] raises, as in expected_payoff; one outside
     the mixed region scores (0, 0) without drawing.
@@ -518,6 +513,10 @@ def expected_payoff_mc(view: CapacityRegionView, g: Utility, a: float,
     if not _mixed_gate(view, actions, mean_rate(state))[0]:
         return 0.0, 0.0
     ga = float(_own_values(g, actions)[0])
-    fits = _tuple_fits(view, actions, state.grid, samples)
-    p_hat = float(_admitted_mass(view, actions, state.grid, state.masses, samples, seed, fits)[0])
+    if mc_route(view, state.n, samples) == "listing":
+        weights, runs = _exact_fits(view, actions, state.grid)
+        draw = (samples, seed, state.masses.sum() ** (view.m - 1))
+        p_hat = float(_fit_mass(weights(state.masses), runs, draw)[0])
+    else:
+        p_hat = float(_admitted_mass(view, actions, state.grid, state.masses, samples, seed)[0])
     return ga * p_hat, ga * math.sqrt(p_hat * (1.0 - p_hat) / samples)

@@ -330,10 +330,13 @@ class TestVerify:
 
     @pytest.mark.parametrize("name", sorted(VERIFY_ARGV))
     def test_montecarlo_bias_of_one_percent_fails(self, name, capsys, monkeypatch):
-        # every Monte Carlo nu scaled by 0.99: on asym2 each trial's interval still holds
-        # it, so the pooled z over the 20 trials is what fails there
-        unbiased = evo._admitted_mass
-        monkeypatch.setattr(evo, "_admitted_mass", lambda *args: 0.99 * unbiased(*args))
+        # every Monte Carlo nu scaled by 0.99, on either route, and no exact one: on asym2
+        # each trial's interval still holds it, so the pooled z over the 20 trials is what
+        # fails there
+        walk, runs = evo._admitted_mass, evo._fit_mass
+        monkeypatch.setattr(evo, "_admitted_mass", lambda *args: 0.99 * walk(*args))
+        monkeypatch.setattr(evo, "_fit_mass", lambda w, fits, draw=None: (
+            runs(w, fits) if draw is None else 0.99 * runs(w, fits, draw)))
         assert main(VERIFY_ARGV[name] + ["verify"]) == 1
         line = next(ln for ln in capsys.readouterr().out.splitlines() if "montecarlo" in ln)
         assert line.startswith("FAIL montecarlo-payoffs:") and "(tol |z| <= 3)" in line
@@ -356,12 +359,13 @@ class TestVerify:
         assert line.startswith("ok   montecarlo-payoffs: ")
 
     @pytest.mark.parametrize("name, route", [
-        ("sym2.cfg", "listing route, 21 ordered opponent tuples <= 20000"),
-        ("sym5", "per-draw route, 194481 ordered opponent tuples > 20000"),
-        ("asym5", "per-draw route, 194481 ordered opponent tuples > 20000"),
+        ("sym2.cfg", "listing route, 21 exact listing rows <= 20000"),
+        ("sym5", "listing route, 10626 exact listing rows <= 20000"),
+        ("asym5", "per-draw route, 194481 exact listing rows > 20000"),
     ])
     def test_montecarlo_line_names_its_route(self, name, route, capsys):
-        # 21 grid points: the 21**(m-1) ordered tuples are listed while no more than the draws
+        # 21 grid points: the exact listing (C(24, 4) sorted multisets at sym5, 21**4 ordered
+        # tuples at asym5) is sampled while no more than the draws
         assert main(VERIFY_ARGV[name] + ["verify"]) == 0
         line = next(ln for ln in capsys.readouterr().out.splitlines() if "montecarlo" in ln)
         assert line.endswith(f"; {route} samples")
@@ -371,12 +375,12 @@ class TestVerify:
         # 20 trials outside their intervals; the one redraw passes, and the line reports both
         cfg = write_scenario(tmp_path, "m = 3\np = 25.912400888327554\nsigma2 = 0.1\n"
                                        "g = identity\ngrid_points = 31\nprotocol = bnn\n"
-                                       "k = 32\nseed = 577133663\n")
+                                       "k = 32\nseed = 577134854\n")
         assert main(["-s", cfg, "verify"]) == 0
         line = next(ln for ln in capsys.readouterr().out.splitlines() if "montecarlo" in ln)
         assert line.startswith("ok   montecarlo-payoffs: 18/20 exact nu")
-        assert "; redrawn once with fresh samples: 19/20 exact nu" in line
-        assert line.endswith("; listing route, 441 ordered opponent tuples <= 20000 samples")
+        assert "; redrawn once with fresh samples: 20/20 exact nu" in line
+        assert line.endswith("; listing route, 231 exact listing rows <= 20000 samples")
 
     def test_rest_points_skip_beyond_exact_limit(self, capsys):
         assert main(["--set", "m=7", "--set", "p=1", "verify"]) == 0

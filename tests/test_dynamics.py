@@ -30,7 +30,7 @@ from macgame.capacity import FEASIBILITY_TOL, reply_slack, subset_sums
 from macgame.checks import _random_mixed_state
 from macgame.dynamics import _flow, _gate_count, _payoff_vector, euler_update
 from macgame.evolution import (EXACT_ENUM_LIMIT, INDICATOR_SLACK, _admitted_mass, _exact_fits,
-                               _fit_mass, _mixed_gate, _own_values, _tuple_fits, exact_rows,
+                               _fit_mass, _mixed_gate, _own_values, exact_rows, mc_route,
                                region_mass)
 
 LN2 = math.log(2.0)
@@ -727,14 +727,21 @@ class TestNegativeGridPoints:
 
 # -- the step loop with a boolean gate: the reference the count-gated loop must match ---------
 
+def ref_run_sums(w, runs):
+    """Each run's pairwise sum times its multiplicity, one run at a time."""
+    starts, mult = runs[:2]
+    sums = [np.add.reduceat(w[lo:hi], [0]) for lo, hi in zip(starts, [*starts[1:], w.size])]
+    return np.array([float(part[0] if mult is None else (part * mult[r])[0])
+                     for r, part in enumerate(sums)])
+
+
 def ref_fit_mass(w, runs):
-    """`_fit_mass` one run at a time: each run's pairwise sum times its multiplicity, added
-    up in a Python loop in run order, and read at each action's last admitting run."""
-    starts, mult, last, top = runs
+    """`_fit_mass` one run at a time: the run sums added up in a Python loop in run order,
+    and read at each action's last admitting run."""
+    last, top = runs[2:]
     partial, acc = [], 0.0
-    for r, (lo, hi) in enumerate(zip(starts, [*starts[1:], w.size])):
-        part = np.add.reduceat(w[lo:hi], [0])
-        acc += float(part[0] if mult is None else (part * mult[r])[0])
+    for part in ref_run_sums(w, runs):
+        acc += part
         partial.append(acc)
     return np.array([partial[last[i]] if i < top else 0.0 for i in range(last.size)])
 
@@ -746,9 +753,18 @@ def ref_payoffs(table, masses, gate):
 def ref_payoff_vector(view, g, grid, masses, gate, table=None, samples=None, seed=0):
     if table is not None:
         return ref_payoffs(table, masses, gate)
-    fits = _tuple_fits(view, grid, grid, samples)   # solved afresh at every step
-    return _own_values(g, grid) * _admitted_mass(view, grid, grid, masses, samples, seed,
-                                                 fits) * gate
+    if mc_route(view, grid.size, samples) == "per-draw":
+        nu = _admitted_mass(view, grid, grid, masses, samples, seed)
+    else:   # the listing solved afresh at every step, its run counts one multinomial draw
+        weights, runs = _exact_fits(view, grid, grid)
+        p = ref_run_sums(weights(masses), runs)
+        p /= max(masses.sum() ** (view.m - 1), p.sum())
+        counts = np.random.Generator(np.random.Philox(seed)).multinomial(
+            samples, [*p, max(1.0 - p.sum(), 0.0)])
+        last, top = runs[2:]
+        nu = np.array([sum(counts[:last[i] + 1].tolist()) if i < top else 0
+                       for i in range(grid.size)]) / samples
+    return _own_values(g, grid) * nu * gate
 
 
 def ref_flow(protocol, w, lam, F, gate, Fbar):
@@ -834,8 +850,8 @@ class TestStepLoopBitIdentity:
         self.check(view, Utility.log1p(), run)
 
     def test_montecarlo_listing_solved_once(self, monkeypatch):
-        # the 11**2 ordered tuples are no more than the draws, so every step reads their
-        # fit counts off the listing; the run's table solves it once, not once per step
+        # the 11**2 listed draws are no more than the samples, so every step draws counts
+        # over the listing's runs; the run's table solves it once, not once per step
         view = build_view(ChannelModel(np.array([3.0, 1.0, 0.5])))
         grid = make_grid(float(view.single_caps.max()), 11)
         run = DynamicsRun(protocol=Protocol.bnn(K=7.3), state0=PopulationState.uniform(grid),

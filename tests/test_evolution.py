@@ -32,8 +32,8 @@ from macgame import (
 )
 from macgame import evolution
 from macgame.capacity import FEASIBILITY_TOL, reply_slack
-from macgame.evolution import (ESS_SHARE, EXACT_ENUM_LIMIT, MC_BLOCK, _admitted_mass, _tuple_fits,
-                               exact_rows, mc_route, region_mass)
+from macgame.evolution import (ESS_SHARE, EXACT_ENUM_LIMIT, MC_BLOCK, _admitted_mass, _exact_fits,
+                               _fit_mass, exact_rows, mc_route, region_mass)
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -390,20 +390,21 @@ class TestExpectedPayoff:
 
 
 def admitted_mass(view, actions, grid, masses, samples, seed):
-    """`_admitted_mass` on the route `mc_route` picks for this sample size."""
-    return _admitted_mass(view, actions, grid, masses, samples, seed,
-                          _tuple_fits(view, actions, grid, samples))
+    """Monte Carlo nu on the route `mc_route` picks for this sample size."""
+    route = listing_route if mc_route(view, grid.size, samples) == "listing" else per_draw_route
+    return route(view, actions, grid, masses, samples, seed)
 
 
 def per_draw_route(view, actions, grid, masses, samples, seed):
-    """`_admitted_mass` on the per-draw route, whatever the sample size."""
-    return _admitted_mass(view, actions, grid, masses, samples, seed, None)
+    """`_admitted_mass`: the per-draw route, whatever the sample size."""
+    return _admitted_mass(view, actions, grid, masses, samples, seed)
 
 
 def listing_route(view, actions, grid, masses, samples, seed):
-    """`_admitted_mass` on the listing route, whatever the sample size."""
-    fits = _tuple_fits(view, actions, grid, grid.size ** (view.m - 1))
-    return _admitted_mass(view, actions, grid, masses, samples, seed, fits)
+    """`_fit_mass` drawing over the runs of `_exact_fits`: the listing route, whatever the
+    sample size."""
+    weights, runs = _exact_fits(view, actions, grid)
+    return _fit_mass(weights(masses), runs, (samples, seed, masses.sum() ** (view.m - 1)))
 
 
 def per_draw_admitted_mass(view, actions, grid, masses, samples, seed):
@@ -416,25 +417,32 @@ def per_draw_admitted_mass(view, actions, grid, masses, samples, seed):
 
 
 def multinomial_admitted_mass(view, actions, grid, masses, samples, seed):
-    """Second route to listing Monte Carlo nu: every ordered opponent tuple's count in the
-    sample from one `Generator.multinomial` call over the tuples' product masses, in C
-    order, and one reply slack per tuple."""
-    k = view.m - 1
-    listing = np.indices((grid.size,) * k).reshape(k, grid.size ** k)
-    p = masses[listing].prod(axis=0)
-    counts = np.random.Generator(np.random.Philox(seed)).multinomial(samples, p / p.sum())
-    slack = reply_slack(view, 0, grid[listing].T)
-    return counts @ (actions <= slack[:, None] + FEASIBILITY_TOL) / samples
+    """Second route to listing Monte Carlo nu: the sample's count in each run of the
+    `_exact_fits` listing from one `Generator.multinomial` call over the run masses (each
+    run summed on its own, times its multiplicity, over the masses' total to the power
+    m - 1), the draws admitting nothing in one explicit last cell; an action's nu adds the
+    counts of the runs up to its last admitting one, one run at a time."""
+    weights, (starts, mult, last, top) = _exact_fits(view, actions, grid)
+    w = weights(masses)
+    run_mass = np.array([np.add.reduceat(w[lo:hi], [0])[0]
+                         for lo, hi in zip(starts, [*starts[1:], w.size])])
+    if mult is not None:
+        run_mass = run_mass * mult
+    p = run_mass / max(masses.sum() ** (view.m - 1), run_mass.sum())
+    counts = np.random.Generator(np.random.Philox(seed)).multinomial(
+        samples, [*p, max(1.0 - p.sum(), 0.0)])
+    return np.array([sum(counts[:last[i] + 1].tolist()) if i < top else 0
+                     for i in range(actions.size)]) / samples
 
 
 MC_CHANNELS = {"symmetric": [1.5, 1.5, 1.5, 1.5], "asymmetric": [3.0, 1.0, 0.5, 2.0]}
 
 
 class TestMonteCarloLookup:
-    """`mc_route` picks the listing when the n**(m-1) ordered tuples are no more than the
-    sample, and `_tuple_fits` then solves their fit counts. At any sample size the listing
-    route gives the nu of one `multinomial` call over the tuples, and the per-draw route
-    (given None) that of `Generator.choice` with one slack per draw, bit for bit."""
+    """`mc_route` picks the listing when its `exact_rows` are no more than the sample. At
+    any sample size the listing route gives the nu of one `multinomial` call over the runs
+    of `_exact_fits`, and the per-draw route that of `Generator.choice` with one slack per
+    draw, bit for bit."""
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("channel", sorted(MC_CHANNELS))
@@ -449,19 +457,17 @@ class TestMonteCarloLookup:
         masses /= masses.sum()
         actions = {"one": grid[2:3], "grid": grid,
                    "off-grid": np.sort(rng.uniform(0.0, 1.1 * grid[-1], 6))}[which]
-        rows = n ** (m - 1)
-        listing = _tuple_fits(view, actions, grid, rows)
+        rows = exact_rows(view, n)
         for samples in (rows - 1, rows, rows + 1):
             if samples < 1:
                 continue
             route = mc_route(view, n, samples)
             assert route == ("per-draw" if samples < rows else "listing")
-            assert (_tuple_fits(view, actions, grid, samples) is None) == (route == "per-draw")
             for seed in (0, 7, np.random.SeedSequence(3, spawn_key=(5,))):
-                got = _admitted_mass(view, actions, grid, masses, samples, seed, None)
+                got = per_draw_route(view, actions, grid, masses, samples, seed)
                 want = per_draw_admitted_mass(view, actions, grid, masses, samples, seed)
                 assert np.array_equal(got, want), ("per-draw", samples, seed)
-                got = _admitted_mass(view, actions, grid, masses, samples, seed, listing)
+                got = listing_route(view, actions, grid, masses, samples, seed)
                 want = multinomial_admitted_mass(view, actions, grid, masses, samples, seed)
                 assert np.array_equal(got, want), ("listing", samples, seed)
 
@@ -469,13 +475,22 @@ class TestMonteCarloLookup:
         with pytest.raises(ValueError, match="samples must be at least 1, got 0"):
             mc_route(sym2, 5, 0)
 
+    def test_listing_within_the_exact_limit(self):
+        # asymmetric m = 6, n = 31: 28,629,151 rows, fewer than these draws but more than an
+        # exact listing may hold, so the sample is walked
+        view = build_view(ChannelModel(np.array([3.0, 1.0, 0.5, 2.0, 0.7, 1.2])))
+        assert EXACT_ENUM_LIMIT < exact_rows(view, 31) <= 30_000_000
+        assert mc_route(view, 31, 30_000_000) == "per-draw"
+        assert mc_route(view, 25, 30_000_000) == "listing"   # 9,765,625 rows
+
     @pytest.mark.parametrize("channel", sorted(MC_CHANNELS))
     def test_listing_longer_than_a_block(self, channel):
-        # 150**2 = 22,500 listed tuples, more than a per-draw block holds: one multinomial
+        # 150**2 = 22,500 listed tuples (C(151, 2) = 11,325 on the symmetric channel), more
+        # than a per-draw block holds: one multinomial
         view = build_view(ChannelModel(np.array(MC_CHANNELS[channel][:3])))
         grid = np.linspace(0.0, float(view.single_caps.max()), 150)
         samples = 3 * MC_BLOCK + 5
-        assert MC_BLOCK < grid.size ** 2 <= samples
+        assert MC_BLOCK < exact_rows(view, grid.size) <= samples
         masses = np.random.default_rng(150).dirichlet(np.ones(grid.size))
         got = admitted_mass(view, grid, grid, masses, samples, 7)
         want = multinomial_admitted_mass(view, grid, grid, masses, samples, 7)
@@ -483,12 +498,12 @@ class TestMonteCarloLookup:
 
     def test_listing_solved_in_blocks(self):
         # asymmetric m = 4, n = 67: the 300,763 listed tuples are no more than the draws, so
-        # the sample is drawn as their counts. Solving every tuple's slack in one call
-        # peaked at 50.6 MB; EXACT_BLOCK_ROWS tuples at a time peak at about 20 MB
+        # the sample is drawn as counts over their runs. Solving every tuple's slack in one
+        # call peaked at 50.6 MB; EXACT_BLOCK_ROWS tuples at a time peak at about 20 MB
         view = build_view(ChannelModel(np.array(BLOCK_CHANNELS["asymmetric"][:4])))
         grid = np.linspace(0.0, float(view.single_caps.max()), 67)
         samples = 310_000
-        assert grid.size ** 3 <= samples
+        assert exact_rows(view, grid.size) <= samples
         masses = np.random.default_rng(67).dirichlet(np.ones(grid.size))
         tracemalloc.start()
         try:
@@ -499,33 +514,85 @@ class TestMonteCarloLookup:
         assert peak <= 30_000_000
 
 
+class TestListingDrawEdges:
+    """The listing route's multinomial gets valid probabilities on every valid state: masses
+    summing to 1 -+ 1e-10, Diracs, and m = 1 and 2, where the listing keeps the run admitting
+    nothing and one run can hold all of the mass. On a Dirac every draw is the same, so nu
+    is exactly 1 where exact nu is positive, else 0."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("scale", [1.0 - 1e-10, 1.0, 1.0 + 1e-10])
+    def test_masses_off_one_and_diracs(self, m, scale):
+        view = build_view(ChannelModel(np.array([3.0, 1.0, 0.5][:m])))
+        grid = np.linspace(0.0, float(view.single_caps.max()), 9)
+        samples = 100   # at least the 9**(m-1) listed draws
+        assert mc_route(view, grid.size, samples) == "listing"
+        g = Utility.identity()
+        table = evolution.PayoffTable(view, g, grid, samples, 5)
+        smooth = np.random.default_rng(m).dirichlet(np.ones(grid.size))
+        for masses in (smooth, np.eye(grid.size)[0], np.eye(grid.size)[4], np.eye(grid.size)[-1]):
+            state = PopulationState(grid, masses * scale)
+            nu = listing_route(view, grid, grid, state.masses, samples, 5)
+            assert np.all((0.0 <= nu) & (nu <= 1.0)) and np.all(np.diff(nu) <= 0.0)
+            if masses is not smooth:
+                exact = np.array([region_mass(view, float(a), state) for a in grid])
+                assert np.array_equal(nu, (exact > 0.0).astype(float))
+            F = table.payoffs(state.masses)
+            assert np.all(F >= 0.0) and np.all(F <= g(grid))
+            assert expected_payoff_mc(view, g, float(grid[2]), state, samples, 5)[0] >= 0.0
+
+    def test_one_run_holds_all_mass(self):
+        # m = 2, snr 3 and 3, 21 points: the first 9 opponent rates admit every action, so
+        # they form one run, summed in another order than the masses; on about 1 state in 6
+        # here that run's sum is an ulp above the masses' total
+        view = build_view(ChannelModel(np.array([3.0, 3.0])))
+        grid = np.linspace(0.0, float(view.single_caps.max()), 21)
+        assert _exact_fits(view, grid, grid)[1][0][:2].tolist() == [0, 9]
+        for seed in range(20):
+            masses = np.zeros(grid.size)
+            masses[:9] = np.random.default_rng(seed).dirichlet(np.ones(9))
+            for scale in (1.0 - 1e-10, 1.0, 1.0 + 1e-10):
+                nu = listing_route(view, grid, grid, masses * scale, 50, seed)
+                assert np.array_equal(nu, np.ones(grid.size)), (seed, scale)
+
+
 class TestRoutesShareOneLaw:
     """Both routes count an iid sample of `samples` opponent draws from the state, so over
     many seeds each action's nu has one law on both: the binomial share, mean nu and
-    standard deviation sqrt(nu (1 - nu) / samples)."""
+    standard deviation sqrt(nu (1 - nu) / samples). The listing route's runs carry
+    multiplicities 1, 3 and 6 on the symmetric channel and 1 and 2 on the two-class one."""
 
     SEEDS, SAMPLES = 2000, 400
 
-    def test_mean_and_spread_agree(self):
-        view = build_view(ChannelModel(np.array([2.0, 1.5, 1.0])))
-        grid = np.linspace(0.0, float(view.single_caps.max()), 7)   # 49 tuples <= 400 draws
+    # 7 points: 49 ordered tuples, C(9, 3) = 84 and C(8, 2) * 7 = 196 class cells <= 400 draws
+    @pytest.mark.parametrize("snr", [[2.0, 1.5, 1.0], [1.5] * 4, [2.0, 1.5, 1.5, 1.0]],
+                             ids=["distinct", "symmetric", "two-class"])
+    def test_mean_and_spread_agree(self, snr):
+        view = build_view(ChannelModel(np.array(snr)))
+        grid = np.linspace(0.0, float(view.single_caps.max()), 7)
         masses = np.array([0.3, 0.25, 0.15, 0.1, 0.1, 0.05, 0.05])
         state = PopulationState(grid, masses)
-        # nu 0.737 on the first four points, then 0.685, 0.545 and 0.385
+        # nu from 0.94 (symmetric), 0.737 (distinct) or 0.659 (two-class) on the first
+        # points down to 0.483, 0.385 or 0.257 at C({1})
         nu = np.array([region_mass(view, float(a), state) for a in grid])
         inner = (nu > 0.05) & (nu < 0.95)
         assert inner.all()
         sd = np.sqrt(nu * (1.0 - nu) / self.SAMPLES)[inner]
+        assert mc_route(view, grid.size, self.SAMPLES) == "listing"
+        weights, runs = _exact_fits(view, grid, grid)
+        mass = masses.sum() ** (view.m - 1)
+        routes = {"listing": lambda seed: _fit_mass(weights(masses), runs,
+                                                     (self.SAMPLES, seed, mass)),
+                  "per-draw": lambda seed: per_draw_route(view, grid, grid, masses,
+                                                          self.SAMPLES, seed)}
         shares = {}
-        for route in (listing_route, per_draw_route):
-            assert mc_route(view, grid.size, self.SAMPLES) == "listing"
-            shares[route] = np.array([route(view, grid, grid, masses, self.SAMPLES, seed)
-                                      for seed in range(self.SEEDS)])[:, inner]
+        for name, route in routes.items():
+            shares[name] = np.array([route(seed) for seed in range(self.SEEDS)])[:, inner]
             # each route against the exact law: mean within 4 standard errors, spread 10 %
-            mean, spread = shares[route].mean(axis=0), shares[route].std(axis=0, ddof=1)
+            mean, spread = shares[name].mean(axis=0), shares[name].std(axis=0, ddof=1)
             assert np.all(np.abs(mean - nu[inner]) <= 4.0 * sd / math.sqrt(self.SEEDS))
             assert np.all((0.9 <= spread / sd) & (spread / sd <= 1.1))
-        a, b = shares[listing_route], shares[per_draw_route]
+        a, b = shares["listing"], shares["per-draw"]
         se = np.sqrt((a.var(axis=0, ddof=1) + b.var(axis=0, ddof=1)) / self.SEEDS)
         assert np.all(np.abs(a.mean(axis=0) - b.mean(axis=0)) <= 4.0 * se)
         ratio = a.std(axis=0, ddof=1) / b.std(axis=0, ddof=1)
