@@ -25,7 +25,7 @@ The default scenarios are the three shipped files and three `--set` variants
 of them (VARIANTS), each on 21 grid points with 200 `steps`. Exact payoffs
 list sorted opponent multisets within each SNR class: symmetric m = 4
 (p = 3) is one class; asymmetric m = 5 with SNRs that all differ lists its
-194,481 ordered tuples, which span three `macgame.evolution.EXACT_BLOCK_ROWS`
+194,481 ordered tuples, which span 24 `macgame.evolution.EXACT_BLOCK_ROWS`
 blocks; and m = 5 with two SNR classes (0.8 twice, 0.6 three times) lists
 37,191 rows in place of those 194,481. All three run `verify`'s
 `montecarlo-payoffs`, which the shipped files run only up to m = 3.

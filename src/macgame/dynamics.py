@@ -15,14 +15,24 @@ to leave):
 F comes from the run's one `evolution.PayoffTable`, exact or Monte Carlo,
 read over the whole grid. The grid is strictly
 increasing, so the mixed-region gate is a prefix of it and is carried as a
-count (`evolution._gate_count`): the gated tail of F, of the BNN excess
-and of the Smith rate rows is zeroed by one slice.
+count (`evolution._gate_count`): the gated tail of F and of the BNN
+excess is zeroed by one slice, and the Smith rate rows past it stay 0.
 Velocities sum to zero by construction; explicit Euler with clip-and-
 renormalize keeps the raw mass vector that `simulate` steps on the
 simplex; the trace keeps each recorded step's drift and the largest of all.
+
+On a grid of tens of points a step costs numpy dispatch, not arithmetic,
+so the step loop takes the cheapest call with the same bits: finiteness is
+read off the two extremes raw[raw.argmin()] and raw[raw.argmax()] (argmin
+and argmax land on a NaN if there is one), the clip at 0 runs only when
+some mass is not positive (max(x, 0) is x for x > 0, but +0.0 for -0.0),
+`dt` and the clip bound enter as 0-d arrays, which numpy does not convert
+per call, and dot products call the array's `dot` method, which skips the
+array-function dispatcher.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +49,8 @@ from .evolution import (
 
 PROTOCOL_KINDS = ("bnn", "replicator", "smith")
 PAYOFF_METHODS = ("exact", "montecarlo")
+
+_ZERO = np.zeros(())   # the clip bound as an array, which numpy need not convert per call
 
 
 @dataclass(frozen=True)
@@ -78,24 +90,27 @@ def _flow(view: CapacityRegionView, protocol: Protocol, w: np.ndarray, lam: np.n
     `protocol` second, where perfbench/tracing.py tags spans."""
     kind, K = protocol.kind, protocol.K
     if kind == "bnn":
-        excess = np.maximum(F - Fbar, 0.0)
+        excess = F - Fbar
+        np.maximum(excess, _ZERO, out=excess)
         excess[count:] = 0.0
         v = w * excess
-        v -= lam * float(np.dot(w, excess))
+        v -= lam * w.dot(excess)
     elif kind == "replicator":
         return K * lam * (F - Fbar)
     else:
-        # smith: R[i, j] is the switch rate from j to i, gated on the target i
-        R = np.subtract.outer(F, F)
-        np.maximum(R, 0.0, out=R)
+        # smith: R[i, j] is the switch rate from j to i, gated on the target i (the rows
+        # past the count stay 0)
+        R = np.zeros((F.size, F.size))
+        rates = R[:count]
+        np.subtract(F[:count, None], F, out=rates)
+        np.maximum(rates, _ZERO, out=rates)
         theta = protocol.theta
         if theta == 2.0:
-            R *= R   # numpy's ** 2.0 squares
+            rates *= rates   # numpy's ** 2.0 squares
         elif theta != 1.0:
-            R **= theta
-        R[count:] = 0.0
-        v = w * (R @ lam)
-        v -= lam * (w @ R)
+            rates **= theta
+        v = w * R.dot(lam)
+        v -= lam * w.dot(R)
     v *= K
     return v
 
@@ -117,17 +132,19 @@ def _payoff_vector(table: PayoffTable, masses: np.ndarray, count: int) -> np.nda
     return table.payoffs(masses, count)
 
 
-def euler_update(masses: np.ndarray, v: np.ndarray, dt: float) -> tuple:
+def euler_update(masses: np.ndarray, v: np.ndarray, dt) -> tuple:
     """One explicit Euler step on the simplex; returns (new masses, drift).
 
     Drift is how far the clipped update strays from total mass 1 before
-    renormalization.
+    renormalization. `dt` is a float or, as `simulate` passes it, a 0-d array.
     """
     raw = dt * v
     raw += masses
-    if not np.logical_and.reduce(np.isfinite(raw)):
+    lo, hi = raw[raw.argmin()], raw[raw.argmax()]   # a NaN is both, if there is one
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("step size too large: masses diverged")
-    np.maximum(raw, 0.0, out=raw)
+    if lo <= 0.0:   # max(x, 0) is x for x > 0, but +0.0 for x = -0.0
+        np.maximum(raw, _ZERO, out=raw)
     s = float(np.add.reduce(raw))
     if s <= 0.0:
         raise ValueError("step size too large: all mass clipped away")
@@ -191,16 +208,17 @@ def simulate(view: CapacityRegionView, g: Utility, run: DynamicsRun) -> Trace:
     table = (PayoffTable(view, g, grid) if run.payoff_method == "exact"
              else PayoffTable(view, g, grid, run.samples, run.seed))
     protocol, dt, steps, every = run.protocol, run.dt, run.steps, run.record_every
+    step = np.array(dt, dtype=float)
     points, total, others = grid.tolist(), view.total, view.m - 1
     rows, drift, top = [], 0.0, 0.0
     for k in range(steps + 1):
         if k:
-            masses, drift = euler_update(masses, v, dt)
+            masses, drift = euler_update(masses, v, step)
             top = drift if drift > top else top   # every step's, not only the recorded ones
-        mean = float(np.dot(grid, masses))
+        mean = float(grid.dot(masses))
         count = _gate_count(points, total, others, mean)
         F = _payoff_vector(table, masses, count)
-        Fbar = float(np.dot(masses, F))
+        Fbar = float(masses.dot(F))
         v = _flow(view, protocol, w, masses, F, count, Fbar)
         if k % every == 0 or k == steps:
             rows.append((k * dt, mean, Fbar, float(np.add.reduce(np.abs(v))), drift))

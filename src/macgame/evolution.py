@@ -23,7 +23,6 @@ its first `_gate_count` points (the mixed-region gate).
 """
 from __future__ import annotations
 
-import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -42,7 +41,7 @@ from .game import Utility
 MASS_TOL = 1e-9
 INDICATOR_SLACK = 1e-12
 EXACT_ENUM_LIMIT = 10_000_000
-EXACT_BLOCK_ROWS = 1 << 16
+EXACT_BLOCK_ROWS = 1 << 13
 MC_SAMPLES = 100_000
 MC_BLOCK = 1 << 13   # Monte Carlo draws per block
 ESS_SHARE = 1e-3
@@ -226,12 +225,11 @@ def _exact_fits(view: CapacityRegionView, actions: np.ndarray, grid: np.ndarray)
         raise ValueError(f"exact table needs {rows} rows (> {EXACT_ENUM_LIMIT}); "
                          "use the Monte Carlo method")
     classes, idx, repeats, outer = _opponent_classes(view), np.empty((k, rows), np.intp), None, 1
-    for c in classes:   # a class's multisets in combinations_with_replacement order
-        size = math.comb(n + len(c) - 1, len(c))
-        cells = np.fromiter(itertools.chain.from_iterable(itertools.combinations_with_replacement(
-            range(n), len(c))), np.intp, size * len(c)).reshape(size, len(c))
+    for c in classes:
+        cells = _sorted_multisets(n, len(c))
+        size = cells[0].size
         for j, col in enumerate(c):   # broadcast into place, the first class varying slowest
-            idx[col].reshape(outer, size, -1)[...] = cells[:, j, None]
+            idx[col].reshape(outer, size, -1)[...] = cells[j][:, None]
         outer *= size
         del cells   # before the repeats are counted on whole rows
         run = 1.0
@@ -272,6 +270,21 @@ def _exact_fits(view: CapacityRegionView, actions: np.ndarray, grid: np.ndarray)
             w *= masses.take(col)
         return w
     return weights, runs
+
+
+def _sorted_multisets(n: int, k: int) -> list:
+    """The sorted k-multisets of range(n) as k index columns, rows in lexicographic
+    (`itertools.combinations_with_replacement`) order: each (k-1)-multiset is repeated
+    once per value from its last entry up, and that value appended."""
+    cols = [np.arange(n)]
+    for _ in range(k - 1):
+        last = cols[-1]
+        reps = n - last
+        rows = np.repeat(np.arange(last.size), reps)
+        cols = [col.take(rows) for col in cols]
+        # a row's appended values count up from its last entry, from where its copies start
+        cols.append(np.arange(rows.size) - (np.cumsum(reps) - reps - last).take(rows))
+    return cols
 
 
 def _listing_fits(view, actions: np.ndarray, grid: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -444,9 +457,9 @@ class PayoffTable:
         else:
             nu = _fit_mass(self.weights(masses), self.runs, (
                 self.samples, self.streams.spawn(1)[0], masses.sum() ** (self.m - 1)))
-        F = self.gvals * nu
-        F[count:] = 0.0   # as `* gate`: g(a) * nu >= +0
-        return F
+        nu *= self.gvals
+        nu[count:] = 0.0   # as `* gate`: g(a) * nu >= +0
+        return nu
 
 
 def region_mass(view: CapacityRegionView, a: float, state: PopulationState) -> float:

@@ -25,7 +25,7 @@ from macgame import (
     simulate,
     velocity,
 )
-from macgame import evolution
+from macgame import dynamics, evolution
 from macgame.capacity import FEASIBILITY_TOL, reply_slack, subset_sums
 from macgame.checks import _random_mixed_state
 from macgame.dynamics import _flow, _gate_count, _payoff_vector, euler_update
@@ -512,7 +512,7 @@ class TestFitMassAccuracy:
             mult = np.array([math.factorial(k) / math.prod(map(math.factorial,
                                                               Counter(c).values()))
                              for c in combos.T.tolist()])
-        else:   # the ordered listing, in EXACT_BLOCK_ROWS = 65,536-row blocks: three here
+        else:   # the ordered listing, in EXACT_BLOCK_ROWS = 8,192-row blocks: 24 here
             combos, mult = np.indices((n,) * k).reshape(k, n ** k), 1.0
         assert combos.shape[1] == exact_rows(view, n) == rows
         slack = reply_slack(view, 0, grid[combos].T)
@@ -890,6 +890,47 @@ class TestStepLoopBitIdentity:
                             record_every=1)
         self.check(view, Utility.identity(), dirac)
 
+    @staticmethod
+    def step_minima(monkeypatch):
+        """Each step's smallest unclipped mass, read beside `simulate`'s euler_update."""
+        update, minima = dynamics.euler_update, []
+
+        def recorded(masses, v, dt):
+            minima.append(float((masses + dt * v).min()))
+            return update(masses, v, dt)
+        monkeypatch.setattr(dynamics, "euler_update", recorded)
+        return minima
+
+    @pytest.mark.parametrize("proto", BIT_PROTOCOLS, ids=lambda p: f"{p.kind}-{p.theta}")
+    def test_clipping_run(self, proto, monkeypatch):
+        # sym3 (snr 250) at dt = 0.04 clips negative masses on many steps (ROADMAP 12a)
+        view = build_view(ChannelModel(np.full(3, 250.0)))
+        grid = make_grid(float(view.single_caps.max()), 31, include=view.total / 3)
+        run = DynamicsRun(protocol=Protocol(proto.kind, proto.theta, 32.0),
+                          state0=PopulationState.uniform(grid), dt=0.04, steps=100,
+                          record_every=1)
+        minima = self.step_minima(monkeypatch)
+        self.check(view, Utility.identity(), run)
+        assert sum(lo < 0.0 for lo in minima) >= 5   # 9 to 47 of the 100 steps clip
+
+    @pytest.mark.parametrize("method", ["exact", "montecarlo"])
+    @pytest.mark.parametrize("proto", BIT_PROTOCOLS, ids=lambda p: f"{p.kind}-{p.theta}")
+    def test_dirac_start(self, sym2, proto, method, monkeypatch):
+        # the masses off the support stay exactly 0, so every step takes the clip branch
+        # with nothing to clip; a Dirichlet start takes the branch that skips the clip
+        grid = grid_with_rstar(sym2)
+        for start in (PopulationState.dirac(grid, grid[5]),
+                      PopulationState(grid, np.random.default_rng(2).dirichlet(np.ones(51)))):
+            run = DynamicsRun(protocol=proto, state0=start, steps=60, record_every=7,
+                              payoff_method=method, samples=300)
+            minima = self.step_minima(monkeypatch)
+            self.check(sym2, Utility.identity(), run)
+            monkeypatch.undo()
+            if start.masses[0] == 0.0:
+                assert minima and all(lo == 0.0 for lo in minima)
+            else:
+                assert minima and all(lo > 0.0 for lo in minima)
+
     @pytest.mark.parametrize("method", ["exact", "montecarlo"])
     @pytest.mark.parametrize("proto", BIT_PROTOCOLS, ids=lambda p: f"{p.kind}-{p.theta}")
     def test_negative_grid_point(self, sym2, proto, method):
@@ -943,7 +984,12 @@ class TestStepLoopBitIdentity:
     def test_step_errors_unchanged(self):
         for masses, v, dt in ((np.array([0.5, 0.5]), np.array([np.nan, 0.0]), 0.01),
                               (np.array([0.5, 0.5]), np.array([-np.inf, 0.0]), 0.01),
-                              (np.array([0.5, 0.5]), np.array([-1.0, -1.0]), 1.0)):
+                              (np.array([0.5, 0.5]), np.array([-1.0, -1.0]), 1.0),
+                              (np.array([0.5, 0.5]), np.array([0.0, np.inf]), 0.01),
+                              (np.array([0.4, 0.3, 0.3]), np.array([-np.inf, 0.0, np.nan]), 0.01),
+                              (np.array([0.4, 0.3, 0.3]), np.array([np.nan, 0.0, -np.inf]), 0.01),
+                              (np.array([0.5, 0.5]), np.array([-np.inf, np.inf]), 0.01),
+                              (np.array([0.5, 0.5]), np.array([np.inf, -np.inf]), 0.01)):
             with pytest.raises(ValueError) as want:
                 ref_euler_update(masses, v, dt)
             with pytest.raises(ValueError) as got:
@@ -953,6 +999,13 @@ class TestStepLoopBitIdentity:
         huge = (np.array([0.5, 0.5]), np.array([1e308, 1e308]), 1.5)
         with np.errstate(over="ignore"):
             pairs = zip(euler_update(*huge), ref_euler_update(*huge))
+            for got, want in pairs:
+                assert_same_bytes(np.asarray(got), np.asarray(want))
+        # -0.0 is not below 0, yet clipping turns it into +0.0, as it always did
+        for masses, v, dt in ((np.array([-0.0, 0.5, 0.5]), np.array([-0.0, 0.0, 0.0]), 0.01),
+                              (np.array([0.0, 0.5, 0.5]), np.array([-0.0, 1.0, -1.0]),
+                               np.array(0.01))):
+            pairs = zip(euler_update(masses, v, dt), ref_euler_update(masses, v, float(dt)))
             for got, want in pairs:
                 assert_same_bytes(np.asarray(got), np.asarray(want))
 

@@ -499,7 +499,7 @@ class TestMonteCarloLookup:
     def test_listing_solved_in_blocks(self):
         # asymmetric m = 4, n = 67: the 300,763 listed tuples are no more than the draws, so
         # the sample is drawn as counts over their runs. Solving every tuple's slack in one
-        # call peaked at 50.6 MB; EXACT_BLOCK_ROWS tuples at a time peak at about 20 MB
+        # call peaked at 50.6 MB; EXACT_BLOCK_ROWS tuples at a time peak at about 13 MB
         view = build_view(ChannelModel(np.array(BLOCK_CHANNELS["asymmetric"][:4])))
         grid = np.linspace(0.0, float(view.single_caps.max()), 67)
         samples = 310_000

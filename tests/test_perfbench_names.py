@@ -4,7 +4,7 @@ the step loop still runs through the wrapped names.
 `perfbench/tracing.py` looks each entry of its ENTRIES list up with getattr;
 a source change that drops one of them breaks the traced benchmark run, so
 the first test fails first. The second installs the tracer around short
-`simulate` runs and counts the payoff spans of each step.
+`simulate` runs and counts the payoff, flow and Euler spans of each step.
 """
 import importlib
 import importlib.util
@@ -45,8 +45,9 @@ def test_every_traced_name_resolves():
 
 @pytest.mark.parametrize("method", ["exact", "montecarlo"])
 def test_step_loop_spans_fire(method):
-    # dynamics.payoff_share.* and payoff_eval_us.* read these spans; code motion that
-    # routed simulate around the wrapped names would turn them into a structural 0
+    # dynamics.payoff_share.*, payoff_eval_us.*, flow_us.* and euler_update_us.* read these
+    # spans; code motion that routed simulate around the wrapped names would turn them
+    # into a structural 0
     view = build_view(ChannelModel(np.array([1.0, 1.0])))
     grid = make_grid(float(view.single_caps.max()), 11)
     run = DynamicsRun(protocol=Protocol.bnn(), state0=PopulationState.uniform(grid), steps=3,
@@ -59,5 +60,7 @@ def test_step_loop_spans_fire(method):
         tracer.restore()
     names = [span[0] for span in tracer.spans]
     assert names.count("dynamics._payoff_vector") == run.steps + 1
+    assert names.count("dynamics._flow") == run.steps + 1
+    assert names.count("dynamics.euler_update") == run.steps
     if method == "exact":
         assert names.count("dynamics.PayoffTable.payoffs") == run.steps + 1
