@@ -2,6 +2,12 @@
 
 Exit codes: 0 success, 1 analytic failure (the checked claim is false),
 2 usage, input or output error. All numbers print with 9 significant digits.
+
+Each call is a fresh interpreter, so its imports are part of its time. This
+module imports only `capacity`, `game`, `scenario` and `specs` (the defaults)
+at the top; a subcommand that runs a further module imports it in its own
+function: `checks` for `verify`, `selection` for `normalized`, `evolution`
+for `ess` and `dynamics` for `dynamics`.
 """
 from __future__ import annotations
 
@@ -9,15 +15,12 @@ import argparse
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import capacity as cap
-from . import checks
-from . import dynamics as dyn
-from . import evolution as evo
 from . import game
-from . import selection as sel
 from .capacity import CapacityRegionView
 from .game import Utility
 from .scenario import (
@@ -29,6 +32,11 @@ from .scenario import (
     dump_scenario,
     parse_scenario,
 )
+from .specs import EssTestSpec
+
+if TYPE_CHECKING:
+    from .dynamics import Trace
+    from .evolution import PopulationState
 
 
 def fmt(x: float) -> str:
@@ -102,6 +110,8 @@ def cmd_metrics(args, scenario: Scenario, view: CapacityRegionView, g: Utility) 
 
 
 def cmd_normalized(args, scenario: Scenario, view: CapacityRegionView, g: Utility) -> int:
+    from . import selection as sel
+
     weights = _parse_rates(args.tau) if args.tau else None
     result = sel.normalized_equilibrium(view, sel.NormalizedEqConfig(g=g, weights=weights))
     print("profile = " + ",".join(fmt(v) for v in result.profile))
@@ -119,8 +129,10 @@ def cmd_normalized(args, scenario: Scenario, view: CapacityRegionView, g: Utilit
 
 
 def cmd_ess(args, scenario: Scenario, view: CapacityRegionView, g: Utility) -> int:
+    from . import evolution as evo
+
     resident = args.resident if args.resident is not None else view.total / view.m
-    result = evo.ess_check(view, g, evo.EssTestSpec(resident=resident, mutant_grid=args.mutants))
+    result = evo.ess_check(view, g, EssTestSpec(resident=resident, mutant_grid=args.mutants))
     print(f"resident = {fmt(resident)}")
     print(f"ess = {str(result.is_ess).lower()}")
     if result.witness is not None:
@@ -137,7 +149,7 @@ def _write_csv(path: str, header: str, *columns) -> None:
             fh.write(row.format(*values))
 
 
-def write_trace(path: str, trace: dyn.Trace) -> None:
+def write_trace(path: str, trace: Trace) -> None:
     """Write a dynamics trace as CSV: t, mean_rate, avg_payoff, velocity_l1, mass_drift."""
     _write_csv(path, "t,mean_rate,avg_payoff,velocity_l1,mass_drift", trace.t,
                trace.mean_rate, trace.avg_payoff, trace.velocity_l1, trace.mass_drift)
@@ -147,11 +159,13 @@ def write_trace(path: str, trace: dyn.Trace) -> None:
 _write_trace = write_trace
 
 
-def _write_state(path: str, state: evo.PopulationState) -> None:
+def _write_state(path: str, state: PopulationState) -> None:
     _write_csv(path, "grid_value,mass", state.grid, state.masses)
 
 
 def cmd_dynamics(args, scenario: Scenario, view: CapacityRegionView, g: Utility) -> int:
+    from . import dynamics as dyn
+
     run = build_run(scenario, view)
     for path in (scenario.trace_csv, scenario.state_csv):
         open(path, "a").close()   # an unwritable output fails here, not after the run
@@ -172,6 +186,8 @@ def cmd_dynamics(args, scenario: Scenario, view: CapacityRegionView, g: Utility)
 
 
 def cmd_verify(args, scenario: Scenario, view: CapacityRegionView, g: Utility) -> int:
+    from . import checks
+
     records = checks.run(scenario, view, g)
     for rec in records:
         status = "skip" if rec.verdict is None else "ok  " if rec.verdict else "FAIL"
@@ -220,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_es = command("ess", cmd_ess, "constrained ESS invasion test")
     p_es.add_argument("--resident", type=float, help="resident rate (default C(N)/m)")
-    p_es.add_argument("--mutants", type=int, default=evo.EssTestSpec.mutant_grid,
+    p_es.add_argument("--mutants", type=int, default=EssTestSpec.mutant_grid,
                       help="mutant grid points (default %(default)s)")
 
     command("dynamics", cmd_dynamics, "simulate the configured protocol, write CSV traces")

@@ -39,48 +39,11 @@ import numpy as np
 
 from .capacity import CapacityRegionView
 from .game import Utility
-from .evolution import (
-    MC_SAMPLES,
-    PayoffTable,
-    PopulationState,
-    _gate_count,
-    mean_rate,
-)
-
-PROTOCOL_KINDS = ("bnn", "replicator", "smith")
-PAYOFF_METHODS = ("exact", "montecarlo")
+from .evolution import PayoffTable, PopulationState, _gate_count, mean_rate
+# the run specs live in `specs`; callers still read `dynamics.PROTOCOL_KINDS`
+from .specs import PROTOCOL_KINDS, DynamicsRun, Protocol  # noqa: F401
 
 _ZERO = np.zeros(())   # the clip bound as an array, which numpy need not convert per call
-
-
-@dataclass(frozen=True)
-class Protocol:
-    """Revision protocol: kind, Smith exponent theta, growth parameter K."""
-
-    kind: str
-    theta: float = 1.0
-    K: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in PROTOCOL_KINDS:
-            raise ValueError(f"unknown protocol '{self.kind}'")
-        if self.kind == "smith" and not self.theta >= 1.0:
-            raise ValueError("theta must be >= 1")
-        if not self.K > 0.0:
-            raise ValueError("growth parameter K must be positive")
-
-    # the defaults below are read from the fields above, in the class body
-    @classmethod
-    def bnn(cls, K: float = K) -> "Protocol":
-        return cls("bnn", K=K)
-
-    @classmethod
-    def replicator(cls, K: float = K) -> "Protocol":
-        return cls("replicator", K=K)
-
-    @classmethod
-    def smith(cls, theta: float = theta, K: float = K) -> "Protocol":
-        return cls("smith", theta=theta, K=K)
 
 
 def _flow(view: CapacityRegionView, protocol: Protocol, w: np.ndarray, lam: np.ndarray,
@@ -156,32 +119,6 @@ def rest_point_residual(view: CapacityRegionView, g: Utility, protocol: Protocol
                         state: PopulationState, table: PayoffTable = None) -> float:
     """L1 norm of the protocol velocity; zero exactly at rest points."""
     return float(np.abs(velocity(view, g, protocol, state, table=table)).sum())
-
-
-@dataclass
-class DynamicsRun:
-    """Everything one simulation needs, with explicit-Euler defaults."""
-
-    protocol: Protocol
-    state0: PopulationState
-    dt: float = 0.01
-    steps: int = 20_000
-    record_every: int = 100
-    seed: int = 0
-    payoff_method: str = "exact"
-    samples: int = MC_SAMPLES
-
-    def __post_init__(self):
-        if not self.dt > 0.0:
-            raise ValueError("dt must be positive")
-        if self.steps < 0:
-            raise ValueError("steps must be non-negative")
-        if self.record_every < 1:
-            raise ValueError("record_every must be at least 1")
-        if self.payoff_method not in PAYOFF_METHODS:
-            raise ValueError(f"unknown payoff method '{self.payoff_method}'")
-        if self.samples < 1:
-            raise ValueError(f"samples must be at least 1, got {self.samples}")
 
 
 @dataclass

@@ -37,12 +37,12 @@ from .capacity import (
     reply_slack,
 )
 from .game import Utility
+from .specs import MC_SAMPLES, EssTestSpec
 
 MASS_TOL = 1e-9
 INDICATOR_SLACK = 1e-12
 EXACT_ENUM_LIMIT = 10_000_000
 EXACT_BLOCK_ROWS = 1 << 13
-MC_SAMPLES = 100_000
 MC_BLOCK = 1 << 13   # Monte Carlo draws per block
 ESS_SHARE = 1e-3
 ESS_MARGIN = 1e-12   # the resident must out-earn each mutant by more than this
@@ -139,18 +139,6 @@ def mixed_feasible(view: CapacityRegionView, states) -> bool:
             raise ValueError(f"need {view.m} states, got {len(states)}")
         means = np.array([mean_rate(s) for s in states])
     return is_feasible(view, means)
-
-
-@dataclass
-class EssTestSpec:
-    """Resident rate plus the number of mutant grid points to probe."""
-
-    resident: float
-    mutant_grid: int = 50
-
-    def __post_init__(self):
-        if self.mutant_grid < 2:
-            raise ValueError("mutant grid needs at least 2 points")
 
 
 @dataclass
@@ -289,10 +277,13 @@ def _sorted_multisets(n: int, k: int) -> list:
 
 def _listing_fits(view, actions: np.ndarray, grid: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Fit counts of the listed opponent draws, one per column of the (m - 1, rows) grid
-    index array `idx`, their reply slacks solved EXACT_BLOCK_ROWS draws at a time."""
-    return np.concatenate([
-        _fit_counts(actions, reply_slack(view, 0, grid[idx[:, lo:lo + EXACT_BLOCK_ROWS]].T))
-        for lo in range(0, idx.shape[1], EXACT_BLOCK_ROWS)])
+    index array `idx`, their reply slacks solved EXACT_BLOCK_ROWS draws at a time and each
+    block's counts written into one array."""
+    fits = np.empty(idx.shape[1], np.intp)
+    for lo in range(0, fits.size, EXACT_BLOCK_ROWS):
+        rows = slice(lo, lo + EXACT_BLOCK_ROWS)
+        fits[rows] = _fit_counts(actions, reply_slack(view, 0, grid[idx[:, rows]].T))
+    return fits
 
 
 def _fit_counts(actions: np.ndarray, slack: np.ndarray) -> np.ndarray:

@@ -12,9 +12,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .capacity import CapacityRegionView, ChannelModel
-from .dynamics import PAYOFF_METHODS, PROTOCOL_KINDS, DynamicsRun, Protocol
-from .evolution import PopulationState, make_grid
 from .game import Utility
+from .specs import PAYOFF_METHODS, PROTOCOL_KINDS, DynamicsRun, Protocol
 
 UTILITY_KINDS = ("identity", "log1p", "power")
 # Named substreams of the scenario seed, so each analysis draws
@@ -214,6 +213,8 @@ def substream_seed(seed: int, name: str) -> int:
 
 def build_run(s: Scenario, view: CapacityRegionView) -> DynamicsRun:
     """The scenario's `dynamics` run on this channel: uniform start on its action grid."""
+    from .evolution import PopulationState, make_grid   # the payoff engine, only for a run
+
     top = float(view.single_caps.max())   # C(N)/m can round one ulp above C({1})
     include = min(view.total / view.m, top) if view.model.symmetric else None
     grid = make_grid(top, s.grid_points, include=include)

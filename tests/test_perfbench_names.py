@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import macgame.cli  # noqa: F401 -- Tracer.install reads every macgame submodule
+# Tracer.install reads these modules out of sys.modules; the package loads them lazily
+from macgame import capacity, cli, dynamics, evolution, game, scenario, selection  # noqa: F401
 from macgame import (ChannelModel, DynamicsRun, PopulationState, Protocol, Utility, build_view,
                      make_grid, simulate)
 

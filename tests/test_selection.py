@@ -128,10 +128,13 @@ class TestNormalizedEquilibrium:
 
 
 def test_import_leaves_scipy_out():
-    # the CLI imports every module of the package; scipy would cost each call its import
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, macgame.cli; print(any(k.split('.')[0] == 'scipy' for k in sys.modules))"
+    # scipy would cost each CLI call that loads the module its import; a call loads only what
+    # its subcommand runs, so every module of the package is imported here
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    modules = sorted(p.stem for p in (src / "macgame").glob("*.py") if p.stem[0] != "_")
+    code = (f"import sys; from macgame import {', '.join(modules)}; "
+            "print(any(k.split('.')[0] == 'scipy' for k in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"
