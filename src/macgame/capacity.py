@@ -24,8 +24,9 @@ kept for listings and checks.
 At small m a one-profile query costs numpy dispatch, not arithmetic, so
 those paths take the cheapest call with the same result: a 1-D extreme is
 read as x[x.argmin()] or x[x.argmax()], the value x.min() or x.max() gives
-(NaN included) without a ufunc reduction's fixed cost, and running sums
-call np.add.accumulate, which x.cumsum() wraps.
+(NaN included) without a ufunc reduction's fixed cost, running sums call
+np.add.accumulate, which x.cumsum() wraps, into preallocated arrays in place
+of np.concatenate or np.pad, and a sum calls np.add.reduce, which np.sum wraps.
 
 Users are indexed 0..m-1 throughout.
 """
@@ -51,7 +52,7 @@ MAX_VERTEX_USERS = 8
 
 # Bisection on a block's common scale stops at a width of 4 ulps of the root.
 MAX_BISECT_ITER = 200
-BISECT_RTOL = 4.0 * np.finfo(float).eps
+BISECT_RTOL = 4.0 * float(np.finfo(float).eps)
 
 
 @dataclass
@@ -61,10 +62,11 @@ class ChannelModel:
     snr: np.ndarray
 
     def __post_init__(self):
-        self.snr = np.atleast_1d(np.asarray(self.snr, dtype=float))
-        if self.snr.ndim != 1 or self.snr.size < 1:
+        snr = np.asarray(self.snr, dtype=float)
+        self.snr = snr = snr.reshape(1) if snr.ndim == 0 else snr
+        if snr.ndim != 1 or snr.size < 1:
             raise ValueError("snr must be a non-empty 1-D array")
-        if not np.all(np.isfinite(self.snr)) or np.any(self.snr <= 0.0):
+        if not (snr[snr.argmin()] > 0.0 and snr[snr.argmax()] < math.inf):
             raise ValueError("every snr must be positive and finite")
 
     @property
@@ -74,7 +76,7 @@ class ChannelModel:
     @property
     def symmetric(self) -> bool:
         """Users are exchangeable: every SNR is the same float (the package's one rule)."""
-        return bool(np.all(self.snr == self.snr[0]))
+        return bool((self.snr == self.snr[0]).all())
 
     @classmethod
     def from_link_budget(cls, powers, gains, noise_var: float):
@@ -170,12 +172,12 @@ def build_view(model: ChannelModel) -> CapacityRegionView:
     SNRs can round it one ulp above, so every grid snap of the equal split clamps to C({1})."""
     snr = model.snr
     # The others' SNRs summed directly: total - s_i cancels when s_i dominates.
-    before = np.concatenate(([0.0], snr[:-1].cumsum()))
-    after = np.concatenate((snr[:0:-1].cumsum()[::-1], [0.0]))
+    before, after = np.zeros((2, snr.size))
+    np.add.accumulate(snr[:-1], out=before[1:])
+    np.add.accumulate(snr[:0:-1], out=after[-2::-1])
     safe = np.log1p(snr / (1.0 + before + after))
-    single = np.log1p(snr)
-    grand = float(np.log1p(snr.sum()))
-    return CapacityRegionView(model=model, safe_rates=safe, single_caps=single, total=grand)
+    return CapacityRegionView(model=model, safe_rates=safe, single_caps=np.log1p(snr),
+                              total=float(np.log1p(snr.sum())))
 
 
 def as_profile(m: int, rates) -> np.ndarray:
@@ -322,16 +324,6 @@ def face_vertices(view: CapacityRegionView) -> np.ndarray:
     return _greedy_corners(view.model.snr, perms)
 
 
-def _bisect(f, lo: float, hi: float) -> float:
-    """Root of a decreasing f in [lo, hi], to BISECT_RTOL * |root|."""
-    for _ in range(MAX_BISECT_ITER):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= BISECT_RTOL * abs(mid):
-            return mid
-        lo, hi = (mid, hi) if f(mid) > 0.0 else (lo, mid)
-    raise ValueError(f"bisection did not converge in {MAX_BISECT_ITER} iterations")
-
-
 def max_weighted_base(view: CapacityRegionView, deriv, inv_deriv, weights) -> tuple:
     """Maximiser of sum_j w_j g(alpha_j) over the maximal face, by decomposition.
 
@@ -353,11 +345,18 @@ def max_weighted_base(view: CapacityRegionView, deriv, inv_deriv, weights) -> tu
         w = weights[users]
         total = math.log1p(float(snr.sum()))
         slopes = w * np.asarray(deriv(total / users.size), dtype=float)
-        c = _bisect(lambda c: float(np.sum(inv_deriv(c / w))) - total, slopes.min(), slopes.max())
+        lo, hi = float(slopes[slopes.argmin()]), float(slopes[slopes.argmax()])
+        for _ in range(MAX_BISECT_ITER):   # the rates' sum decreases in c
+            c = 0.5 * (lo + hi)
+            if hi - lo <= BISECT_RTOL * abs(c):
+                break
+            lo, hi = (c, hi) if float(np.add.reduce(inv_deriv(c / w))) - total > 0.0 else (lo, c)
+        else:
+            raise ValueError(f"bisection did not converge in {MAX_BISECT_ITER} iterations")
         rates = np.asarray(inv_deriv(c / w), dtype=float)
         order, cum_rates, cum_snr = _ratio_prefixes(rates, snr)
         excess = cum_rates[:-1] - np.log1p(cum_snr[:-1])
-        if excess.max(initial=0.0) > 0.0:
+        if excess.size and excess[excess.argmax()] > 0.0:
             k = int(excess.argmax()) + 1
             blocks.append((users[order[:k]], snr[order[:k]]))
             blocks.append((users[order[k:]], snr[order[k:]] / (1.0 + cum_snr[k - 1])))

@@ -50,10 +50,10 @@ def capacity_identities(scenario, view, g, rng) -> Check:
         mm = int(rng.integers(1, 7))
         trial = cap.ChannelModel(rng.uniform(0.05, 30.0, size=mm))
         full = range(mm)
+        grand = cap.capacity_of(trial, full)
         for i in range(mm):
-            lhs = cap.safe_rate(trial, i, full)
-            rhs = cap.capacity_of(trial, full) - (
-                cap.capacity_of(trial, [j for j in full if j != i]) if mm > 1 else 0.0)
+            rest = cap.capacity_of(trial, [j for j in full if j != i]) if mm > 1 else 0.0
+            lhs, rhs = cap.safe_rate(trial, i, full), grand - rest
             if abs(lhs - rhs) > tol:
                 return Check(name, False, f"identity off by {abs(lhs - rhs):.2e} (tol {tol:g})",
                              tol)

@@ -173,7 +173,7 @@ def ess_check(view: CapacityRegionView, g: Utility, spec: EssTestSpec) -> EssRes
     b = ESS_SHARE * mutants + (1.0 - ESS_SHARE) * r
     u_res = _own_values(g, np.array([r])) * _mixed_gate(view, r, b)
     u_mut = _own_values(g, mutants) * _mixed_gate(view, mutants, b)
-    fails = np.flatnonzero(_mixed_gate(view, b, b) & ~(u_res > u_mut + ESS_MARGIN))
+    fails = (_mixed_gate(view, b, b) & ~(u_res > u_mut + ESS_MARGIN)).nonzero()[0]
     if fails.size:
         return EssResult(is_ess=False, witness=(float(mutants[fails[0]]), ESS_SHARE))
     return EssResult(is_ess=True, witness=None)

@@ -11,6 +11,7 @@ moving to its reply slack: all three verdicts read every user's slack
 from one ratio sort of the profile, exactly and for any m. g is read at
 max(rate, 0), as feasible rates may dip to -FEASIBILITY_TOL. For concave
 g the worst equilibrium is the face vertex serving users by decreasing SNR.
+Each verdict makes the fewest numpy calls with the same bits, as `capacity` sets out.
 """
 from __future__ import annotations
 
@@ -78,11 +79,10 @@ class Utility:
 
     def validate(self, c_max: float) -> None:
         """Check positivity and strict increase at UTILITY_CHECK_POINTS points of (0, c_max]."""
-        xs = np.linspace(0.0, c_max, UTILITY_CHECK_POINTS + 1)[1:]
-        vals = self(xs)
-        if np.any(vals <= 0.0):
+        vals = self(np.linspace(0.0, c_max, UTILITY_CHECK_POINTS + 1)[1:])
+        if (vals <= 0.0).any():
             raise ValueError(f"utility '{self.kind}' is not positive on (0, {c_max:g})")
-        if np.any(np.diff(vals) <= 0.0):
+        if (vals[1:] - vals[:-1] <= 0.0).any():
             raise ValueError(f"utility '{self.kind}' is not strictly increasing on (0, {c_max:g})")
 
     def require_strictly_concave(self, c_max: float) -> None:
@@ -91,7 +91,7 @@ class Utility:
             raise ValueError(f"utility '{self.kind}' has no derivative")
         xs = np.linspace(0.0, c_max, UTILITY_CHECK_POINTS + 1)[1:]
         dv = np.asarray(self.deriv(xs), dtype=float)
-        if np.any(np.diff(dv) >= 0.0):
+        if (dv[1:] - dv[:-1] >= 0.0).any():
             raise ValueError(f"utility '{self.kind}' is not strictly concave on (0, {c_max:g})")
 
 
@@ -210,7 +210,8 @@ def greedy_welfare(g: Utility, served: np.ndarray) -> np.ndarray:
     ln1p values loses a weak user's digits (2e-4 of the welfare at snr
     (10, 1e-13), g = x ** 0.05).
     """
-    before = np.pad(served[:, :-1].cumsum(axis=1), ((0, 0), (1, 0)))
+    before = np.zeros(served.shape)
+    np.add.accumulate(served[:, :-1], axis=1, out=before[:, 1:])
     return g(np.log1p(served / (1.0 + before))).sum(axis=1)
 
 

@@ -212,7 +212,7 @@ def substream_seed(seed: int, name: str) -> int:
 
 
 def build_run(s: Scenario, view: CapacityRegionView) -> DynamicsRun:
-    """The scenario's `dynamics` run on this channel: uniform start on its action grid."""
+    """The scenario's `dynamics` run: uniform start on its action grid, seeded if Monte Carlo."""
     from .evolution import PopulationState, make_grid   # the payoff engine, only for a run
 
     top = float(view.single_caps.max())   # C(N)/m can round one ulp above C({1})
@@ -224,7 +224,7 @@ def build_run(s: Scenario, view: CapacityRegionView) -> DynamicsRun:
         dt=s.dt,
         steps=s.steps,
         record_every=s.record_every,
-        seed=substream_seed(s.seed, "dynamics"),
+        seed=substream_seed(s.seed, "dynamics") if s.payoff_method == "montecarlo" else 0,
         payoff_method=s.payoff_method,
         samples=s.samples,
     )

@@ -7,7 +7,7 @@ tight sets and one multiplier lambda_J >= 0 per set, with
 tau_j g'(alpha_j) equal to the sum of lambda_J over the sets J holding j.
 The Goodman certificate checks the uniqueness condition numerically: the
 symmetrized Jacobian of the weighted payoff gradients must be negative
-definite at the point of interest.
+definite at the point of interest. Both keep to the numpy-call floor `capacity` sets out.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ class NormalizedEqConfig:
         w = np.atleast_1d(np.asarray(self.weights, dtype=float))
         if w.shape != (m,):
             raise ValueError(f"need {m} weights, got shape {w.shape}")
-        if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
+        if not (w[w.argmin()] > 0.0 and w[w.argmax()] < np.inf):
             raise ValueError("weights must be positive and finite")
         return w
 
@@ -68,19 +68,19 @@ def normalized_equilibrium(view: CapacityRegionView,
         raise ValueError(f"utility '{g.kind}' has no inverse derivative")
     tau = config.resolve_weights(view.m)
     alpha, c = max_weighted_base(view, g.deriv, g.inv_deriv, tau)
-    levels = np.array(sorted(set(c.tolist()), reverse=True))
-    members = c >= levels[:, None]
-    lam = levels - np.append(levels[1:], 0.0)
+    levels = np.array(sorted(set(c.tolist()), reverse=True) + [0.0])   # c's levels, then 0
+    members = c >= levels[:-1, None]
+    lam = levels[:-1] - levels[1:]
     zeta = np.asarray(g.deriv(alpha), dtype=float)
-    resid = max(float(np.max(np.abs(lam @ members / (tau * zeta) - 1.0))),
-                float(np.max(np.abs(members @ alpha - np.log1p(members @ view.model.snr)))),
-                worst_excess(view, alpha))
+    cover = np.abs(lam @ members / (tau * zeta) - 1.0)
+    gap = np.abs(members @ alpha - np.log1p(members @ view.model.snr))
+    resid = max(float(cover[cover.argmax()]), float(gap[gap.argmax()]), worst_excess(view, alpha))
     if resid >= KKT_TOL:
         raise ValueError(f"KKT residual {resid:.3e} exceeds {KKT_TOL:g}; "
                          "inverse derivative is inconsistent with the derivative")
     return NormalizedEquilibrium(
         profile=alpha, multipliers=zeta, scale=float(lam[-1]), kkt_residual=resid,
-        tight_sets=[tuple(np.flatnonzero(s).tolist()) for s in members],
+        tight_sets=[tuple(s.nonzero()[0].tolist()) for s in members],
         set_multipliers=lam)
 
 
@@ -112,7 +112,7 @@ def goodman_certificate(view: CapacityRegionView, g: Utility, profile,
     if g.deriv is None:
         raise ValueError(f"utility '{g.kind}' has no derivative")
     # worst_excess >= 0 exactly when some nonempty constraint is tight or broken
-    if profile.min() <= 0.0 or worst_excess(view, profile) >= 0.0:
+    if profile[profile.argmin()] <= 0.0 or worst_excess(view, profile) >= 0.0:
         raise ValueError("certificate requires interior point")
 
     def h(x: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ import itertools
 import math
 import timeit
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,11 +26,18 @@ from macgame import (
     potential,
     sample_max_face,
 )
-from macgame.capacity import _greedy_corners, feasible_rows, is_feasible, reply_slack
+from macgame.capacity import (MAX_BISECT_ITER, _greedy_corners, feasible_rows, is_feasible,
+                              reply_slack, worst_excess)
 from macgame import game as game_module
-from macgame.game import IMPROVEMENT_MARGIN, NASH_TOL, _reply_slacks
+from macgame.evolution import (ESS_MARGIN, ESS_SHARE, EssTestSpec, _mixed_gate, _own_values,
+                               ess_check)
+from macgame.game import (IMPROVEMENT_MARGIN, NASH_TOL, UTILITY_CHECK_POINTS, _reply_slacks,
+                          greedy_welfare)
+from macgame.selection import (KKT_TOL, NormalizedEqConfig, goodman_certificate,
+                               normalized_equilibrium)
 
 from lattice import greedy_vertices, pareto_by_lattice, strong_by_lattice
+from test_capacity import outcome, ref_as_profile, ref_ratio_prefixes, ref_reply_slacks
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -534,3 +542,273 @@ class TestWorstVertex:
         view = build_view(ChannelModel(np.exp(np.random.default_rng(7).uniform(-4.0, 4.0, 1000))))
         best = min(timeit.repeat(lambda: efficiency_metrics(view, g), number=1, repeat=5))
         assert best < 0.01
+
+
+# Copies of the verdict layer as it was before it was taken to its numpy-call floor:
+# np.atleast_1d, np.all, np.any, np.diff, np.pad, np.concatenate, np.append, np.max,
+# np.sum, np.flatnonzero and np.diag, with numpy scalars for the bisection bracket.
+REF_BISECT_RTOL = 4.0 * np.finfo(float).eps
+
+
+def ref_view(snr):
+    """ChannelModel's checks and build_view's fields, as a plain namespace."""
+    snr = np.atleast_1d(np.asarray(snr, dtype=float))
+    if snr.ndim != 1 or snr.size < 1:
+        raise ValueError("snr must be a non-empty 1-D array")
+    if not np.all(np.isfinite(snr)) or np.any(snr <= 0.0):
+        raise ValueError("every snr must be positive and finite")
+    before = np.concatenate(([0.0], snr[:-1].cumsum()))
+    after = np.concatenate((snr[:0:-1].cumsum()[::-1], [0.0]))
+    model = SimpleNamespace(snr=snr, symmetric=bool(np.all(snr == snr[0])))
+    return SimpleNamespace(model=model, m=snr.size,
+                           safe_rates=np.log1p(snr / (1.0 + before + after)),
+                           single_caps=np.log1p(snr), total=float(np.log1p(snr.sum())))
+
+
+def ref_validate(g, c_max):
+    vals = g(np.linspace(0.0, c_max, UTILITY_CHECK_POINTS + 1)[1:])
+    if np.any(vals <= 0.0):
+        raise ValueError(f"utility '{g.kind}' is not positive on (0, {c_max:g})")
+    if np.any(np.diff(vals) <= 0.0):
+        raise ValueError(f"utility '{g.kind}' is not strictly increasing on (0, {c_max:g})")
+
+
+def ref_require_strictly_concave(g, c_max):
+    if g.deriv is None:
+        raise ValueError(f"utility '{g.kind}' has no derivative")
+    dv = np.asarray(g.deriv(np.linspace(0.0, c_max, UTILITY_CHECK_POINTS + 1)[1:]), dtype=float)
+    if np.any(np.diff(dv) >= 0.0):
+        raise ValueError(f"utility '{g.kind}' is not strictly concave on (0, {c_max:g})")
+
+
+def ref_bisect(f, lo, hi):
+    for _ in range(MAX_BISECT_ITER):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= REF_BISECT_RTOL * abs(mid):
+            return mid
+        lo, hi = (mid, hi) if f(mid) > 0.0 else (lo, mid)
+    raise ValueError(f"bisection did not converge in {MAX_BISECT_ITER} iterations")
+
+
+def ref_max_weighted_base(view, deriv, inv_deriv, weights):
+    weights = np.asarray(weights, dtype=float)
+    profile, scales = np.empty(view.m), np.empty(view.m)
+    blocks = [(np.arange(view.m), view.model.snr)]
+    while blocks:
+        users, snr = blocks.pop()
+        w = weights[users]
+        total = math.log1p(float(snr.sum()))
+        slopes = w * np.asarray(deriv(total / users.size), dtype=float)
+        c = ref_bisect(lambda c: float(np.sum(inv_deriv(c / w))) - total,
+                       slopes.min(), slopes.max())
+        rates = np.asarray(inv_deriv(c / w), dtype=float)
+        order, cum_rates, cum_snr = ref_ratio_prefixes(rates, snr)
+        excess = cum_rates[:-1] - np.log1p(cum_snr[:-1])
+        if excess.max(initial=0.0) > 0.0:
+            k = int(excess.argmax()) + 1
+            blocks.append((users[order[:k]], snr[order[:k]]))
+            blocks.append((users[order[k:]], snr[order[k:]] / (1.0 + cum_snr[k - 1])))
+        else:
+            profile[users] = rates
+            scales[users] = c
+    return profile, scales
+
+
+def ref_no_solo_gain(view, g, profile, tol=IMPROVEMENT_MARGIN):
+    profile = ref_as_profile(view.m, profile)
+    slacks = ref_reply_slacks(view, profile)
+    return slacks is not None and bool(
+        (g(np.maximum(slacks, 0.0)) <= g(np.maximum(profile, 0.0)) + tol).all())
+
+
+def ref_greedy_welfare(g, served):
+    before = np.pad(served[:, :-1].cumsum(axis=1), ((0, 0), (1, 0)))
+    return g(np.log1p(served / (1.0 + before))).sum(axis=1)
+
+
+def ref_efficiency_metrics(view, g):
+    ref_validate(g, float(view.single_caps.max()))
+    worst = social = float(ref_greedy_welfare(g, -np.sort(-view.model.snr)[None])[0])
+    if g.inv_deriv is not None:
+        opt, _ = ref_max_weighted_base(view, g.deriv, g.inv_deriv, np.ones(view.m))
+        social = float(g(opt).sum())
+    return worst / social, 1.0, social
+
+
+def ref_normalized_equilibrium(view, g, weights):
+    ref_require_strictly_concave(g, float(view.single_caps.max()))
+    if g.inv_deriv is None:
+        raise ValueError(f"utility '{g.kind}' has no inverse derivative")
+    if weights is None:
+        tau = np.ones(view.m)
+    else:
+        tau = np.atleast_1d(np.asarray(weights, dtype=float))
+        if tau.shape != (view.m,):
+            raise ValueError(f"need {view.m} weights, got shape {tau.shape}")
+        if np.any(tau <= 0.0) or not np.all(np.isfinite(tau)):
+            raise ValueError("weights must be positive and finite")
+    alpha, c = ref_max_weighted_base(view, g.deriv, g.inv_deriv, tau)
+    levels = np.array(sorted(set(c.tolist()), reverse=True))
+    members = c >= levels[:, None]
+    lam = levels - np.append(levels[1:], 0.0)
+    zeta = np.asarray(g.deriv(alpha), dtype=float)
+    resid = max(float(np.max(np.abs(lam @ members / (tau * zeta) - 1.0))),
+                float(np.max(np.abs(members @ alpha - np.log1p(members @ view.model.snr)))),
+                worst_excess(view, alpha))
+    if resid >= KKT_TOL:
+        raise ValueError(f"KKT residual {resid:.3e} exceeds {KKT_TOL:g}; "
+                         "inverse derivative is inconsistent with the derivative")
+    return (alpha, zeta, float(lam[-1]), resid,
+            [tuple(np.flatnonzero(s).tolist()) for s in members], lam)
+
+
+def ref_goodman_certificate(view, g, profile, zeta, fd_step=1e-5):
+    profile = ref_as_profile(view.m, profile)
+    zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
+    if zeta.shape != (view.m,):
+        raise ValueError(f"need {view.m} multipliers, got shape {zeta.shape}")
+    if g.deriv is None:
+        raise ValueError(f"utility '{g.kind}' has no derivative")
+    if profile.min() <= 0.0 or worst_excess(view, profile) >= 0.0:
+        raise ValueError("certificate requires interior point")
+
+    def h(x):
+        return zeta * np.asarray(g.deriv(x), dtype=float)
+
+    step = np.where(profile > fd_step, fd_step, 0.5 * profile)
+    G = np.diag((h(profile + step) - h(profile - step)) / (2.0 * step))
+    S = G + G.T
+    eig = np.linalg.eigvalsh(S)
+    return G, S, eig, bool(eig.max() < -1e-10)
+
+
+def ref_ess_check(view, g, resident, mutant_grid):
+    if not view.model.symmetric:
+        raise ValueError("ESS test requires a symmetric channel")
+    rstar = view.total / view.m
+    r = float(resident)
+    if not (r >= -1e-12 and _mixed_gate(view, r, r)):
+        raise ValueError(f"resident {r} outside the feasible symmetric range [0, {rstar:g}]")
+    ref_validate(g, float(view.single_caps.max()))
+    mutants = np.linspace(0.0, rstar, mutant_grid)
+    mutants = mutants[np.abs(mutants - r) > 1e-12]
+    b = ESS_SHARE * mutants + (1.0 - ESS_SHARE) * r
+    u_res = _own_values(g, np.array([r])) * _mixed_gate(view, r, b)
+    u_mut = _own_values(g, mutants) * _mixed_gate(view, mutants, b)
+    fails = np.flatnonzero(_mixed_gate(view, b, b) & ~(u_res > u_mut + ESS_MARGIN))
+    if fails.size:
+        return False, (float(mutants[fails[0]]), ESS_SHARE)
+    return True, None
+
+
+def view_fields(view):
+    return view.model.snr, view.model.symmetric, view.safe_rates, view.single_caps, view.total
+
+
+def lib_view_fields(snr):
+    return view_fields(build_view(ChannelModel(snr)))
+
+
+def ref_view_fields(snr):
+    return view_fields(ref_view(snr))
+
+
+def lib_normalized(view, g, weights):
+    ne = normalized_equilibrium(view, NormalizedEqConfig(g=g, weights=weights))
+    return (ne.profile, ne.multipliers, ne.scale, ne.kkt_residual, ne.tight_sets,
+            ne.set_multipliers)
+
+
+def lib_goodman(view, g, profile, zeta):
+    cert = goodman_certificate(view, g, profile, zeta)
+    return cert.jacobian, cert.symmetrized, cert.eigenvalues, cert.negative_definite
+
+
+def lib_ess(view, g, resident, mutant_grid):
+    res = ess_check(view, g, EssTestSpec(resident=resident, mutant_grid=mutant_grid))
+    return res.is_ess, res.witness
+
+
+def verdict_channels(seed=30):
+    """(snr, utilities, tau) for m = 1..12, SNRs e^U(-30, 10) (every other channel with
+    repeated SNRs), utilities identity, log1p and power(U(0.05, 0.95)), tau e^U(-1, 1)."""
+    rng = np.random.default_rng(seed)
+    for m in range(1, 13):
+        for c in range(4):
+            snr = np.exp(rng.uniform(-30.0, 10.0, m))
+            if c % 2:
+                snr = rng.choice(snr[: max(1, m // 2)], size=m)
+            gs = (Utility.identity(), Utility.log1p(),
+                  Utility.power(float(rng.uniform(0.05, 0.95))))
+            yield snr, gs, np.exp(rng.uniform(-1.0, 1.0, m))
+
+
+class TestVerdictBitIdentity:
+    """The verdict layer and the channel constructors under it give what the copies above
+    give, bit for bit: values and errors alike."""
+
+    def test_channels_and_efficiency(self):
+        for snr, gs, _ in verdict_channels():
+            assert outcome(lib_view_fields, snr) == outcome(ref_view_fields, snr)
+            view, ref = build_view(ChannelModel(snr)), ref_view(snr)
+            served = snr[np.random.default_rng(snr.size).permuted(
+                np.tile(np.arange(snr.size), (5, 1)), axis=1)]
+            for g in gs:
+                assert (outcome(lambda: tuple(efficiency_metrics(view, g).values()))
+                        == outcome(ref_efficiency_metrics, ref, g)), g.kind
+                assert outcome(greedy_welfare, g, served) == outcome(ref_greedy_welfare, g, served)
+                for c_max in (float(view.single_caps.min()), view.total):
+                    assert outcome(g.validate, c_max) == outcome(ref_validate, g, c_max)
+                    assert (outcome(g.require_strictly_concave, c_max)
+                            == outcome(ref_require_strictly_concave, g, c_max))
+
+    def test_strong_and_pareto(self):
+        for snr, gs, _ in verdict_channels(31):
+            view, ref, m = build_view(ChannelModel(snr)), ref_view(snr), snr.size
+            corners = greedy_vertices(view, 6, seed=m)
+            rng = np.random.default_rng(m)
+            face = rng.dirichlet(np.ones(len(corners)), size=3) @ corners
+            rows = np.concatenate([corners, face, face * rng.uniform(0.3, 0.99, (3, 1)),
+                                   face * rng.uniform(1.01, 1.2, (3, 1)), np.zeros((1, m))])
+            for g in gs:
+                for p in rows:
+                    want = outcome(ref_no_solo_gain, ref, g, p)
+                    assert outcome(is_strong_equilibrium, view, g, p) == want
+                    assert outcome(is_pareto_optimal, view, g, p) == want
+
+    def test_normalized_and_goodman(self):
+        for snr, gs, tau in verdict_channels(32):
+            view, ref = build_view(ChannelModel(snr)), ref_view(snr)
+            for g in gs:
+                for weights in (None, tau, tau[:1], -tau, tau * np.inf):
+                    got = outcome(lib_normalized, view, g, weights)
+                    assert got == outcome(ref_normalized_equilibrium, ref, g, weights), g.kind
+                    if got[0] == "raised":
+                        continue
+                    profile, zeta = lib_normalized(view, g, weights)[:2]
+                    for p, z in ((profile * (1.0 - 1e-3), zeta), (profile, zeta),
+                                 (profile * 0.5, zeta[:-1])):
+                        assert (outcome(lib_goodman, view, g, p, z)
+                                == outcome(ref_goodman_certificate, ref, g, p, z))
+
+    def test_ess(self):
+        rng = np.random.default_rng(33)
+        for m in range(1, 13):
+            snr = np.full(m, np.exp(rng.uniform(-30.0, 10.0)))
+            view, ref = build_view(ChannelModel(snr)), ref_view(snr)
+            for g in (Utility.identity(), Utility.log1p(),
+                      Utility.power(float(rng.uniform(0.05, 0.95)))):
+                for share in (1.0, 0.9, 0.5, 0.0, 1.5):
+                    for grid in (2, 40):
+                        resident = share * view.total / m
+                        assert (outcome(lib_ess, view, g, resident, grid)
+                                == outcome(ref_ess_check, ref, g, resident, grid))
+        asym = np.array([1.0, 2.0])
+        assert (outcome(lib_ess, build_view(ChannelModel(asym)), Utility.identity(), 0.1, 5)
+                == outcome(ref_ess_check, ref_view(asym), Utility.identity(), 0.1, 5))
+
+    @pytest.mark.parametrize("snr", [
+        [1.0, math.nan], [math.inf, 1.0], [1.0, -math.inf], [0.0, 1.0], [-1.0], [], [[1.0, 2.0]],
+        np.zeros((0, 2)), 2.5, np.float64(0.0), np.array(3.0), (4.0, 5.0)])
+    def test_channel_inputs(self, snr):
+        assert outcome(lib_view_fields, snr) == outcome(ref_view_fields, snr)

@@ -59,16 +59,20 @@ def fresh_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
 
-def loaded_modules(args: list, cwd) -> set:
-    """The macgame modules a fresh interpreter imports to run `args` (its exit code must be
-    0): `python -m macgame ARGS` by default, or `python -c CODE` when args start with -c."""
+def imported(args: list, cwd) -> set:
+    """Every module a fresh interpreter imports to run `args` (its exit code must be 0):
+    `python -m macgame ARGS` by default, or `python -c CODE` when args start with -c."""
     argv = args if args[0] == "-c" else ["-m", "macgame"] + args
     proc = subprocess.run([sys.executable, "-X", "importtime"] + argv, cwd=cwd, env=fresh_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
-             if line.startswith("import time:")}
-    return {name for name in names if name.split(".")[0] == "macgame"}
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def loaded_modules(args: list, cwd) -> set:
+    """The macgame modules among `imported(args, cwd)`."""
+    return {name for name in imported(args, cwd) if name.split(".")[0] == "macgame"}
 
 
 def command_args(name: str, command: str, tmp_path) -> list:
@@ -96,6 +100,14 @@ CALLS = [(name, command) for name in SHIPPED for command in sorted(EXTRA)
 @pytest.mark.parametrize("name, command", CALLS)
 def test_subcommand_loads_only_what_it_runs(name, command, tmp_path):
     assert loaded_modules(command_args(name, command, tmp_path), tmp_path) == BASE | EXTRA[command]
+
+
+@pytest.mark.parametrize("method, loads", [("exact", False), ("montecarlo", True)])
+def test_only_monte_carlo_dynamics_loads_numpy_random(method, loads, tmp_path):
+    # an exact run reads no seed, so it derives none: SeedSequence would load numpy.random
+    args = command_args("sym2", "dynamics", tmp_path)
+    args[2:2] = ["--set", f"payoff_method={method}"]
+    assert ("numpy.random" in imported(args, tmp_path)) is loads
 
 
 def test_bare_import_loads_no_submodule(tmp_path):
