@@ -1,6 +1,16 @@
 """The `verify` battery: nine checks, each a function of (scenario, view, g, rng) returning
 one `Check` record whose detail states the tolerance `tol` that decided its verdict. `run`
 calls them in order on one generator seeded by the scenario, so every draw is fixed per seed.
+
+The four sampling checks (`capacity-identities`, `nash-face-equivalence`,
+`potential-identity`, `best-response-argmax`) make all their draws first, the same
+generator calls in the same order as a loop judging one case at a time, and then judge
+every case at once through the oracle's (B, m) batch forms, with the one-case calls' bits.
+If case i fails, the generator is put back and draws 0..i are made again, so it stops where
+that loop stopped and every later check draws the same. `best-response-argmax` finds the
+feasible points of each 2000-point grid by bisection: the region is down-closed, so they
+are a prefix of the increasing grid. The exhaustive rank checks read the 2^m table through
+strided halves of `view.cap.reshape((2,) * m)`, one axis per user, not through gathers.
 """
 import itertools
 import math
@@ -16,6 +26,9 @@ from . import selection as sel
 from .scenario import substream_seed
 
 MC_EXACT_ROWS = 1 << 18   # the largest exact listing `montecarlo-payoffs` builds
+RANK_TOL = 1e-12          # capacity-identities
+POTENTIAL_TOL = 1e-12     # potential-identity
+REPLY_TOL = 1e-9          # best-response-argmax
 
 
 class Check(NamedTuple):
@@ -44,35 +57,77 @@ def _random_mixed_state(rng, grid: np.ndarray, mean_cap: float) -> "evo.Populati
     return evo.PopulationState(grid, masses)
 
 
+def _math_log1p(values: np.ndarray) -> np.ndarray:
+    # what `capacity_of` and `safe_rate` take; np.log1p differs from it in the last bit
+    return np.array([math.log1p(v) for v in values.ravel().tolist()]).reshape(values.shape)
+
+
+def _draw_models(rng, count: int) -> tuple:
+    """The sizes of `count` random channels of 1 to 6 users and their SNRs, zero-padded to 6."""
+    sizes, snrs = np.empty(count, dtype=int), np.zeros((count, 6))
+    for k in range(count):
+        sizes[k] = mm = int(rng.integers(1, 7))
+        snrs[k, :mm] = rng.uniform(0.05, 30.0, size=mm)
+    return sizes, snrs
+
+
 def capacity_identities(scenario, view, g, rng) -> Check:
-    name, m, tol = "capacity-identities", view.m, 1e-12
-    for _ in range(200):
-        mm = int(rng.integers(1, 7))
-        trial = cap.ChannelModel(rng.uniform(0.05, 30.0, size=mm))
-        full = range(mm)
-        grand = cap.capacity_of(trial, full)
-        for i in range(mm):
-            rest = cap.capacity_of(trial, [j for j in full if j != i]) if mm > 1 else 0.0
-            lhs, rhs = cap.safe_rate(trial, i, full), grand - rest
-            if abs(lhs - rhs) > tol:
-                return Check(name, False, f"identity off by {abs(lhs - rhs):.2e} (tol {tol:g})",
-                             tol)
+    name, m, tol = "capacity-identities", view.m, RANK_TOL
+    state = rng.bit_generator.state
+    sizes, snrs = _draw_models(rng, 200)
+    # the left-to-right sums `capacity_of` and `safe_rate` take; a padded zero adds exactly
+    grand = _math_log1p(np.add.accumulate(snrs, axis=1)[:, -1])
+    rest = np.stack([np.add.accumulate(np.delete(snrs, i, axis=1), axis=1)[:, -1]
+                     for i in range(6)], axis=1)
+    off = np.abs(_math_log1p(snrs / (1.0 + rest)) - (grand[:, None] - _math_log1p(rest)))
+    bad = np.flatnonzero((np.arange(6) < sizes[:, None]) & (off > tol))
+    if bad.size:
+        rng.bit_generator.state = state   # stop after the failing model's draws
+        _draw_models(rng, bad[0] // 6 + 1)
+        return Check(name, False, f"identity off by {off.flat[bad[0]]:.2e} (tol {tol:g})", tol)
     if m > cap.MAX_ENUM_USERS:
         return Check(name, True, (f"200 random models (tol {tol:g}); skipped exhaustive rank "
                                   f"checks: 2^m enumeration needs m <= {cap.MAX_ENUM_USERS}"), tol)
-    caps = view.cap
-    masks = np.arange(caps.size)
-    for i in range(m):
-        base = masks[(masks >> i) & 1 == 0]
-        if np.any(caps[base] - tol > caps[base | (1 << i)]):
-            return Check(name, False, f"monotonicity violated (tol {tol:g})", tol)
-    for i, j in itertools.permutations(range(m), 2):
-        base = masks[((masks >> i) & 1 == 0) & ((masks >> j) & 1 == 0)]
-        lhs = caps[base | (1 << i)] - caps[base]
-        rhs = caps[base | (1 << i) | (1 << j)] - caps[base | (1 << j)]
-        if np.any(rhs - lhs > tol):
-            return Check(name, False, f"submodularity violated (tol {tol:g})", tol)
+    # strided halves of the 2^m table: axis m-1-i holds bit i of the mask, so its index 0
+    # reads C(J) and its index 1 C(J + i), over every J without i
+    table = view.cap.reshape((2,) * m)
+    halves = [np.moveaxis(table, m - 1 - i, 0) for i in range(m)]
+    if any(np.any(lo - tol > hi) for lo, hi in halves):
+        return Check(name, False, f"monotonicity violated (tol {tol:g})", tol)
+    for i, (lo, hi) in enumerate(halves):
+        gain = hi - lo   # C(J + i) - C(J); axis m-1-i is gone, so bit j < i sits one lower
+        for j in itertools.chain(range(i), range(i + 1, m)):
+            without_j, with_j = np.moveaxis(gain, m - 1 - j - (j < i), 0)
+            if np.any(with_j - without_j > tol):
+                return Check(name, False, f"submodularity violated (tol {tol:g})", tol)
     return Check(name, True, f"200 random models + exhaustive rank checks (tol {tol:g})", tol)
+
+
+def _nash_face_rows(view, profiles: np.ndarray) -> tuple:
+    """`game.is_nash` and `cap.max_face_residual(...) == 0.0` for each row of a (B, m) batch.
+
+    Each row gets the one-profile calls' ratio sort, prefix sums and (m, m + 1) slack table
+    of `game._reply_slacks`, so the same bits; rows are taken SLACK_BLOCK_CELLS table cells
+    at a time.
+    """
+    m, snr, tol = view.m, view.model.snr, cap.FEASIBILITY_TOL
+    step = max(1, game.SLACK_BLOCK_CELLS // (m * (m + 1)))
+    nash, face = [], []
+    for lo in range(0, profiles.shape[0], step):
+        rates = profiles[lo:lo + step]
+        order, cum_rates, cum_snr = cap._ratio_prefixes(rates, snr)   # (m, b) each
+        excess = cum_rates - np.log1p(cum_snr)
+        feasible = (rates.min(axis=1) >= -tol) & (excess.max(axis=0) <= tol)
+        prefixes = np.zeros((3, rates.shape[0], 1, m + 1))   # prefix k = 0 is empty
+        prefixes[:, :, 0, 1:] = np.stack((cum_rates, cum_snr, excess)).swapaxes(1, 2)
+        before = np.arange(m + 1) <= order.argsort(axis=0).T[:, :, None]
+        slacks = np.where(before, np.log1p(snr[:, None] + prefixes[1]) - prefixes[0],
+                          rates[:, :, None] - prefixes[2]).min(axis=2)
+        gaps = np.abs(np.maximum(view.safe_rates, slacks) - rates)
+        nash.append(feasible & (gaps.max(axis=1) <= game.NASH_TOL))
+        face.append(feasible & ((view.safe_rates - rates).max(axis=1) <= tol)
+                    & (np.abs(rates.sum(axis=1) - view.total) <= tol))
+    return np.concatenate(nash), np.concatenate(face)
 
 
 def nash_face_equivalence(scenario, view, g, rng) -> Check:
@@ -81,44 +136,87 @@ def nash_face_equivalence(scenario, view, g, rng) -> Check:
     noise = rng.normal(0.0, 0.05, size=(100, view.m))
     pts.append(np.maximum(pts[0] + noise, 0.0))
     pts = np.concatenate(pts)
-    for p in pts:
-        if game.is_nash(view, g, p) != (cap.max_face_residual(view, p) == 0.0):
-            return Check(name, False, f"disagreement at {p} (tol {tol:g})", tol)
+    nash, face = _nash_face_rows(view, pts)
+    bad = np.flatnonzero(nash != face)
+    if bad.size:
+        return Check(name, False, f"disagreement at {pts[bad[0]]} (tol {tol:g})", tol)
     return Check(name, True, f"{pts.shape[0]} profiles, zero disagreements (tol {tol:g})", tol)
 
 
+def _draw_moves(rng, count: int, view, base: np.ndarray) -> tuple:
+    """Scaled face points, and for the first `count` of them a mover and its new rate."""
+    alphas = base * rng.uniform(0.2, 1.0, size=(base.shape[0], 1))
+    movers, moved = np.empty(count, dtype=int), np.empty(count)
+    for k in range(count):
+        movers[k] = j = int(rng.integers(view.m))
+        moved[k] = rng.uniform(0.0, view.safe_rates[j])
+    return alphas, movers, moved
+
+
 def potential_identity(scenario, view, g, rng) -> Check:
-    name, tol = "potential-identity", 1e-12
+    name, tol = "potential-identity", POTENTIAL_TOL
     base = cap.sample_max_face(view, 200, seed=substream_seed(scenario.seed, "face"))
-    alphas = base * rng.uniform(0.2, 1.0, size=(200, 1))
-    for alpha in alphas:
-        j = int(rng.integers(view.m))
-        beta = alpha.copy()
-        beta[j] = rng.uniform(0.0, view.safe_rates[j])
-        if not (cap.is_feasible(view, alpha) and cap.is_feasible(view, beta)):
-            continue
-        lhs = game.potential(view, g, alpha) - game.potential(view, g, beta)
-        rhs = float(g(alpha[j]) - g(beta[j]))
-        if abs(lhs - rhs) > tol:
-            return Check(name, False, f"off by {abs(lhs - rhs):.2e} (tol {tol:g})", tol)
+    state = rng.bit_generator.state
+    alphas, movers, moved = _draw_moves(rng, 200, view, base)
+    betas = alphas.copy()
+    betas[np.arange(200), movers] = moved
+    pairs = np.flatnonzero(cap.feasible_rows(view, alphas) & cap.feasible_rows(view, betas))
+    alphas, betas, movers, moved = alphas[pairs], betas[pairs], movers[pairs], moved[pairs]
+    # `game.potential` of each feasible row, and g of the mover's two rates
+    lhs = g(np.maximum(alphas, 0.0)).sum(axis=1) - g(np.maximum(betas, 0.0)).sum(axis=1)
+    off = np.abs(lhs - (g(alphas[np.arange(pairs.size), movers]) - g(moved)))
+    bad = np.flatnonzero(off > tol)
+    if bad.size:
+        rng.bit_generator.state = state
+        _draw_moves(rng, pairs[bad[0]] + 1, view, base)
+        return Check(name, False, f"off by {off[bad[0]]:.2e} (tol {tol:g})", tol)
     return Check(name, True, f"200 random feasible pairs (tol {tol:g})", tol)
 
 
+def _draw_instances(rng, count: int, view) -> tuple:
+    """`count` face points, each scaled by its own factor, and a user for each."""
+    pts, users = np.empty((count, view.m)), np.empty(count, dtype=int)
+    for k in range(count):
+        pts[k] = cap.sample_max_face(view, 1, seed=int(rng.integers(2**31)))[0]
+        pts[k] *= rng.uniform(0.3, 1.0)
+        users[k] = int(rng.integers(view.m))
+    return pts, users
+
+
+def _feasible_prefix(view, pts: np.ndarray, users: np.ndarray, grids: np.ndarray) -> np.ndarray:
+    """For each row k, how many of the profiles pts[k] with users[k]'s rate set to
+    grids[k, 0], grids[k, 1], ... are feasible, by bisection over the grid.
+
+    The region is down-closed and each grid increasing, so the feasible points of a grid
+    are a prefix of it; a row's count is found in ceil(log2(n + 1)) `feasible_rows` calls
+    that hold one point of every row.
+    """
+    rows, n = np.arange(pts.shape[0]), grids.shape[1]
+    lo, hi = np.zeros(rows.size, dtype=int), np.full(rows.size, n)
+    while (lo < hi).any():
+        mid = (lo + hi) // 2
+        trials = pts.copy()
+        trials[rows, users] = grids[rows, np.minimum(mid, n - 1)]
+        fits = cap.feasible_rows(view, trials)
+        lo, hi = np.where((lo < hi) & fits, mid + 1, lo), np.where((lo < hi) & ~fits, mid, hi)
+    return lo
+
+
 def best_response_argmax(scenario, view, g, rng) -> Check:
-    name, tol = "best-response-argmax", 1e-9
-    for _ in range(20):
-        pt = cap.sample_max_face(view, 1, seed=int(rng.integers(2**31)))[0]
-        pt *= rng.uniform(0.3, 1.0)
-        user = int(rng.integers(view.m))
+    name, tol = "best-response-argmax", REPLY_TOL
+    state = rng.bit_generator.state
+    pts, users = _draw_instances(rng, 20, view)
+    grids = {u: np.linspace(0.0, float(view.single_caps[u]), 2000) for u in set(users.tolist())}
+    pays = {u: g(ys) for u, ys in grids.items()}
+    counts = _feasible_prefix(view, pts, users, np.stack([grids[u] for u in users]))
+    for k, (pt, user, count) in enumerate(zip(pts, users.tolist(), counts.tolist())):
         others = np.delete(pt, user)
         br = game.best_response(view, g, user, others)
-        ys = np.linspace(0.0, float(view.single_caps[user]), 2000)
-        trials = np.tile(pt, (ys.size, 1))
-        trials[:, user] = ys
-        pays = np.where(cap.feasible_rows(view, trials), g(ys), 0.0)
-        best = max(0.0, float(pays.max()))
+        best = max(0.0, float(pays[user][:count].max())) if count else 0.0
         got = game.payoff(view, g, np.insert(others, user, br), user)
         if got + tol < best:
+            rng.bit_generator.state = state
+            _draw_instances(rng, k + 1, view)
             return Check(name, False, (f"best response beaten by grid ({got} < {best}, "
                                        f"tol {tol:g})"), tol)
     return Check(name, True, f"20 instances vs 2000-point grid search (tol {tol:g})", tol)
