@@ -1,16 +1,20 @@
-"""The `verify` battery: nine checks, each a function of (scenario, view, g, rng) returning
-one `Check` record whose detail states the tolerance `tol` that decided its verdict. `run`
-calls them in order on one generator seeded by the scenario, so every draw is fixed per seed.
+"""The `verify` battery: nine checks, each a function of (scenario, view, g) returning one
+`Check` record whose detail states the tolerance `tol` that decided its verdict. `run` calls
+them in order.
 
-The four sampling checks (`capacity-identities`, `nash-face-equivalence`,
-`potential-identity`, `best-response-argmax`) make all their draws first, the same
-generator calls in the same order as a loop judging one case at a time, and then judge
-every case at once through the oracle's (B, m) batch forms, with the one-case calls' bits.
-If case i fails, the generator is put back and draws 0..i are made again, so it stops where
-that loop stopped and every later check draws the same. `best-response-argmax` finds the
-feasible points of each 2000-point grid by bisection: the region is down-closed, so they
-are a prefix of the increasing grid. The exhaustive rank checks read the 2^m table through
-strided halves of `view.cap.reshape((2,) * m)`, one axis per user, not through gathers.
+A check that samples draws from its own generator, on the substream of the scenario's seed
+named after the check (`scenario.substream_seed`), and draws its cases as arrays in a few
+generator calls; face points, Monte Carlo samples and the random tau come from the older
+named substreams `face`, `montecarlo` and `weights`. So a check's cases are fixed per seed,
+and they do not depend on which checks ran before it or on how those ended.
+
+The four sampling checks of the region and the game (`capacity-identities`,
+`nash-face-equivalence`, `potential-identity`, `best-response-argmax`) judge every case at
+once through the oracle's (B, m) batch forms, with the one-case calls' bits, and report the
+first case that fails. `best-response-argmax` finds the feasible points of each 2000-point
+grid by bisection: the region is down-closed, so they are a prefix of the increasing grid.
+The exhaustive rank checks read the 2^m table through strided halves of
+`view.cap.reshape((2,) * m)`, one axis per user, not through gathers.
 """
 import itertools
 import math
@@ -38,23 +42,26 @@ class Check(NamedTuple):
     tol: float
 
 
-def _random_mixed_state(rng, grid: np.ndarray, mean_cap: float) -> "evo.PopulationState":
-    """Full-support random state inside the mixed region (mean below `mean_cap`).
+def _generator(scenario, name: str) -> np.random.Generator:
+    """The generator of the substream `name` of the scenario's seed."""
+    return np.random.Generator(np.random.Philox(substream_seed(scenario.seed, name)))
+
+
+def _random_mixed_states(rng, grid: np.ndarray, mean_cap: float, count: int) -> list:
+    """`count` full-support random states inside the mixed region (mean below `mean_cap`).
 
     States with no feasible action at all are frozen by the gating and so
     are vacuous rest points; probes for false rest points must stay inside
     the region.
     """
-    masses = rng.dirichlet(np.ones(grid.size))
-    masses = np.maximum(masses, 1e-6)
-    masses /= masses.sum()
-    mean = float(np.dot(grid, masses))
-    target = mean_cap * rng.uniform(0.5, 0.95)
-    if mean > target:
-        t = 1.0 - target / mean
-        masses = (1.0 - t) * masses
-        masses[0] += t   # mix in a share t of the Dirac at grid[0]
-    return evo.PopulationState(grid, masses)
+    masses = np.maximum(rng.dirichlet(np.ones(grid.size), size=count), 1e-6)
+    masses /= masses.sum(axis=1, keepdims=True)
+    means, targets = masses @ grid, mean_cap * rng.uniform(0.5, 0.95, size=count)
+    # above its target, a state mixes in a share t of the Dirac at grid[0]
+    t = np.where(means > targets, 1.0 - targets / means, 0.0)
+    masses *= (1.0 - t)[:, None]
+    masses[:, 0] += t
+    return [evo.PopulationState(grid, row) for row in masses]
 
 
 def _math_log1p(values: np.ndarray) -> np.ndarray:
@@ -62,28 +69,19 @@ def _math_log1p(values: np.ndarray) -> np.ndarray:
     return np.array([math.log1p(v) for v in values.ravel().tolist()]).reshape(values.shape)
 
 
-def _draw_models(rng, count: int) -> tuple:
-    """The sizes of `count` random channels of 1 to 6 users and their SNRs, zero-padded to 6."""
-    sizes, snrs = np.empty(count, dtype=int), np.zeros((count, 6))
-    for k in range(count):
-        sizes[k] = mm = int(rng.integers(1, 7))
-        snrs[k, :mm] = rng.uniform(0.05, 30.0, size=mm)
-    return sizes, snrs
-
-
-def capacity_identities(scenario, view, g, rng) -> Check:
+def capacity_identities(scenario, view, g) -> Check:
     name, m, tol = "capacity-identities", view.m, RANK_TOL
-    state = rng.bit_generator.state
-    sizes, snrs = _draw_models(rng, 200)
+    rng = _generator(scenario, name)
+    # 200 random channels of 1 to 6 users, their SNRs zero-padded to 6
+    used = np.arange(6) < rng.integers(1, 7, size=(200, 1))
+    snrs = np.where(used, rng.uniform(0.05, 30.0, size=(200, 6)), 0.0)
     # the left-to-right sums `capacity_of` and `safe_rate` take; a padded zero adds exactly
     grand = _math_log1p(np.add.accumulate(snrs, axis=1)[:, -1])
     rest = np.stack([np.add.accumulate(np.delete(snrs, i, axis=1), axis=1)[:, -1]
                      for i in range(6)], axis=1)
     off = np.abs(_math_log1p(snrs / (1.0 + rest)) - (grand[:, None] - _math_log1p(rest)))
-    bad = np.flatnonzero((np.arange(6) < sizes[:, None]) & (off > tol))
+    bad = np.flatnonzero(used & (off > tol))
     if bad.size:
-        rng.bit_generator.state = state   # stop after the failing model's draws
-        _draw_models(rng, bad[0] // 6 + 1)
         return Check(name, False, f"identity off by {off.flat[bad[0]]:.2e} (tol {tol:g})", tol)
     if m > cap.MAX_ENUM_USERS:
         return Check(name, True, (f"200 random models (tol {tol:g}); skipped exhaustive rank "
@@ -130,10 +128,10 @@ def _nash_face_rows(view, profiles: np.ndarray) -> tuple:
     return np.concatenate(nash), np.concatenate(face)
 
 
-def nash_face_equivalence(scenario, view, g, rng) -> Check:
+def nash_face_equivalence(scenario, view, g) -> Check:
     name, tol = "nash-face-equivalence", game.NASH_TOL
     pts = [cap.sample_max_face(view, 100, seed=substream_seed(scenario.seed, "face"))]
-    noise = rng.normal(0.0, 0.05, size=(100, view.m))
+    noise = _generator(scenario, name).normal(0.0, 0.05, size=(100, view.m))
     pts.append(np.maximum(pts[0] + noise, 0.0))
     pts = np.concatenate(pts)
     nash, face = _nash_face_rows(view, pts)
@@ -143,21 +141,14 @@ def nash_face_equivalence(scenario, view, g, rng) -> Check:
     return Check(name, True, f"{pts.shape[0]} profiles, zero disagreements (tol {tol:g})", tol)
 
 
-def _draw_moves(rng, count: int, view, base: np.ndarray) -> tuple:
-    """Scaled face points, and for the first `count` of them a mover and its new rate."""
-    alphas = base * rng.uniform(0.2, 1.0, size=(base.shape[0], 1))
-    movers, moved = np.empty(count, dtype=int), np.empty(count)
-    for k in range(count):
-        movers[k] = j = int(rng.integers(view.m))
-        moved[k] = rng.uniform(0.0, view.safe_rates[j])
-    return alphas, movers, moved
-
-
-def potential_identity(scenario, view, g, rng) -> Check:
+def potential_identity(scenario, view, g) -> Check:
     name, tol = "potential-identity", POTENTIAL_TOL
-    base = cap.sample_max_face(view, 200, seed=substream_seed(scenario.seed, "face"))
-    state = rng.bit_generator.state
-    alphas, movers, moved = _draw_moves(rng, 200, view, base)
+    rng = _generator(scenario, name)
+    # 200 scaled face points, and for each a mover and its new rate
+    alphas = cap.sample_max_face(view, 200, seed=substream_seed(scenario.seed, "face"))
+    alphas *= rng.uniform(0.2, 1.0, size=(200, 1))
+    movers = rng.integers(view.m, size=200)
+    moved = rng.uniform(0.0, view.safe_rates[movers])
     betas = alphas.copy()
     betas[np.arange(200), movers] = moved
     pairs = np.flatnonzero(cap.feasible_rows(view, alphas) & cap.feasible_rows(view, betas))
@@ -167,20 +158,8 @@ def potential_identity(scenario, view, g, rng) -> Check:
     off = np.abs(lhs - (g(alphas[np.arange(pairs.size), movers]) - g(moved)))
     bad = np.flatnonzero(off > tol)
     if bad.size:
-        rng.bit_generator.state = state
-        _draw_moves(rng, pairs[bad[0]] + 1, view, base)
         return Check(name, False, f"off by {off[bad[0]]:.2e} (tol {tol:g})", tol)
     return Check(name, True, f"200 random feasible pairs (tol {tol:g})", tol)
-
-
-def _draw_instances(rng, count: int, view) -> tuple:
-    """`count` face points, each scaled by its own factor, and a user for each."""
-    pts, users = np.empty((count, view.m)), np.empty(count, dtype=int)
-    for k in range(count):
-        pts[k] = cap.sample_max_face(view, 1, seed=int(rng.integers(2**31)))[0]
-        pts[k] *= rng.uniform(0.3, 1.0)
-        users[k] = int(rng.integers(view.m))
-    return pts, users
 
 
 def _feasible_prefix(view, pts: np.ndarray, users: np.ndarray, grids: np.ndarray) -> np.ndarray:
@@ -202,27 +181,28 @@ def _feasible_prefix(view, pts: np.ndarray, users: np.ndarray, grids: np.ndarray
     return lo
 
 
-def best_response_argmax(scenario, view, g, rng) -> Check:
+def best_response_argmax(scenario, view, g) -> Check:
     name, tol = "best-response-argmax", REPLY_TOL
-    state = rng.bit_generator.state
-    pts, users = _draw_instances(rng, 20, view)
+    rng = _generator(scenario, name)
+    # 20 face points, each scaled by its own factor, and a user for each
+    pts = cap.sample_max_face(view, 20, seed=int(rng.integers(2**31)))
+    pts *= rng.uniform(0.3, 1.0, size=(20, 1))
+    users = rng.integers(view.m, size=20)
     grids = {u: np.linspace(0.0, float(view.single_caps[u]), 2000) for u in set(users.tolist())}
     pays = {u: g(ys) for u, ys in grids.items()}
     counts = _feasible_prefix(view, pts, users, np.stack([grids[u] for u in users]))
-    for k, (pt, user, count) in enumerate(zip(pts, users.tolist(), counts.tolist())):
+    for pt, user, count in zip(pts, users.tolist(), counts.tolist()):
         others = np.delete(pt, user)
         br = game.best_response(view, g, user, others)
         best = max(0.0, float(pays[user][:count].max())) if count else 0.0
         got = game.payoff(view, g, np.insert(others, user, br), user)
         if got + tol < best:
-            rng.bit_generator.state = state
-            _draw_instances(rng, k + 1, view)
             return Check(name, False, (f"best response beaten by grid ({got} < {best}, "
                                        f"tol {tol:g})"), tol)
     return Check(name, True, f"20 instances vs 2000-point grid search (tol {tol:g})", tol)
 
 
-def efficiency_metrics(scenario, view, g, rng) -> Check:
+def efficiency_metrics(scenario, view, g) -> Check:
     name, m = "efficiency-metrics", view.m
     out, tol = game.efficiency_metrics(view, g), 1e-12
     ok = bool(out["pos"] == 1.0 and out["spoa"] <= 1.0 + tol)
@@ -235,14 +215,13 @@ def efficiency_metrics(scenario, view, g, rng) -> Check:
                                                   f"relative gap {gap:.2e} (tol {tol:g})"), tol)
 
 
-def normalized_equilibrium(scenario, view, g, rng) -> Check:
+def normalized_equilibrium(scenario, view, g) -> Check:
     # the certificate re-checked on the 2^m table, for tau = 1 and one seeded tau
     name, m = "normalized-equilibrium", view.m
     gg = g if g.kind != "identity" else game.Utility.log1p()
     tol, worst, ok = 1e-12, 0.0, True
     enum = m <= cap.MAX_ENUM_USERS
-    wrng = np.random.Generator(np.random.Philox(substream_seed(scenario.seed, "weights")))
-    for tau in (np.ones(m), np.exp(wrng.uniform(-1.0, 1.0, size=m))):
+    for tau in (np.ones(m), np.exp(_generator(scenario, "weights").uniform(-1.0, 1.0, size=m))):
         res = sel.normalized_equilibrium(view, sel.NormalizedEqConfig(g=gg, weights=tau))
         covered = np.zeros(m)
         for J, lam in zip(res.tight_sets, res.set_multipliers):
@@ -263,7 +242,7 @@ def normalized_equilibrium(scenario, view, g, rng) -> Check:
     return Check(name, ok, f"2^m certificate gap {worst:.2e} (tol {tol:g})", tol)
 
 
-def ess_invasion(scenario, view, g, rng) -> Check:
+def ess_invasion(scenario, view, g) -> Check:
     name, tol = "ess-invasion", evo.ESS_MARGIN
     if not view.model.symmetric:
         return Check(name, None, "asymmetric channel, not applicable", tol)
@@ -275,7 +254,7 @@ def ess_invasion(scenario, view, g, rng) -> Check:
     return Check(name, ok, f"equal split stable, 0.9x split invaded (tol {tol:g})", tol)
 
 
-def rest_points(scenario, view, g, rng) -> Check:
+def rest_points(scenario, view, g) -> Check:
     name, tol = "rest-points", 1e-8
     if not view.model.symmetric:
         return Check(name, None, "asymmetric channel, not applicable", tol)
@@ -293,8 +272,7 @@ def rest_points(scenario, view, g, rng) -> Check:
         if dyn.rest_point_residual(view, g, proto, dirac, table=table) >= tol:
             return Check(name, False, f"Dirac residual not zero for {proto.kind}", tol)
     # a random state's velocity scales with K * max|F| * C({1}) (BNN, K = 1)
-    for _ in range(5):
-        state = _random_mixed_state(rng, grid, rstar)
+    for state in _random_mixed_states(_generator(scenario, name), grid, rstar, 5):
         scale = float(np.abs(table.payoffs(state.masses)).max()) * grid[-1]
         if dyn.rest_point_residual(view, g, dyn.Protocol.bnn(), state,
                                    table=table) <= 1e-6 * scale:
@@ -303,18 +281,17 @@ def rest_points(scenario, view, g, rng) -> Check:
                               "move (residual > 1e-6 K max|F| C({1}))"), tol)
 
 
-def montecarlo_payoffs(scenario, view, g, rng) -> Check:
+def montecarlo_payoffs(scenario, view, g) -> Check:
     m, grid = view.m, np.linspace(0.0, float(view.single_caps.max()), 21)
     name, trials, samples, z = "montecarlo-payoffs", 20, 20_000, 3.0
     rows = evo.exact_rows(view, grid.size)
     if rows > MC_EXACT_ROWS:
         return Check(name, None, f"exact listing needs {rows} rows (> {MC_EXACT_ROWS})", z)
-    cases = []
-    for _ in range(trials):
-        # the state's mean keeps the gate C(N) - (m-1)E non-empty, and a lies inside it
-        state = _random_mixed_state(rng, grid, view.total / max(m - 1, 1))
-        a = float(rng.uniform(0.0, min(grid[-1], view.total - (m - 1) * evo.mean_rate(state))))
-        cases.append((state, a))
+    rng = _generator(scenario, name)
+    # each state's mean keeps the gate C(N) - (m-1)E non-empty, and its a lies inside it
+    states = _random_mixed_states(rng, grid, view.total / max(m - 1, 1), trials)
+    tops = [min(grid[-1], view.total - (m - 1) * evo.mean_rate(s)) for s in states]
+    cases = list(zip(states, rng.uniform(0.0, tops).tolist()))
     exacts = evo.expected_payoffs(view, g, cases)
 
     def judge(first_seed):
@@ -361,6 +338,5 @@ CHECKS = (capacity_identities, nash_face_equivalence, potential_identity, best_r
 
 
 def run(scenario, view, g) -> list:
-    """Every check's record, in CHECKS order, all drawing from one seeded generator."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(scenario.seed)))
-    return [check(scenario, view, g, rng) for check in CHECKS]
+    """Every check's record, in CHECKS order; each check draws on its own substream."""
+    return [check(scenario, view, g) for check in CHECKS]

@@ -16,9 +16,12 @@ from .game import Utility
 from .specs import PAYOFF_METHODS, PROTOCOL_KINDS, DynamicsRun, Protocol
 
 UTILITY_KINDS = ("identity", "log1p", "power")
-# Named substreams of the scenario seed, so each analysis draws
-# independently but reproducibly.
-_SUBSTREAM = {"face": 0, "montecarlo": 1, "dynamics": 2, "weights": 3}
+# Named substreams of the scenario seed, so each analysis draws independently but
+# reproducibly: face sampling, Monte Carlo samples of `verify` and of a run, `verify`'s
+# random tau, then each sampling `verify` check's own cases. A name keeps its number.
+_SUBSTREAM = {"face": 0, "montecarlo": 1, "dynamics": 2, "weights": 3,
+              "capacity-identities": 4, "nash-face-equivalence": 5, "potential-identity": 6,
+              "best-response-argmax": 7, "rest-points": 8, "montecarlo-payoffs": 9}
 
 
 @dataclass

@@ -38,7 +38,7 @@ from macgame import (
     sample_max_face,
     simulate,
 )
-from macgame.checks import _random_mixed_state
+from macgame.checks import _random_mixed_states
 
 from lattice import strong_by_lattice
 
@@ -206,8 +206,7 @@ def test_criterion_08_rest_points():
     view = build_view(ChannelModel(np.ones(2)))
     grid = make_grid(math.log(2.0), 51, include=view.total / 2)
     rng = np.random.default_rng(808)
-    for _ in range(20):
-        state = _random_mixed_state(rng, grid, view.total / view.m)
+    for state in _random_mixed_states(rng, grid, view.total / view.m, 20):
         assert rest_point_residual(view, g, Protocol.bnn(), state) > 1e-6
     report(8, "Dirac(C(N)/m) at rest under all protocols; 20 random "
               "full-support states move under BNN", t0)

@@ -1,6 +1,6 @@
 """The verify battery: its exact side (`expected_payoffs`, one shared opponent listing for all
-of `montecarlo-payoffs`' trials), and its sampling checks judged in batch against copies of
-the one-case checks."""
+of `montecarlo-payoffs`' trials), its sampling checks judged in batch against one-case checks
+on the same draws, and each check's record independent of the other checks."""
 
 import importlib.util
 import itertools
@@ -14,7 +14,7 @@ from macgame import (ChannelModel, PopulationState, Utility, build_view, expecte
                      expected_payoffs, mean_rate, parse_scenario)
 from macgame import capacity as cap
 from macgame import checks, game
-from macgame.checks import Check, _random_mixed_state, rest_points
+from macgame.checks import Check, _random_mixed_states, rest_points
 from macgame.scenario import build_model, build_utility, substream_seed
 from macgame.capacity import FEASIBILITY_TOL, reply_slack
 from macgame.evolution import INDICATOR_SLACK, region_mass
@@ -32,7 +32,7 @@ def test_shared_listing_matches_expected_payoff(m, channel, gname):
     view, g = build_view(ChannelModel(np.array(CHANNELS[channel][:m]))), UTILITIES[gname]
     grid = np.linspace(0.0, float(view.single_caps.max()), 9)
     rng = np.random.default_rng(m)
-    states = [_random_mixed_state(rng, grid, view.total / max(m - 1, 1)) for _ in range(6)]
+    states = _random_mixed_states(rng, grid, view.total / max(m - 1, 1), 6)
     bound = [min(grid[-1], view.total - (m - 1) * float(s.grid @ s.masses)) for s in states]
     cases = [(s, float(rng.uniform(0.0, b))) for s, b in zip(states, bound)]
     cases += [(states[0], cases[1][1]), (states[2], cases[1][1]),   # tied actions
@@ -66,20 +66,26 @@ def test_rest_points_place_split_rounded_to_single_cap(m, snr):
     # C(N)/m rounds to C({1}) or one ulp above it; the probe's grid clamps it to C({1})
     scenario = parse_scenario(f"m = {m}\nsnr = {','.join([repr(snr)] * m)}\ngrid_points = 21\n")
     view = build_view(ChannelModel(np.full(m, snr)))
-    check = rest_points(scenario, view, Utility.log1p(), np.random.default_rng(0))
+    check = rest_points(scenario, view, Utility.log1p())
     assert check.verdict is True, check.detail
 
 
 # --- verify's sampling checks judged in batch ------------------------------------------------
-# Copies of the four checks as they were when each drew and judged one case at a time. They
-# are kept verbatim but for where each reads its tolerance: from the module constant the
-# batch check reads, so that one patch forces a failure in both.
+# One-case forms of the four checks: each takes its check's own substream, makes the check's
+# draws and judges one case at a time with the library's one-case calls. Each reads its
+# tolerance from the module constant the batch check reads, so that one patch forces a
+# failure in both.
 
-def ref_capacity_identities(scenario, view, g, rng) -> Check:
+def substream(scenario, name):
+    return np.random.Generator(np.random.Philox(substream_seed(scenario.seed, name)))
+
+
+def ref_capacity_identities(scenario, view, g) -> Check:
     name, m, tol = "capacity-identities", view.m, checks.RANK_TOL
-    for _ in range(200):
-        mm = int(rng.integers(1, 7))
-        trial = cap.ChannelModel(rng.uniform(0.05, 30.0, size=mm))
+    rng = substream(scenario, name)
+    sizes, snrs = rng.integers(1, 7, size=200), rng.uniform(0.05, 30.0, size=(200, 6))
+    for mm, row in zip(sizes.tolist(), snrs):
+        trial = cap.ChannelModel(row[:mm])
         full = range(mm)
         grand = cap.capacity_of(trial, full)
         for i in range(mm):
@@ -106,10 +112,10 @@ def ref_capacity_identities(scenario, view, g, rng) -> Check:
     return Check(name, True, f"200 random models + exhaustive rank checks (tol {tol:g})", tol)
 
 
-def ref_nash_face_equivalence(scenario, view, g, rng) -> Check:
+def ref_nash_face_equivalence(scenario, view, g) -> Check:
     name, tol = "nash-face-equivalence", game.NASH_TOL
     pts = [cap.sample_max_face(view, 100, seed=substream_seed(scenario.seed, "face"))]
-    noise = rng.normal(0.0, 0.05, size=(100, view.m))
+    noise = substream(scenario, name).normal(0.0, 0.05, size=(100, view.m))
     pts.append(np.maximum(pts[0] + noise, 0.0))
     pts = np.concatenate(pts)
     for p in pts:
@@ -118,14 +124,16 @@ def ref_nash_face_equivalence(scenario, view, g, rng) -> Check:
     return Check(name, True, f"{pts.shape[0]} profiles, zero disagreements (tol {tol:g})", tol)
 
 
-def ref_potential_identity(scenario, view, g, rng) -> Check:
+def ref_potential_identity(scenario, view, g) -> Check:
     name, tol = "potential-identity", checks.POTENTIAL_TOL
+    rng = substream(scenario, name)
     base = cap.sample_max_face(view, 200, seed=substream_seed(scenario.seed, "face"))
     alphas = base * rng.uniform(0.2, 1.0, size=(200, 1))
-    for alpha in alphas:
-        j = int(rng.integers(view.m))
+    movers = rng.integers(view.m, size=200)
+    moved = rng.uniform(0.0, view.safe_rates[movers])
+    for alpha, j, rate in zip(alphas, movers.tolist(), moved.tolist()):
         beta = alpha.copy()
-        beta[j] = rng.uniform(0.0, view.safe_rates[j])
+        beta[j] = rate
         if not (cap.is_feasible(view, alpha) and cap.is_feasible(view, beta)):
             continue
         lhs = game.potential(view, g, alpha) - game.potential(view, g, beta)
@@ -135,12 +143,17 @@ def ref_potential_identity(scenario, view, g, rng) -> Check:
     return Check(name, True, f"200 random feasible pairs (tol {tol:g})", tol)
 
 
-def ref_best_response_argmax(scenario, view, g, rng) -> Check:
+def best_response_cases(scenario, view) -> tuple:
+    """best-response-argmax's draws: 20 face points, each scaled, and a user for each."""
+    rng = substream(scenario, "best-response-argmax")
+    pts = cap.sample_max_face(view, 20, seed=int(rng.integers(2**31)))
+    return pts * rng.uniform(0.3, 1.0, size=(20, 1)), rng.integers(view.m, size=20)
+
+
+def ref_best_response_argmax(scenario, view, g) -> Check:
     name, tol = "best-response-argmax", checks.REPLY_TOL
-    for _ in range(20):
-        pt = cap.sample_max_face(view, 1, seed=int(rng.integers(2**31)))[0]
-        pt *= rng.uniform(0.3, 1.0)
-        user = int(rng.integers(view.m))
+    for pt, user in zip(*best_response_cases(scenario, view)):
+        user = int(user)
         others = np.delete(pt, user)
         br = game.best_response(view, g, user, others)
         ys = np.linspace(0.0, float(view.single_caps[user]), 2000)
@@ -167,6 +180,12 @@ EDGE_ARGV = {
     # nash-face-equivalence fails at [0. 0.] here (ROADMAP item 11)
     "tiny-log1p": ["--set", "m=2", "--set", "snr=1e-9,1e-9", "--set", "g=log1p"],
 }
+# (index in CHECKS, module, tolerance constant, value): each value makes its check fail on
+# every shipped scenario, part way through the cases but for potential-identity (at its first
+# pair; the skipped-pairs case below fails part way), and no other check reads the constant
+FORCED = [(0, checks, "RANK_TOL", 5e-16), (1, game, "NASH_TOL", 0.05),
+          (2, checks, "POTENTIAL_TOL", 1e-16), (3, checks, "REPLY_TOL", -1e-6)]
+FORCED_IDS = ["capacity", "nash-face", "potential", "best-response"]
 
 
 def compare_outputs_variants() -> list:
@@ -185,30 +204,11 @@ def battery_input(path, argv) -> tuple:
     return scenario, build_view(build_model(scenario)), build_utility(scenario)
 
 
-def seeded(scenario):
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(scenario.seed)))
-
-
-def state_of(rng):
-    """The generator's state with its arrays as lists, comparable by ==."""
-    def plain(x):
-        if isinstance(x, dict):
-            return {k: plain(v) for k, v in x.items()}
-        return x.tolist() if isinstance(x, np.ndarray) else x
-    return plain(rng.bit_generator.state)
-
-
-def assert_batch_identity(scenario, view, g) -> tuple:
-    """The four checks in battery order on one generator each: equal records (types too)
-    and equal generator states after every check. Returns the records and those states."""
-    rng, ref_rng, records, states = seeded(scenario), seeded(scenario), [], []
-    for check, ref in PAIRS:
-        got, want = check(scenario, view, g, rng), ref(scenario, view, g, ref_rng)
-        assert repr(got) == repr(want)
-        assert state_of(rng) == state_of(ref_rng), check.__name__
-        records.append(got)
-        states.append(state_of(rng))
-    return records, states
+def assert_batch_identity(scenario, view, g) -> list:
+    """The four batch checks give their one-case forms' records (types too); returns them."""
+    records = [check(scenario, view, g) for check, _ in PAIRS]
+    assert [repr(r) for r in records] == [repr(ref(scenario, view, g)) for _, ref in PAIRS]
+    return records
 
 
 def sweep_inputs() -> list:
@@ -216,8 +216,8 @@ def sweep_inputs() -> list:
 
 
 class TestVerifyBatchIdentity:
-    """The batch checks give the one-case checks' records and leave the generator where
-    they did, on passing and failing batteries alike."""
+    """The batch checks give the one-case checks' records on the same draws, on passing and
+    failing batteries alike."""
 
     @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
     def test_shipped(self, path):
@@ -234,37 +234,27 @@ class TestVerifyBatchIdentity:
 
     @pytest.mark.parametrize("name", sorted(EDGE_ARGV))
     def test_edges(self, name):
-        records, _ = assert_batch_identity(*battery_input(None, EDGE_ARGV[name]))
+        records = assert_batch_identity(*battery_input(None, EDGE_ARGV[name]))
         assert [r.verdict for r in records] == [True, name != "tiny-log1p", True, True]
 
-    # each tolerance makes its check fail part way through the draws on every shipped
-    # scenario; nash-face-equivalence draws all its noise in one call, so it has no replay
     @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
-    @pytest.mark.parametrize("index, module, constant, value", [
-        (0, checks, "RANK_TOL", 5e-16), (1, game, "NASH_TOL", 0.05),
-        (2, checks, "POTENTIAL_TOL", 1e-16), (3, checks, "REPLY_TOL", -1e-4)],
-        ids=["capacity", "nash-face", "potential", "best-response"])
+    @pytest.mark.parametrize("index, module, constant, value", FORCED, ids=FORCED_IDS)
     def test_forced_failure(self, path, index, module, constant, value, monkeypatch):
-        inputs = battery_input(path, [])
-        _, passing = assert_batch_identity(*inputs)
         monkeypatch.setattr(module, constant, value)
-        records, states = assert_batch_identity(*inputs)
+        records = assert_batch_identity(*battery_input(path, []))
         assert [r.verdict for r in records] == [k != index for k in range(4)]
-        assert (states[index] != passing[index]) == (index != 1)
 
-    @pytest.mark.parametrize("name", ["asym2", "sym2"])
-    def test_forced_failure_after_skipped_pairs(self, name, monkeypatch):
-        # a region tolerance of -0.05 makes pairs infeasible, on these two scenarios some
-        # before the failing one, so its place among the draws is not its place among the
-        # judged pairs (sym3 fails at its first pair)
-        scenario, view, g = battery_input(SHIPPED[0].parent / f"{name}.cfg", [])
-        monkeypatch.setattr(checks, "POTENTIAL_TOL", 1e-16)
-        monkeypatch.setattr(cap, "FEASIBILITY_TOL", -0.05)
-        rng, ref_rng = seeded(scenario), seeded(scenario)
-        got = checks.potential_identity(scenario, view, g, rng)
+    @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+    def test_forced_failure_after_skipped_pairs(self, path, monkeypatch):
+        # a region tolerance of -0.2 makes pairs infeasible, on every shipped scenario the
+        # first two or more, so the failing pair's place among the draws is not its place
+        # among the judged pairs
+        scenario, view, g = battery_input(path, [])
+        monkeypatch.setattr(checks, "POTENTIAL_TOL", 1e-17)
+        monkeypatch.setattr(cap, "FEASIBILITY_TOL", -0.2)
+        got = checks.potential_identity(scenario, view, g)
         assert got.verdict is False
-        assert repr(got) == repr(ref_potential_identity(scenario, view, g, ref_rng))
-        assert state_of(rng) == state_of(ref_rng)
+        assert repr(got) == repr(ref_potential_identity(scenario, view, g))
 
     @pytest.mark.parametrize("m", range(1, 10))
     @pytest.mark.parametrize("change", ["none", "drop", "bump"])
@@ -282,8 +272,8 @@ class TestVerifyBatchIdentity:
             a, b = table.size - 2, table.size - 3
             table[-1] = table[a] + table[b] - table[a & b] + 1e-9
         view.__dict__["cap"] = table
-        got = checks.capacity_identities(scenario, view, Utility.identity(), seeded(scenario))
-        want = ref_capacity_identities(scenario, view, Utility.identity(), seeded(scenario))
+        got = checks.capacity_identities(scenario, view, Utility.identity())
+        want = ref_capacity_identities(scenario, view, Utility.identity())
         assert repr(got) == repr(want)
         assert got.verdict is (change == "none" or m == 1 and change == "bump")
 
@@ -301,15 +291,32 @@ def premise_inputs() -> list:
 def test_feasible_grid_points_are_a_prefix(inputs):
     """best-response-argmax's premise: on each of its grids the feasible points, found by a
     full 2,000-row scan, are a prefix, as long as the bisection says."""
-    scenario, view, g = inputs
-    rng = seeded(scenario)
-    for check in (checks.capacity_identities, checks.nash_face_equivalence,
-                  checks.potential_identity):
-        check(scenario, view, g, rng)
-    pts, users = checks._draw_instances(rng, 20, view)
+    scenario, view, _ = inputs
+    pts, users = best_response_cases(scenario, view)
     grids = np.stack([np.linspace(0.0, float(view.single_caps[u]), 2000) for u in users])
     counts = checks._feasible_prefix(view, pts, users, grids)
     for pt, user, ys, count in zip(pts, users, grids, counts):
         trials = np.tile(pt, (ys.size, 1))
         trials[:, user] = ys
         assert (cap.feasible_rows(view, trials) == (np.arange(ys.size) < count)).all()
+
+
+@pytest.mark.parametrize("inputs", [battery_input(path, []) for path in SHIPPED]
+                         + [battery_input(None, argv) for argv in sweep_inputs()],
+                         ids=[p.stem for p in SHIPPED] + [f"sweep{s}" for s in range(16)])
+def test_record_independent_of_other_checks(inputs, monkeypatch):
+    """Each check's record is the same run alone (here in reverse battery order), inside
+    `checks.run`, and inside a run in which another check is forced to fail; two runs give
+    equal records."""
+    alone = {check.__name__: repr(check(*inputs)) for check in reversed(checks.CHECKS)}
+    alone = [alone[check.__name__] for check in checks.CHECKS]
+    assert [repr(r) for r in checks.run(*inputs)] == alone
+    assert [repr(r) for r in checks.run(*inputs)] == alone
+    # a tolerance of -1 fails every case: FORCED's values miss on a few sweep scenarios
+    for index, module, constant, _ in FORCED:
+        with monkeypatch.context() as patch:
+            patch.setattr(module, constant, -1.0)
+            records = checks.run(*inputs)
+        assert records[index].verdict is False, FORCED_IDS[index]
+        assert [repr(r) for k, r in enumerate(records) if k != index] == [
+            r for k, r in enumerate(alone) if k != index]

@@ -27,7 +27,7 @@ from macgame import (
 )
 from macgame import dynamics, evolution
 from macgame.capacity import FEASIBILITY_TOL, reply_slack, subset_sums
-from macgame.checks import _random_mixed_state
+from macgame.checks import _random_mixed_states
 from macgame.dynamics import _flow, _gate_count, _payoff_vector, euler_update
 from macgame.evolution import (EXACT_ENUM_LIMIT, INDICATOR_SLACK, _admitted_mass, _exact_fits,
                                _fit_mass, _mixed_gate, _own_values, exact_rows, mc_route,
@@ -91,8 +91,7 @@ class TestVelocity:
     def test_flow_conserves_mass(self, proto, sym2, gid):
         rng = np.random.default_rng(4)
         grid = grid_with_rstar(sym2)
-        for _ in range(10):
-            state = _random_mixed_state(rng, grid, sym2.total / sym2.m)
+        for state in _random_mixed_states(rng, grid, sym2.total / sym2.m, 10):
             assert abs(velocity(sym2, gid, proto, state).sum()) < 1e-12
 
     def test_bnn_signs_from_uniform(self, sym2, gid):
@@ -132,8 +131,7 @@ class TestVelocity:
         dirac = PopulationState.dirac(grid, sym2.total / 2)
         for theta in (1.0, 2.0, 3.0):
             assert rest_point_residual(sym2, gid, Protocol.smith(theta), dirac) == 0.0
-        for _ in range(5):
-            state = _random_mixed_state(rng, grid, sym2.total / sym2.m)
+        for state in _random_mixed_states(rng, grid, sym2.total / sym2.m, 5):
             zeros = [rest_point_residual(sym2, gid, Protocol.smith(t), state) == 0.0
                      for t in (1.0, 2.0, 3.0)]
             assert len(set(zeros)) == 1
@@ -143,8 +141,7 @@ class TestVelocity:
         rng = np.random.default_rng(2)
         grid = grid_with_rstar(sym2, n=31)
         table = PayoffTable(sym2, g, grid)
-        for _ in range(5):
-            state = _random_mixed_state(rng, grid, sym2.total / sym2.m)
+        for state in _random_mixed_states(rng, grid, sym2.total / sym2.m, 5):
             from_table = table.payoffs(state.masses)
             direct = np.array([expected_payoff(sym2, g, float(a), state) for a in grid])
             assert np.allclose(from_table, direct, atol=1e-12)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from macgame import Scenario, ScenarioError, build_view, dump_scenario, parse_scenario
-from macgame.scenario import (build_model, build_protocol, build_run, build_utility,
-                              substream_seed)
+from macgame.scenario import (_SUBSTREAM, build_model, build_protocol, build_run,
+                              build_utility, substream_seed)
 
 MINIMAL = "m = 2\nsnr = 1,1\ng = identity\n"
 
@@ -125,11 +125,14 @@ def test_builders():
 
 def test_seed_substreams_pinned():
     # each named stream of the seed key keeps its number, so same-seed outputs keep
-    # their draws
-    assert {name: substream_seed(0, name) for name in ("face", "montecarlo", "dynamics",
-                                                       "weights")} == {
+    # their draws: the first four feed the Monte Carlo `dynamics` CSVs and `verify`'s face
+    # points, Monte Carlo samples and random tau; the rest are `verify` checks' own cases
+    assert {name: substream_seed(0, name) for name in _SUBSTREAM} == {
         "face": 3757552657, "montecarlo": 673228719, "dynamics": 3241444873,
-        "weights": 3685993406}
+        "weights": 3685993406, "capacity-identities": 1216546553,
+        "nash-face-equivalence": 2078861726, "potential-identity": 2471122328,
+        "best-response-argmax": 23012616, "rest-points": 3031610183,
+        "montecarlo-payoffs": 2976135721}
 
 
 @pytest.mark.parametrize("snr", ["2,2,2", "2,1,0.5"])
